@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import ApsmConfig, QuadraticResidualCost, grad_tolerance, rho_at
+from .cost import ApsmConfig, QuadraticResidualCost, rho_at, sublevel_step
 from .errors import DimensionMismatch, NonFiniteIterate
 from .geometry import Constellation, perturbation_l1, perturbation_l2
 
@@ -50,15 +50,8 @@ class IterateTrace:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(TRACE_COLUMNS)
-            for i in range(len(self)):
-                writer.writerow([
-                    int(self.n[i]),
-                    format(self.theta[i], ".17g"),
-                    format(self.objective[i], ".17g"),
-                    format(self.rho[i], ".17g"),
-                    format(self.step_norm[i], ".17g"),
-                    format(self.pert_norm[i], ".17g"),
-                ])
+            for n, *values in zip(*(getattr(self, col) for col in TRACE_COLUMNS)):
+                writer.writerow([int(n)] + [format(v, ".17g") for v in values])
 
 
 def apsm_run(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,
@@ -80,24 +73,16 @@ def apsm_run(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,
         if x.shape != (dim,):
             raise DimensionMismatch(f"x0 has shape {x.shape}, expected ({dim},)")
     box = c.box()
-    mu = cfg.mu
-    tau = cfg.tau
-    variant = cfg.variant
-
-    ns, thetas, objs, rhos, steps, perts = [], [], [], [], [], []
+    records = []  # one TRACE_COLUMNS row per iteration
     iterates = [x.copy()] if record_iterates else None
 
-    # hot loop: the cost terms are inlined (same arithmetic as cost.eval)
-    gram, hty, yty = cost.gram, cost.hty, cost.yty
-    a_max = box.a_max
-
     for n in range(cfg.max_iters):
-        beta_n = cfg.beta.at(n) if variant != "plain" else 0.0
+        beta_n = cfg.beta.at(n) if cfg.variant != "plain" else 0.0
         if beta_n != 0.0:
-            if variant == "l2":
+            if cfg.variant == "l2":
                 v = perturbation_l2(x, c)
             else:
-                v = perturbation_l1(x, tau, c)
+                v = perturbation_l1(x, cfg.tau, c)
             pert_norm = beta_n * math.sqrt(float(v @ v))
             z = x + beta_n * v
         else:
@@ -105,16 +90,7 @@ def apsm_run(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,
             z = x
 
         rho_n = rho_at(cfg.rho, n)
-        gz = gram @ z
-        resid_z = max(float(z @ gz - 2.0 * (hty @ z) + yty), 0.0)
-        theta_n = max(resid_z - rho_n, 0.0)
-
-        if theta_n > 0.0:
-            grad = 2.0 * (gz - hty)
-            gn2 = float(grad @ grad)
-            if math.sqrt(gn2) > grad_tolerance(z):
-                z = z - (mu * theta_n / gn2) * grad
-        x_next = np.clip(z, -a_max, a_max)
+        x_next, resid_z, theta_n = sublevel_step(cost, z, rho_n, cfg.mu, box)
 
         diff = x_next - x
         step_norm = math.sqrt(float(diff @ diff))
@@ -122,18 +98,8 @@ def apsm_run(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,
         if not (math.isfinite(step_norm) and math.isfinite(resid_z)):
             raise NonFiniteIterate(n)
 
-        if pert_norm == 0.0:
-            objective = resid_z
-        else:
-            gx = gram @ x
-            objective = max(float(x @ gx - 2.0 * (hty @ x) + yty), 0.0)
-
-        ns.append(n)
-        thetas.append(theta_n)
-        objs.append(objective)
-        rhos.append(rho_n)
-        steps.append(step_norm)
-        perts.append(pert_norm)
+        objective = resid_z if pert_norm == 0.0 else cost.residual_sq(x)
+        records.append((n, theta_n, objective, rho_n, step_norm, pert_norm))
         if record_iterates:
             iterates.append(x_next.copy())
 
@@ -142,13 +108,8 @@ def apsm_run(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,
             break
 
     trace = IterateTrace(
-        n=np.asarray(ns, dtype=int),
-        theta=np.asarray(thetas),
-        objective=np.asarray(objs),
-        rho=np.asarray(rhos),
-        step_norm=np.asarray(steps),
-        pert_norm=np.asarray(perts),
-        variant=variant,
+        **{col: np.asarray(vals) for col, vals in zip(TRACE_COLUMNS, zip(*records))},
+        variant=cfg.variant,
         config_hash=cfg.config_hash(),
         summability_flag=cfg.beta.summable,
         iterates=np.asarray(iterates) if record_iterates else None,
@@ -163,6 +124,12 @@ class AuditResult:
     checked: int = 0
     violations: int = 0
     max_excess: float = 0.0
+
+    @classmethod
+    def from_excess(cls, excess: np.ndarray) -> "AuditResult":
+        """Tally lhs - rhs of the audited inequality, one entry per step."""
+        return cls(int(excess.size), int(np.count_nonzero(excess > 0)),
+                   float(excess.max(initial=0.0)))
 
 
 @dataclass
@@ -209,13 +176,7 @@ def check_quasi_fejer(trace: IterateTrace, x_seq: np.ndarray,
     count = len(trace)
     lhs = d[start + 1:count + 1]
     rhs = d[start:count] + trace.pert_norm[start:count] + tol
-    excess = lhs - rhs
-    bad = excess > 0
-    return AuditResult(
-        checked=int(excess.size),
-        violations=int(np.count_nonzero(bad)),
-        max_excess=float(excess.max(initial=0.0)),
-    )
+    return AuditResult.from_excess(lhs - rhs)
 
 
 def check_attracting(trace: IterateTrace, x_seq: np.ndarray,
@@ -247,13 +208,7 @@ def check_attracting(trace: IterateTrace, x_seq: np.ndarray,
     gamma = betas * r**2 * (2.0 + b)
     lhs = d[start + 1:count + 1] ** 2
     rhs = d[start:count] ** 2 - kappa * steps**2 + gamma + tol
-    excess = lhs - rhs
-    bad = excess > 0
-    return AuditResult(
-        checked=int(excess.size),
-        violations=int(np.count_nonzero(bad)),
-        max_excess=float(excess.max(initial=0.0)),
-    )
+    return AuditResult.from_excess(lhs - rhs)
 
 
 def diagnose(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 from .apsm import diagnose
 from .cost import BetaSchedule, QuadraticResidualCost, RhoSchedule, standard_config
@@ -32,29 +33,38 @@ from .sim import (
 )
 from .validation import run_all_suites
 
-DEFAULTS = {
-    "k": 16,
-    "n": 64,
-    "mod": "16qam",
-    "channel": "iid",
-    "rho_tx": 0.0,
-    "rho_rx": 0.0,
-    "snr": [9.0],
-    "trials": 100,
-    "iters": 300,
-    "detectors": "apsm_plain,apsm_l2,apsm_l1,constrained_lmmse,box_oracle",
-    "rho0": None,
-    "growth": None,
-    "mu": None,
-    "beta": None,
-    "beta_geom": None,
-    "tau": None,
-    "seed": 0,
-    "workers": None,
-    "out": None,
-    "format": "csv",
-    "dump_trace": None,
+# key -> (type, built-in default, extra add_argument keywords). The flag is
+# --key with "-" for "_"; config-file values are checked against the type.
+FLAGS = {
+    "k": (int, 16, {}),
+    "n": (int, 64, {}),
+    "mod": (str, "16qam", {"choices": ["qpsk", "16qam", "64qam"]}),
+    "channel": (str, "iid", {"choices": ["iid", "kronecker"]}),
+    "rho_tx": (float, 0.0, {}),
+    "rho_rx": (float, 0.0, {}),
+    "snr": (float, [9.0], {"action": "append", "help": "SNR in dB (repeatable)"}),
+    "trials": (int, 100, {}),
+    "iters": (int, 300, {}),
+    "detectors": (str, "apsm_plain,apsm_l2,apsm_l1,constrained_lmmse,box_oracle",
+                  {"help": "comma-separated detector list"}),
+    "rho0": (float, None, {}),
+    "growth": (float, None, {}),
+    "mu": (float, None, {}),
+    "beta": (float, None, {"help": "constant perturbation scaling"}),
+    "beta_geom": (float, None, {"help": "geometric perturbation scaling base"}),
+    "tau": (float, None, {}),
+    "seed": (int, 0, {}),
+    "workers": (int, None, {}),
+    "out": (str, None, {}),
+    "format": (str, "csv", {"choices": ["csv", "json"]}),
+    "dump_trace": (str, None,
+                   {"help": "write the per-iteration trace CSV of one detector"}),
 }
+DEFAULTS = {key: default for key, (_, default, _) in FLAGS.items()}
+# keys whose file value may also be a list of values of the flag's type
+_LIST_KEYS = ("snr", "detectors")
+# JSON types accepted for each flag type (bool is excluded separately)
+_FILE_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,30 +76,22 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None,
                    help="JSON config file (flags override file values)")
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--mod", choices=["qpsk", "16qam", "64qam"])
-    p.add_argument("--channel", choices=["iid", "kronecker"])
-    p.add_argument("--rho-tx", dest="rho_tx", type=float)
-    p.add_argument("--rho-rx", dest="rho_rx", type=float)
-    p.add_argument("--snr", action="append", type=float,
-                   help="SNR in dB (repeatable)")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--detectors", type=str, help="comma-separated detector list")
-    p.add_argument("--rho0", type=float)
-    p.add_argument("--growth", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--beta", type=float, help="constant perturbation scaling")
-    p.add_argument("--beta-geom", dest="beta_geom", type=float,
-                   help="geometric perturbation scaling base")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out", type=str)
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--dump-trace", dest="dump_trace", type=str,
-                   help="write the per-iteration trace CSV of one detector")
+    for key, (typ, _, extra) in FLAGS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=typ, **extra)
+
+
+def _file_value(key: str, val):
+    """A config-file value, checked against and converted to its flag's type."""
+    typ = FLAGS[key][0]
+    if val is None and DEFAULTS[key] is None:
+        return None
+    listed = isinstance(val, list) and key in _LIST_KEYS
+    items = val if listed else [val]
+    if not all(isinstance(v, _FILE_TYPES[typ]) and not isinstance(v, bool)
+               for v in items):
+        raise ConfigError(f"config key {key!r} needs a {typ.__name__} value, "
+                          f"got {val!r}")
+    return [typ(v) for v in items] if listed else typ(val)
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -105,32 +107,19 @@ def _resolve(args: argparse.Namespace) -> dict:
         unknown = set(file_vals) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_vals)
+        merged.update({key: _file_value(key, val) for key, val in file_vals.items()})
     for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
-    if isinstance(merged["snr"], (int, float)):
-        merged["snr"] = [float(merged["snr"])]
+    if isinstance(merged["snr"], float):
+        merged["snr"] = [merged["snr"]]
     return merged
 
 
-def _parse_detectors(listing: str | list) -> tuple[DetectorKind, ...]:
-    if isinstance(listing, str):
-        names = [s.strip() for s in listing.split(",") if s.strip()]
-    else:
-        names = list(listing)
-    try:
-        return tuple(DetectorKind(name) for name in names)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 def _apsm_overrides(vals: dict, kinds: tuple[DetectorKind, ...]) -> dict:
-    custom = any(vals[key] is not None
-                 for key in ("rho0", "growth", "mu", "beta", "beta_geom", "tau"))
-    if not custom:
-        return {}
+    """Standard run parameters of each iterative detector, with the schedule
+    flags applied."""
     if vals["beta"] is not None and vals["beta_geom"] is not None:
         raise ConfigError("--beta and --beta-geom are mutually exclusive")
     overrides = {}
@@ -158,20 +147,22 @@ def _apsm_overrides(vals: dict, kinds: tuple[DetectorKind, ...]) -> dict:
 
 
 def _experiment_config(vals: dict) -> ExperimentConfig:
-    kinds = _parse_detectors(vals["detectors"])
+    names = vals["detectors"]
+    if isinstance(names, str):
+        names = [s.strip() for s in names.split(",") if s.strip()]
     channel = ChannelModel(vals["channel"], vals["rho_tx"], vals["rho_rx"])
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         k=vals["k"],
         n=vals["n"],
         modulation=vals["mod"],
         channel=channel,
-        detectors=kinds,
+        detectors=tuple(names),
         snr_db=tuple(vals["snr"]),
         trials=vals["trials"],
         max_iters=vals["iters"],
         master_seed=vals["seed"],
-        apsm_overrides=_apsm_overrides(vals, kinds),
     )
+    return replace(cfg, apsm_overrides=_apsm_overrides(vals, cfg.detectors))
 
 
 def _workers(vals: dict) -> int:
@@ -190,17 +181,9 @@ def _write_table(table, vals: dict) -> None:
         sys.stdout.write(table_text(table, vals["format"]))
 
 
-def _cmd_ser_iter(args) -> int:
+def _cmd_sweep(run, args) -> int:
     vals = _resolve(args)
-    table = run_ser_vs_iter(_experiment_config(vals), workers=_workers(vals))
-    _write_table(table, vals)
-    return 0
-
-
-def _cmd_ser_snr(args) -> int:
-    vals = _resolve(args)
-    table = run_ser_vs_snr(_experiment_config(vals), workers=_workers(vals))
-    _write_table(table, vals)
+    _write_table(run(_experiment_config(vals), workers=_workers(vals)), vals)
     return 0
 
 
@@ -222,12 +205,9 @@ def _cmd_detect(args) -> int:
         raise ConfigError("--dump-trace needs exactly one iterative detector")
     cost = QuadraticResidualCost(inst.H, inst.y)
     for kind in cfg.detectors:
-        if kind in _APSM_VARIANT:
-            x_hat, trace = detect(kind, inst, c, resolve_apsm_config(cfg, kind))
-            if vals["dump_trace"]:
-                trace.to_csv(vals["dump_trace"])
-        else:
-            x_hat, _ = detect(kind, inst, c)
+        x_hat, trace = detect(kind, inst, c, resolve_apsm_config(cfg, kind))
+        if vals["dump_trace"] and trace is not None:
+            trace.to_csv(vals["dump_trace"])
         print(f"detector={kind.value} residual={cost.residual_sq(x_hat):.6e} "
               f"symbol_errors={symbol_errors(x_hat, inst.s, c)}")
     return 0
@@ -263,8 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  "detection experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler, desc in (
-        ("ser-iter", _cmd_ser_iter, "symbol error ratio per iteration"),
-        ("ser-snr", _cmd_ser_snr, "symbol error ratio across an SNR grid"),
+        ("ser-iter", partial(_cmd_sweep, run_ser_vs_iter),
+         "symbol error ratio per iteration"),
+        ("ser-snr", partial(_cmd_sweep, run_ser_vs_snr),
+         "symbol error ratio across an SNR grid"),
         ("detect", _cmd_detect, "run detectors on one seeded realization"),
         ("diagnose", _cmd_diagnose, "audit convergence inequalities of one run"),
         ("validate", _cmd_validate, "run the randomized invariant suites"),

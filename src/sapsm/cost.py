@@ -19,41 +19,23 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch
 from .geometry import BoxSet, project_box
 
-_GRAM_TOL = 1e-12
-
-
 class QuadraticResidualCost:
     """Quadratic data-fit residual ||Hx - y||^2 with cached Gram terms."""
 
-    def __init__(self, H: np.ndarray, y: np.ndarray,
-                 gram: np.ndarray | None = None, hty: np.ndarray | None = None):
+    def __init__(self, H: np.ndarray, y: np.ndarray):
         H = np.asarray(H, dtype=float)
         y = np.asarray(y, dtype=float)
         if H.ndim != 2 or y.ndim != 1 or H.shape[0] != y.shape[0]:
             raise DimensionMismatch(
                 f"H has shape {H.shape}, y has shape {y.shape}"
             )
-        self.H = H
-        self.y = y
-        if gram is None:
-            gram = H.T @ H
-        elif not np.allclose(gram, H.T @ H, rtol=0, atol=_GRAM_TOL):
-            raise ConfigError("supplied Gram cache does not match H")
-        if hty is None:
-            hty = H.T @ y
-        elif not np.allclose(hty, H.T @ y, rtol=0, atol=_GRAM_TOL):
-            raise ConfigError("supplied H'y cache does not match H, y")
-        self.gram = gram
-        self.hty = hty
+        self.gram = H.T @ H
+        self.hty = H.T @ y
         self.yty = float(y @ y)
 
     @property
     def dim_in(self) -> int:
-        return self.H.shape[1]
-
-    @property
-    def dim_out(self) -> int:
-        return self.H.shape[0]
+        return self.gram.shape[0]
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -63,45 +45,42 @@ class QuadraticResidualCost:
             )
         return x
 
+    def _residual(self, x: np.ndarray, gx: np.ndarray) -> float:
+        # x'Gx - 2h'x + y'y from the Gram matvec gx = Gx, clamped at 0
+        # against cancellation
+        return max(float(x @ gx - 2.0 * (self.hty @ x) + self.yty), 0.0)
+
     def eval(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Residual ||Hx - y||^2 and its gradient 2H'(Hx - y), sharing one
-        Gram matvec. The residual is clamped at 0 against cancellation."""
+        Gram matvec."""
         x = self._check(x)
         gx = self.gram @ x
-        resid = float(x @ gx - 2.0 * (self.hty @ x) + self.yty)
-        return max(resid, 0.0), 2.0 * (gx - self.hty)
+        return self._residual(x, gx), 2.0 * (gx - self.hty)
 
     def residual_sq(self, x: np.ndarray) -> float:
         x = self._check(x)
-        resid = float(x @ (self.gram @ x) - 2.0 * (self.hty @ x) + self.yty)
-        return max(resid, 0.0)
+        return self._residual(x, self.gram @ x)
 
 
-def theta(cost: QuadraticResidualCost, x: np.ndarray, rho: float) -> float:
-    """Cost value (||Hx - y||^2 - rho)_+ at level rho."""
-    if rho < 0:
-        raise ConfigError("rho must be nonnegative")
-    return max(cost.residual_sq(x) - rho, 0.0)
+def sublevel_step(cost: QuadraticResidualCost, z: np.ndarray, rho: float,
+                  mu: float, box: BoxSet) -> tuple[np.ndarray, float, float]:
+    """One relaxed subgradient projection of z toward the rho-sublevel set,
+    clamped to the box.
 
-
-def theta_subgradient(cost: QuadraticResidualCost, x: np.ndarray) -> np.ndarray:
-    """Subgradient 2H'(Hx - y), valid wherever the cost is positive."""
-    return cost.eval(x)[1]
-
-
-def grad_tolerance(x: np.ndarray) -> float:
-    # scale-aware stand-in for the exact test "subgradient != 0"
-    return 1e-12 * (1.0 + math.sqrt(float(x @ x)))
-
-
-def relaxed_step(z: np.ndarray, theta_val: float, grad: np.ndarray,
-                 mu: float, box: BoxSet) -> np.ndarray:
-    """One relaxed subgradient-projection step followed by the box projection."""
-    if theta_val > 0.0:
+    Returns (next iterate, residual ||Hz - y||^2, theta) with
+    theta = (residual - rho)_+ the cost value at z. The step is skipped when
+    theta is zero or the subgradient 2H'(Hz - y) vanishes.
+    """
+    gz = cost.gram @ z
+    resid = cost._residual(z, gz)
+    theta = max(resid - rho, 0.0)
+    if theta > 0.0:
+        grad = 2.0 * (gz - cost.hty)
         gn2 = float(grad @ grad)
-        if math.sqrt(gn2) > grad_tolerance(z):
-            z = z - (mu * theta_val / gn2) * grad
-    return project_box(z, box)
+        # scale-aware stand-in for the exact test "subgradient != 0"
+        if math.sqrt(gn2) > 1e-12 * (1.0 + math.sqrt(float(z @ z))):
+            z = z - (mu * theta / gn2) * grad
+    return project_box(z, box), resid, theta
 
 
 def apsm_map(cost: QuadraticResidualCost, x: np.ndarray, rho: float,
@@ -112,9 +91,7 @@ def apsm_map(cost: QuadraticResidualCost, x: np.ndarray, rho: float,
         raise ConfigError("mu must lie in (0, 2)")
     if rho < 0:
         raise ConfigError("rho must be nonnegative")
-    resid, grad = cost.eval(x)
-    return relaxed_step(np.asarray(x, dtype=float),
-                        max(resid - rho, 0.0), grad, mu, box)
+    return sublevel_step(cost, cost._check(x), rho, mu, box)[0]
 
 
 @dataclass(frozen=True)
@@ -196,6 +173,10 @@ class BetaSchedule:
 
 VARIANTS = ("plain", "l2", "l1")
 
+# margins of the relaxation window: mu must lie in [EPS1, 2 - EPS2]
+EPS1 = 0.05
+EPS2 = 0.05
+
 
 @dataclass(frozen=True)
 class ApsmConfig:
@@ -208,18 +189,12 @@ class ApsmConfig:
     variant: str = "plain"
     max_iters: int = 300
     stop_eps: float = 0.0
-    eps1: float = 0.05
-    eps2: float = 0.05
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if not (self.eps1 > 0 and self.eps2 > 0):
-            raise ConfigError("relaxation margins must be positive")
-        if not self.eps1 <= self.mu <= 2.0 - self.eps2:
-            raise ConfigError(
-                f"mu={self.mu} outside [{self.eps1}, {2.0 - self.eps2}]"
-            )
+        if not EPS1 <= self.mu <= 2.0 - EPS2:
+            raise ConfigError(f"mu={self.mu} outside [{EPS1}, {2.0 - EPS2}]")
         if self.tau < 0:
             raise ConfigError("tau must be nonnegative")
         if self.max_iters < 1:

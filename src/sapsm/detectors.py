@@ -76,26 +76,6 @@ def detect_constrained_lmmse(instance: ChannelInstance) -> np.ndarray:
     return base / quad
 
 
-def _power_iteration(G: np.ndarray, iters: int = 500, tol: float = 1e-14) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix."""
-    d = G.shape[0]
-    v = np.linspace(1.0, 2.0, d)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = G @ v
-        lam_new = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(v @ (G @ v))
-
-
 class BoxOracleResult(NamedTuple):
     x: np.ndarray
     converged: bool
@@ -116,13 +96,13 @@ def detect_box_oracle(instance: ChannelInstance, box: BoxSet,
     """Box-relaxation reference solution by projected gradient.
 
     Minimizes ||Hx - y||^2 over the box with constant step 1/L, where
-    L = 2 * lambda_max(H'H) comes from a power iteration, until successive
-    iterates move less than ``tol``.
+    L = 2 * lambda_max(H'H) is the gradient's Lipschitz constant, until
+    successive iterates move less than ``tol``.
     """
     if not tol > 0:
         raise SolverFailure("tol must be positive")
     cost = QuadraticResidualCost(instance.H, instance.y)
-    L = 2.0 * _power_iteration(cost.gram)
+    L = 2.0 * float(np.linalg.eigvalsh(cost.gram)[-1])
     if L <= 0:
         raise SolverFailure("channel matrix has no energy")
     x = np.zeros(cost.dim_in)

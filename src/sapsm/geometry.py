@@ -58,6 +58,18 @@ class Constellation:
     def box(self) -> "BoxSet":
         return BoxSet(self.a_max)
 
+    def nearest_indices(self, x: np.ndarray) -> np.ndarray:
+        """Index of the nearest level per coordinate (hard slicing).
+
+        Exact midpoints resolve to the smaller level, making the selection
+        deterministic.
+        """
+        return np.searchsorted(self.midpoints, x, side="left")
+
+    def nearest(self, x: np.ndarray) -> np.ndarray:
+        """Projection onto the lattice S: the nearest level per coordinate."""
+        return self.levels[self.nearest_indices(x)]
+
 
 @dataclass(frozen=True)
 class BoxSet:
@@ -92,28 +104,6 @@ def project_box(x: np.ndarray, box: BoxSet) -> np.ndarray:
     return np.clip(x, -box.a_max, box.a_max)
 
 
-def nearest_level_indices(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Index of the nearest alphabet level per coordinate.
-
-    Exact midpoints resolve to the smaller level, making the selection
-    deterministic.
-    """
-    levels = np.asarray(levels, dtype=float)
-    mids = (levels[:-1] + levels[1:]) / 2.0
-    return np.searchsorted(mids, x, side="left")
-
-
-def nearest_levels(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Hard slicing: snap each coordinate to its nearest alphabet level."""
-    levels = np.asarray(levels, dtype=float)
-    return levels[nearest_level_indices(x, levels)]
-
-
-def project_constellation(x: np.ndarray, c: Constellation) -> np.ndarray:
-    """Projection onto the lattice S (nearest level, ties to the smaller)."""
-    return c.levels[np.searchsorted(c.midpoints, x, side="left")]
-
-
 def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     """Shrinkage sign(x) * max(|x| - tau, 0), the prox of tau * l1-norm."""
     if tau < 0:
@@ -121,39 +111,26 @@ def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 
-def prox_l1_levels(x: np.ndarray, tau: float, levels: np.ndarray) -> np.ndarray:
-    """Prox of tau * ||x - P_S(x)||_1 over an explicit level array."""
-    if tau < 0:
-        raise ConfigError("tau must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if tau == 0:
-        # identity, kept exact (adding and subtracting the slice would round)
-        return x.copy()
-    sliced = nearest_levels(x, levels)
-    return soft_threshold(x - sliced, tau) + sliced
-
-
-def prox_l1_superiorization(x: np.ndarray, tau: float, c: Constellation) -> np.ndarray:
+def prox_l1_levels(x: np.ndarray, tau: float, c: Constellation) -> np.ndarray:
     """Soft-thresholded slicing: shrink the residual to the lattice.
 
     This is the proximal mapping of the nonconvex distance-to-lattice
     objective tau * ||x - P_S(x)||_1; it reduces to P_S(x) when every
     residual magnitude is at most tau, and to x when tau is zero.
     """
-    if tau < 0:
-        raise ConfigError("tau must be nonnegative")
     x = np.asarray(x, dtype=float)
     if tau == 0:
+        # identity, kept exact (adding and subtracting the slice would round)
         return x.copy()
-    sliced = c.levels[np.searchsorted(c.midpoints, x, side="left")]
+    sliced = c.nearest(x)
     return soft_threshold(x - sliced, tau) + sliced
 
 
 def perturbation_l2(x: np.ndarray, c: Constellation) -> np.ndarray:
     """Hard-slicing perturbation P_S(x) - x (zero exactly on the lattice)."""
-    return project_constellation(x, c) - x
+    return c.nearest(x) - x
 
 
 def perturbation_l1(x: np.ndarray, tau: float, c: Constellation) -> np.ndarray:
     """Soft-thresholded slicing perturbation prox(x) - x (zero when tau=0)."""
-    return prox_l1_superiorization(x, tau, c) - x
+    return prox_l1_levels(x, tau, c) - x

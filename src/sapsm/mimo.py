@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
-from .geometry import Constellation, nearest_level_indices
+from .geometry import Constellation
 
 log = logging.getLogger(__name__)
 
@@ -64,10 +64,6 @@ def complexify(H: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("realified matrix must have even dimensions")
     n, k = n2 // 2, k2 // 2
     return H[:n, :k] + 1j * H[n:, :k]
-
-
-def realify_vector(vc: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.asarray(vc).real, np.asarray(vc).imag])
 
 
 def complexify_vector(v: np.ndarray) -> np.ndarray:
@@ -157,43 +153,21 @@ def make_instance(model: ChannelModel, c: Constellation, K: int, N: int,
     return ChannelInstance(H=H, s=s, w=w, y=y, sigma2=sigma2, seed=seed)
 
 
-def symbol_errors(x_hat: np.ndarray, s: np.ndarray, c: Constellation) -> int:
+def symbol_errors(x_hat: np.ndarray, s: np.ndarray,
+                  c: Constellation) -> int | np.ndarray:
     """Count wrong complex symbols after hard slicing.
 
     Coordinates k and k+K form one symbol; the symbol is wrong when either
-    real component slices to a different level than the reference.
+    real component slices to a different level than the reference. A stack
+    of estimates (one per row) gives one count per row.
     """
     x_hat = np.asarray(x_hat, dtype=float)
     s = np.asarray(s, dtype=float)
-    if x_hat.shape != s.shape:
+    if s.ndim != 1 or x_hat.ndim not in (1, 2) or x_hat.shape[-1] != s.size:
         raise DimensionMismatch(f"shapes {x_hat.shape} vs {s.shape}")
-    if x_hat.size % 2:
+    if s.size % 2:
         raise DimensionMismatch("vectors must have even length")
-    k = x_hat.size // 2
-    wrong = nearest_level_indices(x_hat, c.levels) != nearest_level_indices(s, c.levels)
-    return int(np.count_nonzero(wrong[:k] | wrong[k:]))
-
-
-def instance_to_record(inst: ChannelInstance) -> dict:
-    """Flat JSON-ready record (noise is implied by y - Hs)."""
-    n2, k2 = inst.H.shape
-    return {
-        "n": n2 // 2,
-        "k": k2 // 2,
-        "h": inst.H.ravel().tolist(),
-        "s": inst.s.tolist(),
-        "y": inst.y.tolist(),
-        "sigma2": inst.sigma2,
-        "seed": inst.seed,
-    }
-
-
-def instance_from_record(rec: dict) -> ChannelInstance:
-    n, k = int(rec["n"]), int(rec["k"])
-    H = np.asarray(rec["h"], dtype=float).reshape(2 * n, 2 * k)
-    s = np.asarray(rec["s"], dtype=float)
-    y = np.asarray(rec["y"], dtype=float)
-    if s.shape != (2 * k,) or y.shape != (2 * n,):
-        raise DimensionMismatch("record dimensions are inconsistent")
-    return ChannelInstance(H=H, s=s, w=y - H @ s, y=y,
-                           sigma2=float(rec["sigma2"]), seed=int(rec["seed"]))
+    k = s.size // 2
+    wrong = c.nearest_indices(x_hat) != c.nearest_indices(s)
+    errors = np.count_nonzero(wrong[..., :k] | wrong[..., k:], axis=-1)
+    return errors if x_hat.ndim == 2 else int(errors)

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .cost import ApsmConfig, standard_config
 from .detectors import _APSM_VARIANT, DetectorKind, detect
 from .errors import ConfigError
-from .geometry import Constellation, constellation, nearest_level_indices
+from .geometry import Constellation, constellation
 from .mimo import ChannelModel, make_instance, symbol_errors, trial_seed
 
 CSV_HEADER = ("detector", "x_kind", "x_value", "errors", "symbols", "ser")
@@ -60,12 +60,16 @@ class ExperimentConfig:
             raise ConfigError("max_iters must be at least 1")
 
 
-def resolve_apsm_config(cfg: ExperimentConfig, kind: DetectorKind) -> ApsmConfig:
-    """Per-detector run parameters: override if given, defaults otherwise.
+def resolve_apsm_config(cfg: ExperimentConfig,
+                        kind: DetectorKind) -> ApsmConfig | None:
+    """Per-detector run parameters: override if given, defaults otherwise,
+    and None for the non-iterative baselines.
 
     The iteration budget always follows the experiment so per-iteration
     curves stay aligned across detectors.
     """
+    if kind not in _APSM_VARIANT:
+        return None
     base = cfg.apsm_overrides.get(kind)
     if base is None:
         base = standard_config(_APSM_VARIANT[kind], max_iters=cfg.max_iters)
@@ -84,74 +88,44 @@ class SerRow:
     def ser(self) -> float:
         return self.errors / self.symbols
 
-    @property
-    def standard_error(self) -> float:
-        p = self.ser
-        return float(np.sqrt(p * (1.0 - p) / self.symbols))
-
     def to_dict(self) -> dict:
-        return {
-            "detector": self.detector,
-            "x_kind": self.x_kind,
-            "x_value": self.x_value,
-            "errors": self.errors,
-            "symbols": self.symbols,
-            "ser": self.ser,
-        }
+        return asdict(self) | {"ser": self.ser}
 
 
 @dataclass
 class SerTable:
     rows: list[SerRow]
 
+    def __post_init__(self):
+        # row order is part of the output: detector, then x-value
+        self.rows = self.sorted_rows()
+
     def sorted_rows(self) -> list[SerRow]:
         return sorted(self.rows, key=lambda r: (r.detector, r.x_value))
 
 
-def _errors_per_iteration(iterates: np.ndarray, s: np.ndarray,
-                          c: Constellation, k: int) -> np.ndarray:
-    """Complex-symbol error count of every iterate (rows) at once."""
-    idx = nearest_level_indices(iterates, c.levels)
-    ref = nearest_level_indices(s, c.levels)
-    wrong = idx != ref[None, :]
-    return np.count_nonzero(wrong[:, :k] | wrong[:, k:], axis=1)
+def _trial_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
+                  task: tuple[int, int]) -> dict:
+    """Symbol errors of every detector on one paired realization.
 
-
-def _trial_errors_iter(cfg: ExperimentConfig, c: Constellation,
-                       t: int) -> dict[DetectorKind, np.ndarray]:
-    seed = trial_seed(cfg.master_seed, t)
-    inst = make_instance(cfg.channel, c, cfg.k, cfg.n, cfg.snr_db[0], seed)
-    out = {}
-    for kind in cfg.detectors:
-        if kind in _APSM_VARIANT:
-            acfg = resolve_apsm_config(cfg, kind)
-            _, trace = detect(kind, inst, c, acfg, record_iterates=True)
-            errs = _errors_per_iteration(trace.iterates[1:], inst.s, c, cfg.k)
-            if errs.size < cfg.max_iters:
-                # early stop: the iterate is frozen, extend the last value
-                errs = np.concatenate([
-                    errs, np.full(cfg.max_iters - errs.size, errs[-1], dtype=errs.dtype)
-                ])
-        else:
-            x_hat, _ = detect(kind, inst, c)
-            errs = np.full(cfg.max_iters, symbol_errors(x_hat, inst.s, c), dtype=np.int64)
-        out[kind] = errs
-    return out
-
-
-def _trial_errors_snr(cfg: ExperimentConfig, c: Constellation,
-                      flat: int) -> dict[DetectorKind, int]:
-    si, t = divmod(flat, cfg.trials)
-    seed = trial_seed(cfg.master_seed, si, t)
+    ``task`` is (SNR index, seed). Per-iteration counts are arrays of length
+    ``max_iters``; non-iterative baselines repeat their single count.
+    """
+    si, seed = task
     inst = make_instance(cfg.channel, c, cfg.k, cfg.n, cfg.snr_db[si], seed)
     out = {}
     for kind in cfg.detectors:
-        if kind in _APSM_VARIANT:
-            acfg = resolve_apsm_config(cfg, kind)
-            x_hat, _ = detect(kind, inst, c, acfg)
+        x_hat, trace = detect(kind, inst, c, resolve_apsm_config(cfg, kind),
+                              record_iterates=per_iteration)
+        if not per_iteration:
+            out[kind] = symbol_errors(x_hat, inst.s, c)
+        elif trace is None:
+            out[kind] = np.full(cfg.max_iters, symbol_errors(x_hat, inst.s, c),
+                                dtype=np.int64)
         else:
-            x_hat, _ = detect(kind, inst, c)
-        out[kind] = symbol_errors(x_hat, inst.s, c)
+            errs = symbol_errors(trace.iterates[1:], inst.s, c)
+            # early stop: the iterate is frozen, extend the last value
+            out[kind] = np.pad(errs, (0, cfg.max_iters - errs.size), mode="edge")
     return out
 
 
@@ -169,7 +143,7 @@ def _init_worker():
         pass
 
 
-def _map_tasks(fn, tasks: range, workers: int):
+def _map_tasks(fn, tasks: list, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         return map(fn, tasks)
 
@@ -182,6 +156,17 @@ def _map_tasks(fn, tasks: range, workers: int):
     return parallel()
 
 
+def _sweep(cfg: ExperimentConfig, per_iteration: bool, tasks: list,
+           workers: int) -> dict:
+    """Error totals keyed by (detector, SNR index), summed over the tasks."""
+    fn = partial(_trial_errors, cfg, constellation(cfg.modulation), per_iteration)
+    totals = {}
+    for (si, _), result in zip(tasks, _map_tasks(fn, tasks, workers)):
+        for kind, errs in result.items():
+            totals[(kind, si)] = totals.get((kind, si), 0) + errs
+    return totals
+
+
 def run_ser_vs_iter(cfg: ExperimentConfig, workers: int = 1) -> SerTable:
     """Symbol error ratio per iteration, averaged over paired trials.
 
@@ -189,90 +174,55 @@ def run_ser_vs_iter(cfg: ExperimentConfig, workers: int = 1) -> SerTable:
     """
     if len(cfg.snr_db) != 1:
         raise ConfigError("iteration sweeps need exactly one SNR point")
-    c = constellation(cfg.modulation)
-    totals = {kind: np.zeros(cfg.max_iters, dtype=np.int64) for kind in cfg.detectors}
-    fn = partial(_trial_errors_iter, cfg, c)
-    for result in _map_tasks(fn, range(cfg.trials), workers):
-        for kind, errs in result.items():
-            totals[kind] += errs
+    tasks = [(0, trial_seed(cfg.master_seed, t)) for t in range(cfg.trials)]
+    totals = _sweep(cfg, True, tasks, workers)
     symbols = cfg.k * cfg.trials
-    rows = [
-        SerRow(kind.value, "iter", float(it + 1), int(totals[kind][it]), symbols)
+    return SerTable([
+        SerRow(kind.value, "iter", float(it + 1), int(totals[(kind, 0)][it]), symbols)
         for kind in cfg.detectors
         for it in range(cfg.max_iters)
-    ]
-    return SerTable(sorted(rows, key=lambda r: (r.detector, r.x_value)))
+    ])
 
 
 def run_ser_vs_snr(cfg: ExperimentConfig, workers: int = 1) -> SerTable:
     """Symbol error ratio of the final estimate across the SNR grid."""
-    c = constellation(cfg.modulation)
-    totals = {(kind, si): 0 for kind in cfg.detectors for si in range(len(cfg.snr_db))}
-    fn = partial(_trial_errors_snr, cfg, c)
-    n_tasks = len(cfg.snr_db) * cfg.trials
-    for flat, result in zip(range(n_tasks), _map_tasks(fn, range(n_tasks), workers)):
-        si = flat // cfg.trials
-        for kind, errs in result.items():
-            totals[(kind, si)] += errs
+    tasks = [(si, trial_seed(cfg.master_seed, si, t))
+             for si in range(len(cfg.snr_db)) for t in range(cfg.trials)]
+    totals = _sweep(cfg, False, tasks, workers)
     symbols = cfg.k * cfg.trials
-    rows = [
+    return SerTable([
         SerRow(kind.value, "snr_db", cfg.snr_db[si], totals[(kind, si)], symbols)
         for kind in cfg.detectors
         for si in range(len(cfg.snr_db))
-    ]
-    return SerTable(sorted(rows, key=lambda r: (r.detector, r.x_value)))
+    ])
 
 
-def table_text(table: SerTable, fmt: str = "csv", include_se: bool = False) -> str:
-    """Render a table with a stable row order and byte-stable formatting.
-
-    ``include_se`` appends a binomial standard-error column; it is off by
-    default to keep golden files small.
-    """
+def table_text(table: SerTable, fmt: str = "csv") -> str:
+    """Render a table with a stable row order and byte-stable formatting."""
     rows = table.sorted_rows()
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER + (("se",) if include_se else ()))
+        writer.writerow(CSV_HEADER)
         for r in rows:
-            record = [
+            writer.writerow([
                 r.detector, r.x_kind,
                 format(r.x_value, ".17g"),
                 r.errors, r.symbols,
                 format(r.ser, ".17g"),
-            ]
-            if include_se:
-                record.append(format(r.standard_error, ".17g"))
-            writer.writerow(record)
+            ])
         return buf.getvalue()
     if fmt == "json":
-        payload = [r.to_dict() for r in rows]
-        if include_se:
-            for rec, r in zip(payload, rows):
-                rec["se"] = r.standard_error
-        body = json.dumps({"rows": payload}, sort_keys=True,
+        body = json.dumps({"rows": [r.to_dict() for r in rows]}, sort_keys=True,
                           separators=(",", ":"))
         return body + "\n"
     raise ConfigError(f"unknown output format {fmt!r}")
 
 
-def emit(table: SerTable, path, fmt: str = "csv", include_se: bool = False) -> None:
-    text = table_text(table, fmt, include_se=include_se)
+def emit(table: SerTable, path, fmt: str = "csv") -> None:
+    text = table_text(table, fmt)
     try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write table to {path}: {exc}") from exc
-
-
-def table_from_json(path) -> SerTable:
-    with open(path) as fh:
-        payload = json.load(fh)
-    rows = []
-    for rec in payload["rows"]:
-        row = SerRow(rec["detector"], rec["x_kind"], float(rec["x_value"]),
-                     int(rec["errors"]), int(rec["symbols"]))
-        if row.ser != rec["ser"]:
-            raise ConfigError("stored ser is inconsistent with errors/symbols")
-        rows.append(row)
-    return SerTable(rows)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apsm import apsm_run, check_attracting, check_quasi_fejer
-from .cost import QuadraticResidualCost, apsm_map, standard_config
+from .cost import VARIANTS, QuadraticResidualCost, apsm_map, standard_config
 from .geometry import BoxSet, constellation, prox_l1_levels
 from .mimo import ChannelModel, make_instance, trial_seed
 
@@ -37,12 +37,6 @@ class SuiteResult:
                 f"/ {self.checked} checks (worst excess {self.worst:.3e})")
 
 
-def _lattice_distance_l1(u: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    mids = (levels[:-1] + levels[1:]) / 2.0
-    sliced = levels[np.searchsorted(mids, u, side="left")]
-    return np.abs(u - sliced)
-
-
 def prox_grid_suite(cases: int = 10_000, seed: int = 0,
                     alphabets: tuple[str, ...] = ("qpsk", "16qam"),
                     gap_tol: float = 1e-6) -> SuiteResult:
@@ -58,8 +52,8 @@ def prox_grid_suite(cases: int = 10_000, seed: int = 0,
     per_alpha = cases // len(alphabets)
     buf = np.empty_like(grid)
     for name in alphabets:
-        levels = constellation(name).levels
-        f1_grid = _lattice_distance_l1(grid, levels)
+        c = constellation(name)
+        f1_grid = np.abs(grid - c.nearest(grid))
         xs = rng.uniform(-2.0, 2.0, size=per_alpha)
         taus = rng.uniform(0.0, 0.5, size=per_alpha)
         for xi, ti in zip(xs, taus):
@@ -69,9 +63,8 @@ def prox_grid_suite(cases: int = 10_000, seed: int = 0,
             buf *= 0.5
             buf += ti * f1_grid
             best = float(buf.min())
-            p = float(prox_l1_levels(np.array([xi]), ti, levels)[0])
-            ours = (ti * float(_lattice_distance_l1(np.array([p]), levels)[0])
-                    + 0.5 * (xi - p) ** 2)
+            p = float(prox_l1_levels(np.array([xi]), ti, c)[0])
+            ours = ti * abs(p - c.nearest(p)) + 0.5 * (xi - p) ** 2
             gap = ours - best
             if gap > gap_tol:
                 violations += 1
@@ -112,11 +105,11 @@ def attracting_step_suite(draws: int = 10_000, seed: int = 0,
     return SuiteResult("attracting-step", draws, violations, worst)
 
 
-def quasi_fejer_suite(trials: int = 60, seed: int = 0, k: int = 4, n: int = 8,
-                      modulation: str = "qpsk", snr_db: float = 8.0,
-                      max_iters: int = 260,
-                      variants: tuple[str, ...] = ("plain", "l2", "l1")) -> SuiteResult:
-    """Full-run Type-I quasi-Fejér audits against the true transmit vector."""
+def _audited_runs(name: str, audit, trials: int, seed: int, k: int, n: int,
+                  modulation: str, snr_db: float, max_iters: int,
+                  variants: tuple[str, ...]) -> SuiteResult:
+    """Recorded engine runs on seeded instances, each audited against the
+    true transmit vector by ``audit`` (a ``check_*`` function)."""
     c = constellation(modulation)
     model = ChannelModel("iid")
     violations = 0
@@ -128,33 +121,28 @@ def quasi_fejer_suite(trials: int = 60, seed: int = 0, k: int = 4, n: int = 8,
         for variant in variants:
             cfg = standard_config(variant, max_iters=max_iters)
             _, trace = apsm_run(cost, cfg, c, record_iterates=True)
-            audit = check_quasi_fejer(trace, trace.iterates, inst.s, cost, cfg)
-            checked += audit.checked
-            violations += audit.violations
-            worst = max(worst, audit.max_excess)
-    return SuiteResult("quasi-fejer-run", checked, violations, worst)
+            result = audit(trace, trace.iterates, inst.s, cost, cfg)
+            checked += result.checked
+            violations += result.violations
+            worst = max(worst, result.max_excess)
+    return SuiteResult(name, checked, violations, worst)
+
+
+def quasi_fejer_suite(trials: int = 60, seed: int = 0, k: int = 4, n: int = 8,
+                      modulation: str = "qpsk", snr_db: float = 8.0,
+                      max_iters: int = 260,
+                      variants: tuple[str, ...] = VARIANTS) -> SuiteResult:
+    """Full-run Type-I quasi-Fejér audits against the true transmit vector."""
+    return _audited_runs("quasi-fejer-run", check_quasi_fejer, trials, seed, k, n,
+                         modulation, snr_db, max_iters, variants)
 
 
 def attracting_run_suite(trials: int = 20, seed: int = 0, k: int = 4, n: int = 8,
                          modulation: str = "qpsk", snr_db: float = 8.0,
                          max_iters: int = 260) -> SuiteResult:
     """Full-run attracting audits (with perturbation slack) for all variants."""
-    c = constellation(modulation)
-    model = ChannelModel("iid")
-    violations = 0
-    checked = 0
-    worst = 0.0
-    for t in range(trials):
-        inst = make_instance(model, c, k, n, snr_db, trial_seed(seed, t))
-        cost = QuadraticResidualCost(inst.H, inst.y)
-        for variant in ("plain", "l2", "l1"):
-            cfg = standard_config(variant, max_iters=max_iters)
-            _, trace = apsm_run(cost, cfg, c, record_iterates=True)
-            audit = check_attracting(trace, trace.iterates, inst.s, cost, cfg)
-            checked += audit.checked
-            violations += audit.violations
-            worst = max(worst, audit.max_excess)
-    return SuiteResult("attracting-run", checked, violations, worst)
+    return _audited_runs("attracting-run", check_attracting, trials, seed, k, n,
+                         modulation, snr_db, max_iters, VARIANTS)
 
 
 def run_all_suites(seed: int = 0, prox_cases: int = 2000,

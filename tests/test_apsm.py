@@ -13,14 +13,14 @@ from sapsm.apsm import (
 )
 from sapsm.cost import (
     ApsmConfig,
-    BetaSchedule,
     QuadraticResidualCost,
     RhoSchedule,
+    apsm_map,
     rho_at,
     standard_config,
 )
 from sapsm.errors import DimensionMismatch, NonFiniteIterate
-from sapsm.geometry import constellation
+from sapsm.geometry import constellation, perturbation_l1, perturbation_l2
 from sapsm.mimo import ChannelModel, make_instance, trial_seed
 from sapsm.validation import quasi_fejer_suite
 
@@ -90,6 +90,28 @@ class TestRun:
         _, trace = apsm_run(cost, cfg, QPSK, record_iterates=True)
         assert len(trace) <= cfg.max_iters
         assert trace.iterates.shape == (len(trace) + 1, 4)
+
+    def test_every_step_is_apsm_map(self):
+        # the engine's step at the reference setup is the audited iteration
+        # map, bit for bit, applied to the perturbed iterate
+        qam16 = constellation("16qam")
+        box = qam16.box()
+        for t in range(5):
+            inst = make_instance(ChannelModel("iid"), qam16, 16, 64, 9.0,
+                                 trial_seed(2024, t))
+            cost = QuadraticResidualCost(inst.H, inst.y)
+            for variant in ("plain", "l2", "l1"):
+                cfg = standard_config(variant)
+                _, trace = apsm_run(cost, cfg, qam16, record_iterates=True)
+                assert len(trace) == cfg.max_iters
+                for n, x in enumerate(trace.iterates[:-1]):
+                    beta_n = cfg.beta.at(n)
+                    if variant == "l2":
+                        x = x + beta_n * perturbation_l2(x, qam16)
+                    elif variant == "l1":
+                        x = x + beta_n * perturbation_l1(x, cfg.tau, qam16)
+                    step = apsm_map(cost, x, rho_at(cfg.rho, n), cfg.mu, box)
+                    np.testing.assert_array_equal(step, trace.iterates[n + 1])
 
     def test_dimension_mismatch(self):
         inst, cost = small_instance(seed=5)

@@ -96,6 +96,24 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"modulation": "qpsk"}))
         assert run(["ser-snr", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("bad", [{"snr": "13"}, {"k": 2.0}, {"trials": "5"}])
+    def test_mistyped_config_value_rejected(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 2, "n": 4, "mod": "qpsk", "trials": 2,
+                                   "iters": 10, "detectors": "lmmse"} | bad))
+        assert run(["ser-snr", "--config", str(cfg)]) == 2
+        key = next(iter(bad))
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_scalar_snr_in_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 2, "n": 4, "mod": "qpsk", "snr": 13,
+                                   "trials": 2, "iters": 10, "detectors": "lmmse"}))
+        out = tmp_path / "o.csv"
+        assert run(["ser-snr", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["13"]
+
     def test_missing_config_file(self, tmp_path):
         assert run(["ser-snr", "--config", str(tmp_path / "nope.json")]) == 2
 

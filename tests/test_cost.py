@@ -9,13 +9,22 @@ from sapsm.cost import (
     apsm_map,
     rho_at,
     standard_config,
-    theta,
-    theta_subgradient,
+    sublevel_step,
 )
 from sapsm.errors import ConfigError, DimensionMismatch
 from sapsm.geometry import BoxSet
 
 I2 = np.eye(2)
+WIDE = BoxSet(1e9)
+
+
+def theta(cost, x, rho):
+    """Cost value (||Hx - y||^2 - rho)_+ as the engine's step computes it."""
+    return sublevel_step(cost, np.asarray(x, dtype=float), rho, 1.0, WIDE)[2]
+
+
+def subgradient(cost, x):
+    return cost.eval(x)[1]
 
 
 def random_cost(rng, n2=8, k2=4):
@@ -31,7 +40,9 @@ class TestTheta:
 
     def test_direct_value(self):
         cost = QuadraticResidualCost(I2, np.zeros(2))
-        assert theta(cost, np.array([3.0, 4.0]), 5.0) == pytest.approx(20.0, abs=1e-12)
+        _, resid, theta_val = sublevel_step(cost, np.array([3.0, 4.0]), 5.0, 1.0, WIDE)
+        assert resid == pytest.approx(25.0, abs=1e-12)
+        assert theta_val == pytest.approx(20.0, abs=1e-12)
 
     def test_clips_to_zero_below_rho(self):
         rng = np.random.default_rng(0)
@@ -44,24 +55,16 @@ class TestTheta:
     def test_dimension_mismatch(self):
         cost = QuadraticResidualCost(I2, np.zeros(2))
         with pytest.raises(DimensionMismatch):
-            theta(cost, np.zeros(3), 0.0)
+            cost.residual_sq(np.zeros(3))
+        with pytest.raises(DimensionMismatch):
+            apsm_map(cost, np.zeros(3), 0.0, 0.7, BoxSet(1.0))
         with pytest.raises(DimensionMismatch):
             QuadraticResidualCost(I2, np.zeros(3))
 
     def test_negative_rho_rejected(self):
         cost = QuadraticResidualCost(I2, np.zeros(2))
         with pytest.raises(ConfigError):
-            theta(cost, np.zeros(2), -1.0)
-
-    def test_gram_cache_validation(self):
-        rng = np.random.default_rng(1)
-        H = rng.standard_normal((6, 3))
-        y = rng.standard_normal(6)
-        QuadraticResidualCost(H, y, gram=H.T @ H, hty=H.T @ y)  # consistent: ok
-        with pytest.raises(ConfigError):
-            QuadraticResidualCost(H, y, gram=H.T @ H + 1e-6)
-        with pytest.raises(ConfigError):
-            QuadraticResidualCost(H, y, hty=H.T @ y + 1e-6)
+            apsm_map(cost, np.zeros(2), -1.0, 0.7, BoxSet(1.0))
 
     def test_convex_along_segments(self):
         rng = np.random.default_rng(2)
@@ -77,12 +80,12 @@ class TestTheta:
 class TestSubgradient:
     def test_zero_at_solution(self):
         cost = QuadraticResidualCost(I2, np.array([1.0, -2.0]))
-        np.testing.assert_allclose(theta_subgradient(cost, np.array([1.0, -2.0])),
+        np.testing.assert_allclose(subgradient(cost, np.array([1.0, -2.0])),
                                    np.zeros(2), atol=1e-14)
 
     def test_direct_value(self):
         cost = QuadraticResidualCost(I2, np.zeros(2))
-        np.testing.assert_allclose(theta_subgradient(cost, np.array([1.0, -1.0])),
+        np.testing.assert_allclose(subgradient(cost, np.array([1.0, -1.0])),
                                    [2.0, -2.0], atol=1e-14)
 
     def test_matches_central_differences(self):
@@ -92,7 +95,7 @@ class TestSubgradient:
         for _ in range(20):
             cost = random_cost(rng)
             x = rng.standard_normal(4)
-            g = theta_subgradient(cost, x)
+            g = subgradient(cost, x)
             fd = np.empty(4)
             for i in range(4):
                 e = np.zeros(4)
@@ -112,7 +115,7 @@ class TestSubgradient:
             if tx <= 0:
                 continue
             checked += 1
-            g = theta_subgradient(cost, x)
+            g = subgradient(cost, x)
             assert theta(cost, y, rho) >= tx + (y - x) @ g - 1e-9
         assert checked > 100
 
@@ -216,11 +219,12 @@ class TestSchedulesAndConfig:
     def test_mu_window(self):
         rho = RhoSchedule(5e-5, 1.06)
         ApsmConfig(rho=rho, mu=0.7)
+        ApsmConfig(rho=rho, mu=0.05)  # both window edges are admitted
+        ApsmConfig(rho=rho, mu=1.95)
         with pytest.raises(ConfigError):
             ApsmConfig(rho=rho, mu=1.99)
         with pytest.raises(ConfigError):
             ApsmConfig(rho=rho, mu=0.01)
-        ApsmConfig(rho=rho, mu=1.99, eps2=0.01)  # custom margin admits it
 
     def test_standard_configs(self):
         plain = standard_config("plain")

@@ -15,7 +15,7 @@ from sapsm.detectors import (
     first_order_residual,
 )
 from sapsm.errors import CandidateBudget, SolverFailure
-from sapsm.geometry import BoxSet, constellation, project_constellation
+from sapsm.geometry import BoxSet, constellation
 from sapsm.mimo import ChannelInstance, ChannelModel, make_instance, realify, trial_seed
 
 QPSK = constellation("qpsk")
@@ -162,7 +162,7 @@ class TestMlBruteforce:
                 if kind is DetectorKind.ML_BRUTEFORCE:
                     continue
                 x_hat, _ = detect(kind, inst, c)
-                sliced = project_constellation(x_hat, c)
+                sliced = c.nearest(x_hat)
                 assert ml_obj <= cost.residual_sq(sliced) + 1e-9
 
     def test_tie_break_is_first_candidate(self):
@@ -187,7 +187,7 @@ class TestDispatch:
         inst = manual_instance(H, H @ s, s=s)
         for kind in ALL_KINDS:
             x_hat, _ = detect(kind, inst, QPSK)
-            np.testing.assert_array_equal(project_constellation(x_hat, QPSK), s,
+            np.testing.assert_array_equal(QPSK.nearest(x_hat), s,
                                           err_msg=str(kind))
 
     def test_plain_equals_l2_with_zero_beta(self):

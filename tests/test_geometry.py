@@ -1,24 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sapsm.errors import ConfigError
 from sapsm.geometry import (
     BoxSet,
     Constellation,
     constellation,
-    nearest_level_indices,
-    nearest_levels,
     perturbation_l1,
     perturbation_l2,
     project_box,
-    project_constellation,
     prox_l1_levels,
-    prox_l1_superiorization,
     soft_threshold,
 )
 
 RAW16 = np.array([-3.0, -1.0, 1.0, 3.0])
-PM1 = np.array([-1.0, 1.0])
+QPSK = constellation("qpsk")
+QAM16 = constellation("16qam")
+# the level raw alphabet value 1 maps to after energy scaling
+A1 = QPSK.levels[1]
+U16 = QAM16.levels[2]
+
+properties = settings(derandomize=True, max_examples=200, deadline=None)
+alphabets = st.sampled_from(["qpsk", "16qam", "64qam"]).map(constellation)
+points = arrays(np.float64, st.integers(1, 16),
+                elements=st.floats(-3.0, 3.0, allow_nan=False))
 
 
 class TestConstellation:
@@ -80,38 +88,41 @@ class TestProjectBox:
 
 class TestSlicing:
     def test_nearest_level(self):
-        np.testing.assert_array_equal(nearest_levels(np.array([0.2]), RAW16), [1.0])
+        np.testing.assert_array_equal(QAM16.nearest(np.array([0.2 * U16])), [U16])
 
     def test_midpoint_ties_to_smaller(self):
-        np.testing.assert_array_equal(nearest_levels(np.array([2.0]), RAW16), [1.0])
-        np.testing.assert_array_equal(nearest_levels(np.array([-2.0]), RAW16), [-3.0])
-        np.testing.assert_array_equal(nearest_levels(np.array([0.0]), RAW16), [-1.0])
+        np.testing.assert_array_equal(QAM16.nearest(QAM16.midpoints), QAM16.levels[:-1])
+        np.testing.assert_array_equal(QAM16.nearest(np.array([0.0])), [-U16])
 
     def test_saturates_at_extremes(self):
-        np.testing.assert_array_equal(nearest_levels(np.array([5.0, -9.0]), RAW16),
-                                      [3.0, -3.0])
+        np.testing.assert_array_equal(QAM16.nearest(np.array([5.0, -9.0]) * U16),
+                                      [QAM16.a_max, -QAM16.a_max])
 
-    def test_constellation_projector_matches_and_is_idempotent(self):
-        c = constellation("16qam")
-        rng = np.random.default_rng(2)
-        x = rng.uniform(-2, 2, size=1000)
-        p = project_constellation(x, c)
-        np.testing.assert_array_equal(p, nearest_levels(x, c.levels))
-        np.testing.assert_array_equal(project_constellation(p, c), p)
+    @properties
+    @given(c=alphabets, x=points)
+    def test_constellation_projector_matches_and_is_idempotent(self, c, x):
+        p = c.nearest(x)
+        np.testing.assert_array_equal(c.nearest(p), p)
         # output is in S, hence in the box
         assert np.all(np.isin(p, c.levels))
         assert np.all(np.abs(p) <= c.a_max)
+        # and no level is closer (up to rounding at the midpoints)
+        gaps = np.abs(x[:, None] - c.levels[None, :])
+        assert np.all(np.abs(x - p) <= gaps.min(axis=1) + 1e-15)
 
     def test_cached_midpoint_tie_break(self):
-        c = constellation("16qam")
-        mid = (c.levels[1] + c.levels[2]) / 2.0
-        assert project_constellation(np.array([mid]), c)[0] == c.levels[1]
+        for name in ("qpsk", "16qam", "64qam"):
+            c = constellation(name)
+            mids = (c.levels[:-1] + c.levels[1:]) / 2.0
+            np.testing.assert_array_equal(c.nearest(mids), c.levels[:-1])
+            np.testing.assert_array_equal(c.nearest_indices(mids), np.arange(c.size - 1))
 
     def test_index_form_agrees(self):
         rng = np.random.default_rng(3)
-        x = rng.uniform(-4, 4, size=500)
-        idx = nearest_level_indices(x, RAW16)
-        np.testing.assert_array_equal(RAW16[idx], nearest_levels(x, RAW16))
+        x = rng.uniform(-4, 4, size=500) * U16
+        idx = QAM16.nearest_indices(x)
+        assert np.all((idx >= 0) & (idx < QAM16.size))
+        np.testing.assert_array_equal(QAM16.levels[idx], QAM16.nearest(x))
 
 
 class TestSoftThreshold:
@@ -147,40 +158,41 @@ class TestSoftThreshold:
 
 class TestProx:
     def test_residual_shrinks(self):
-        np.testing.assert_allclose(prox_l1_levels(np.array([1.3]), 0.1, PM1),
-                                   [1.2], atol=1e-15)
+        np.testing.assert_allclose(prox_l1_levels(np.array([1.3 * A1]), 0.1 * A1, QPSK),
+                                   [1.2 * A1], atol=1e-15)
 
     def test_residual_absorbed(self):
-        np.testing.assert_allclose(prox_l1_levels(np.array([1.05]), 0.1, PM1),
-                                   [1.0], atol=1e-15)
+        np.testing.assert_array_equal(
+            prox_l1_levels(np.array([1.05 * A1]), 0.1 * A1, QPSK), [A1])
 
-    def test_zero_tau_is_exact_identity(self):
-        x = np.array([1.3, -0.7, 0.05])
-        np.testing.assert_array_equal(prox_l1_levels(x, 0.0, PM1), x)
-        c = constellation("qpsk")
-        np.testing.assert_array_equal(prox_l1_superiorization(x, 0.0, c), x)
+    @properties
+    @given(c=alphabets, x=points)
+    def test_zero_tau_is_exact_identity(self, c, x):
+        np.testing.assert_array_equal(prox_l1_levels(x, 0.0, c), x)
+
+    def test_negative_tau_rejected(self):
+        with pytest.raises(ConfigError):
+            prox_l1_levels(np.array([0.3]), -0.1, QPSK)
 
     def test_matches_grid_search_argmin(self):
         # objective u -> tau*|u - P_S(u)| + (x-u)^2/2 over a dense grid
         rng = np.random.default_rng(6)
         grid = np.arange(-3.0, 3.0 + 5e-5, 1e-4)
-        mids = (PM1[:-1] + PM1[1:]) / 2.0
-        f1 = np.abs(grid - PM1[np.searchsorted(mids, grid, side="left")])
+        f1 = np.abs(grid - QPSK.nearest(grid))
         for _ in range(300):
             x = rng.uniform(-2, 2)
             tau = rng.uniform(0, 0.5)
-            p = prox_l1_levels(np.array([x]), tau, PM1)[0]
-            ours = tau * abs(p - nearest_levels(np.array([p]), PM1)[0]) + 0.5 * (x - p) ** 2
+            p = prox_l1_levels(np.array([x]), tau, QPSK)[0]
+            ours = tau * abs(p - QPSK.nearest(p)) + 0.5 * (x - p) ** 2
             best = np.min(tau * f1 + 0.5 * (x - grid) ** 2)
             assert ours - best <= 1e-6
 
-    def test_absorbs_to_slice_when_tau_dominates(self):
-        c = constellation("16qam")
-        rng = np.random.default_rng(7)
-        x = rng.uniform(-c.a_max, c.a_max, size=64)
-        sliced = project_constellation(x, c)
-        tau = float(np.max(np.abs(x - sliced))) + 1e-6
-        np.testing.assert_array_equal(prox_l1_superiorization(x, tau, c), sliced)
+    @properties
+    @given(c=alphabets, x=points, extra=st.floats(0.0, 1.0))
+    def test_absorbs_to_slice_when_tau_dominates(self, c, x, extra):
+        sliced = c.nearest(x)
+        tau = float(np.max(np.abs(x - sliced))) + extra
+        np.testing.assert_array_equal(prox_l1_levels(x, tau, c), sliced)
 
 
 class TestPerturbations:
@@ -190,11 +202,8 @@ class TestPerturbations:
         np.testing.assert_array_equal(perturbation_l2(x, c), np.zeros(4))
 
     def test_l2_direct_value(self):
-        np.testing.assert_allclose(
-            nearest_levels(np.array([0.2]), PM1) - 0.2, [0.8], atol=1e-15)
-        c = constellation("qpsk")
-        v = perturbation_l2(np.array([0.2]), c)
-        np.testing.assert_allclose(v, [c.levels[1] - 0.2], atol=1e-15)
+        v = perturbation_l2(np.array([0.2 * A1]), QPSK)
+        np.testing.assert_allclose(v, [0.8 * A1], atol=1e-15)
 
     def test_l1_zero_tau(self):
         c = constellation("16qam")
@@ -203,8 +212,8 @@ class TestPerturbations:
         np.testing.assert_array_equal(perturbation_l1(x, 0.0, c), np.zeros(16))
 
     def test_l1_direct_value(self):
-        v = prox_l1_levels(np.array([1.3]), 0.1, PM1) - np.array([1.3])
-        np.testing.assert_allclose(v, [-0.1], atol=1e-15)
+        v = perturbation_l1(np.array([1.3 * A1]), 0.1 * A1, QPSK)
+        np.testing.assert_allclose(v, [-0.1 * A1], atol=1e-15)
 
     def test_x_plus_l2_lands_on_lattice(self):
         c = constellation("64qam")
@@ -220,9 +229,8 @@ class TestPerturbations:
         bound = c.a_max * np.sqrt(dim)
         rng = np.random.default_rng(10)
         x = rng.uniform(-c.a_max, c.a_max, size=(10_000, dim))
-        v2 = project_constellation(x, c) - x
+        v2 = perturbation_l2(x, c)
         assert np.all(np.linalg.norm(v2, axis=1) <= 2 * bound + 1e-12)
         for tau in (0.005, 0.2):
-            sliced = project_constellation(x, c)
-            v1 = soft_threshold(x - sliced, tau) + sliced - x
+            v1 = perturbation_l1(x, tau, c)
             assert np.all(np.linalg.norm(v1, axis=1) <= 4 * bound + 1e-12)
