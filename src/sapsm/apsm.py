@@ -22,6 +22,8 @@ from .errors import DimensionMismatch, NonFiniteIterate
 from .geometry import Constellation, perturbation_l1, perturbation_l2
 
 TRACE_COLUMNS = ("n", "theta", "objective", "rho", "step_norm", "pert_norm")
+# rounding slack on the right-hand side of every audited inequality
+AUDIT_TOL = 1e-9
 
 
 @dataclass
@@ -77,7 +79,7 @@ def apsm_run(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,
     iterates = [x.copy()] if record_iterates else None
 
     for n in range(cfg.max_iters):
-        beta_n = cfg.beta.at(n) if cfg.variant != "plain" else 0.0
+        beta_n = cfg.beta.at(n)
         if beta_n != 0.0:
             if cfg.variant == "l2":
                 v = perturbation_l2(x, c)
@@ -162,12 +164,12 @@ def _distances(x_seq: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
 
 def check_quasi_fejer(trace: IterateTrace, x_seq: np.ndarray,
                       z_ref: np.ndarray, cost: QuadraticResidualCost,
-                      cfg: ApsmConfig, tol: float = 1e-9) -> AuditResult:
+                      cfg: ApsmConfig) -> AuditResult:
     """Audit Type-I quasi-Fejér monotonicity toward a reference point.
 
-    Checks ||x_{n+1} - z|| <= ||x_n - z|| + beta_n ||v_n|| + tol for every
-    iteration at which the reference is feasible (its residual is within the
-    radius); earlier iterations are outside the guarantee and are skipped.
+    Checks ||x_{n+1} - z|| <= ||x_n - z|| + beta_n ||v_n||, up to AUDIT_TOL,
+    for every iteration at which the reference is feasible (its residual is
+    within the radius); earlier iterations are outside the guarantee.
     """
     start = activation_index(trace, cost.residual_sq(z_ref))
     if start is None:
@@ -175,16 +177,16 @@ def check_quasi_fejer(trace: IterateTrace, x_seq: np.ndarray,
     d = _distances(x_seq, z_ref)
     count = len(trace)
     lhs = d[start + 1:count + 1]
-    rhs = d[start:count] + trace.pert_norm[start:count] + tol
+    rhs = d[start:count] + trace.pert_norm[start:count] + AUDIT_TOL
     return AuditResult.from_excess(lhs - rhs)
 
 
 def check_attracting(trace: IterateTrace, x_seq: np.ndarray,
                      z_ref: np.ndarray, cost: QuadraticResidualCost,
-                     cfg: ApsmConfig, tol: float = 1e-9) -> AuditResult:
+                     cfg: ApsmConfig) -> AuditResult:
     """Audit the kappa-attracting decrease with the perturbation slack.
 
-    With kappa = 1 - mu/2, checks
+    With kappa = 1 - mu/2, checks, up to AUDIT_TOL,
     ||x_{n+1} - z||^2 <= ||x_n - z||^2 - kappa ||x_{n+1} - x_n||^2 + gamma_n,
     where gamma_n = beta_n * r^2 * (2 + b) is the summable slack implied by
     bounded perturbations; r and b are reconstructed from the recorded norms.
@@ -207,15 +209,14 @@ def check_attracting(trace: IterateTrace, x_seq: np.ndarray,
     b = cfg.beta.series_sum(cfg.max_iters)
     gamma = betas * r**2 * (2.0 + b)
     lhs = d[start + 1:count + 1] ** 2
-    rhs = d[start:count] ** 2 - kappa * steps**2 + gamma + tol
+    rhs = d[start:count] ** 2 - kappa * steps**2 + gamma + AUDIT_TOL
     return AuditResult.from_excess(lhs - rhs)
 
 
 def diagnose(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,
-             z_ref: np.ndarray,
-             x0: np.ndarray | None = None) -> DiagnosticReport:
+             z_ref: np.ndarray) -> DiagnosticReport:
     """Run with full recording and audit both convergence inequalities."""
-    _, trace = apsm_run(cost, cfg, c, x0=x0, record_iterates=True)
+    _, trace = apsm_run(cost, cfg, c, record_iterates=True)
     tail = max(1, math.ceil(len(trace) / 10))
     return DiagnosticReport(
         quasi_fejer=check_quasi_fejer(trace, trace.iterates, z_ref, cost, cfg),

@@ -91,6 +91,10 @@ def _file_value(key: str, val):
                for v in items):
         raise ConfigError(f"config key {key!r} needs a {typ.__name__} value, "
                           f"got {val!r}")
+    choices = FLAGS[key][2].get("choices")
+    if choices is not None and val not in choices:
+        raise ConfigError(f"config key {key!r} must be one of {choices}, "
+                          f"got {val!r}")
     return [typ(v) for v in items] if listed else typ(val)
 
 
@@ -118,31 +122,28 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _apsm_overrides(vals: dict, kinds: tuple[DetectorKind, ...]) -> dict:
-    """Standard run parameters of each iterative detector, with the schedule
-    flags applied."""
+    """Standard run parameters of each iterative detector, with each schedule
+    flag applied to the variants that read it."""
     if vals["beta"] is not None and vals["beta_geom"] is not None:
         raise ConfigError("--beta and --beta-geom are mutually exclusive")
     overrides = {}
     for kind in kinds:
         if kind not in _APSM_VARIANT:
             continue
-        base = standard_config(_APSM_VARIANT[kind], max_iters=vals["iters"])
+        variant = _APSM_VARIANT[kind]
+        base = standard_config(variant, max_iters=vals["iters"])
         rho = RhoSchedule(
             vals["rho0"] if vals["rho0"] is not None else base.rho.rho0,
             vals["growth"] if vals["growth"] is not None else base.rho.growth,
         )
         beta = base.beta
-        if vals["beta"] is not None:
+        if variant != "plain" and vals["beta"] is not None:
             beta = BetaSchedule.constant(vals["beta"])
-        elif vals["beta_geom"] is not None:
+        elif variant != "plain" and vals["beta_geom"] is not None:
             beta = BetaSchedule.geometric(vals["beta_geom"])
-        overrides[kind] = replace(
-            base,
-            rho=rho,
-            mu=vals["mu"] if vals["mu"] is not None else base.mu,
-            tau=vals["tau"] if vals["tau"] is not None else base.tau,
-            beta=beta,
-        )
+        tau = vals["tau"] if vals["tau"] is not None and variant == "l1" else base.tau
+        overrides[kind] = replace(base, rho=rho, beta=beta, tau=tau,
+                                  mu=vals["mu"] if vals["mu"] is not None else base.mu)
     return overrides
 
 

@@ -50,12 +50,9 @@ class QuadraticResidualCost:
         # against cancellation
         return max(float(x @ gx - 2.0 * (self.hty @ x) + self.yty), 0.0)
 
-    def eval(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Residual ||Hx - y||^2 and its gradient 2H'(Hx - y), sharing one
-        Gram matvec."""
-        x = self._check(x)
-        gx = self.gram @ x
-        return self._residual(x, gx), 2.0 * (gx - self.hty)
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """Gradient 2H'(Hx - y) of the residual (no shape check: hot loops)."""
+        return 2.0 * (self.gram @ x - self.hty)
 
     def residual_sq(self, x: np.ndarray) -> float:
         x = self._check(x)
@@ -94,21 +91,23 @@ def apsm_map(cost: QuadraticResidualCost, x: np.ndarray, rho: float,
     return sublevel_step(cost, cost._check(x), rho, mu, box)[0]
 
 
+RHO_MAX = 1e12
+
+
 @dataclass(frozen=True)
 class RhoSchedule:
-    """Geometric radius schedule rho0 * growth^n, saturating at rho_max."""
+    """Geometric radius schedule rho0 * growth^n, saturating at RHO_MAX."""
 
     rho0: float
     growth: float = 1.0
-    rho_max: float = 1e12
 
     def __post_init__(self):
         if not self.rho0 > 0:
             raise ConfigError("rho0 must be positive")
         if self.growth < 1.0:
             raise ConfigError("growth must be >= 1 (radii must not shrink)")
-        if self.rho_max < self.rho0:
-            raise ConfigError("rho_max must be >= rho0")
+        if self.rho0 > RHO_MAX:
+            raise ConfigError(f"rho0 must be <= {RHO_MAX:g}")
 
 
 def rho_at(schedule: RhoSchedule, n: int) -> float:
@@ -117,9 +116,9 @@ def rho_at(schedule: RhoSchedule, n: int) -> float:
     if schedule.growth == 1.0:
         return schedule.rho0
     # cap the exponent before exponentiating so long runs cannot overflow
-    n_sat = math.log(schedule.rho_max / schedule.rho0) / math.log(schedule.growth)
+    n_sat = math.log(RHO_MAX / schedule.rho0) / math.log(schedule.growth)
     if n >= n_sat:
-        return schedule.rho_max
+        return RHO_MAX
     return schedule.rho0 * schedule.growth**n
 
 
@@ -173,17 +172,20 @@ class BetaSchedule:
 
 VARIANTS = ("plain", "l2", "l1")
 
-# margins of the relaxation window: mu must lie in [EPS1, 2 - EPS2]
+# margins of the relaxation window: mu must lie in [EPS1, 2 - EPS2]; MU is
+# the relaxation of every standard run
 EPS1 = 0.05
 EPS2 = 0.05
+MU = 0.7
 
 
 @dataclass(frozen=True)
 class ApsmConfig:
-    """Full parameterization of one superiorized run."""
+    """Full parameterization of one superiorized run. The unperturbed
+    ``plain`` takes no ``beta``; only ``l1`` reads ``tau``."""
 
     rho: RhoSchedule
-    mu: float = 0.7
+    mu: float = MU
     beta: BetaSchedule = field(default_factory=BetaSchedule.none)
     tau: float = 0.0
     variant: str = "plain"
@@ -197,6 +199,10 @@ class ApsmConfig:
             raise ConfigError(f"mu={self.mu} outside [{EPS1}, {2.0 - EPS2}]")
         if self.tau < 0:
             raise ConfigError("tau must be nonnegative")
+        if self.variant == "plain" and self.beta != BetaSchedule.none():
+            raise ConfigError("the plain variant takes no perturbation schedule")
+        if self.variant != "l1" and self.tau != 0.0:
+            raise ConfigError(f"tau applies only to the l1 variant, not {self.variant}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
         if self.stop_eps < 0:
@@ -205,7 +211,7 @@ class ApsmConfig:
     def config_hash(self) -> str:
         payload = json.dumps(
             {
-                "rho": [self.rho.rho0, self.rho.growth, self.rho.rho_max],
+                "rho": [self.rho.rho0, self.rho.growth, RHO_MAX],
                 "mu": self.mu,
                 "beta": [self.beta.kind, self.beta.value],
                 "tau": self.tau,
@@ -222,20 +228,14 @@ def standard_config(variant: str, max_iters: int = 300,
                     stop_eps: float = 0.0) -> ApsmConfig:
     """Default run parameters per variant.
 
-    All variants share the radius schedule 5e-5 * 1.06^n and relaxation 0.7.
+    All variants share the radius schedule 5e-5 * 1.06^n and relaxation MU.
     The hard-slicing variant scales its perturbations by 0.9^n; the
     soft-thresholded variant uses tau 0.005 with a constant 0.9999 scaling
     (not summable, so the resilience guarantee is void and flagged as such
     in trace metadata).
     """
-    rho = RhoSchedule(5e-5, 1.06)
-    if variant == "plain":
-        beta, tau = BetaSchedule.none(), 0.0
-    elif variant == "l2":
-        beta, tau = BetaSchedule.geometric(0.9), 0.0
-    elif variant == "l1":
-        beta, tau = BetaSchedule.constant(0.9999), 0.005
-    else:
-        raise ConfigError(f"unknown variant {variant!r}")
-    return ApsmConfig(rho=rho, mu=0.7, beta=beta, tau=tau, variant=variant,
-                      max_iters=max_iters, stop_eps=stop_eps)
+    perturbation = {"l2": {"beta": BetaSchedule.geometric(0.9)},
+                    "l1": {"beta": BetaSchedule.constant(0.9999), "tau": 0.005}}
+    return ApsmConfig(rho=RhoSchedule(5e-5, 1.06), variant=variant,
+                      max_iters=max_iters, stop_eps=stop_eps,
+                      **perturbation.get(variant, {}))

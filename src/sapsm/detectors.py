@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -19,7 +18,7 @@ import scipy.linalg
 
 from .apsm import IterateTrace, apsm_run
 from .cost import ApsmConfig, QuadraticResidualCost, standard_config
-from .errors import CandidateBudget, SolverFailure
+from .errors import CandidateBudget, ConfigError, SolverFailure
 from .geometry import BoxSet, Constellation, project_box
 from .mimo import ChannelInstance
 
@@ -86,8 +85,7 @@ class BoxOracleResult(NamedTuple):
 def first_order_residual(cost: QuadraticResidualCost, x: np.ndarray,
                          box: BoxSet, lipschitz: float) -> float:
     """Fixed-point residual ||x - P_B(x - grad/L)|| of the projected step."""
-    _, grad = cost.eval(x)
-    return float(np.linalg.norm(x - project_box(x - grad / lipschitz, box)))
+    return float(np.linalg.norm(x - project_box(x - cost.gradient(x) / lipschitz, box)))
 
 
 def detect_box_oracle(instance: ChannelInstance, box: BoxSet,
@@ -107,8 +105,7 @@ def detect_box_oracle(instance: ChannelInstance, box: BoxSet,
         raise SolverFailure("channel matrix has no energy")
     x = np.zeros(cost.dim_in)
     for it in range(1, max_iters + 1):
-        _, grad = cost.eval(x)
-        x_next = project_box(x - grad / L, box)
+        x_next = project_box(x - cost.gradient(x) / L, box)
         delta = float(np.linalg.norm(x_next - x))
         x = x_next
         if delta <= tol:
@@ -149,9 +146,8 @@ def detect(kind: DetectorKind, instance: ChannelInstance, c: Constellation,
            record_iterates: bool = False) -> tuple[np.ndarray, IterateTrace | None]:
     """Dispatch a detector on one channel realization.
 
-    Iterative kinds return their trace; the baselines return ``None``. When
-    ``cfg`` is supplied for an iterative kind, its variant field is overridden
-    to match the requested detector.
+    Iterative kinds return their trace; the baselines return ``None``. A
+    ``cfg`` supplied for an iterative kind must be of that kind's variant.
     """
     kind = DetectorKind(kind)
     if kind in _APSM_VARIANT:
@@ -159,7 +155,8 @@ def detect(kind: DetectorKind, instance: ChannelInstance, c: Constellation,
         if cfg is None:
             cfg = standard_config(variant)
         elif cfg.variant != variant:
-            cfg = replace(cfg, variant=variant)
+            raise ConfigError(f"{kind.value} needs a {variant!r} config, "
+                              f"got {cfg.variant!r}")
         cost = QuadraticResidualCost(instance.H, instance.y)
         x, trace = apsm_run(cost, cfg, c, record_iterates=record_iterates)
         return x, trace

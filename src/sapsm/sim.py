@@ -42,9 +42,14 @@ class ExperimentConfig:
     def __post_init__(self):
         try:
             kinds = tuple(DetectorKind(d) for d in self.detectors)
+            overrides = {DetectorKind(k): v for k, v in self.apsm_overrides.items()}
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        for kind, acfg in overrides.items():
+            if _APSM_VARIANT.get(kind) != acfg.variant:
+                raise ConfigError(f"{kind.value} cannot run a {acfg.variant!r} config")
         object.__setattr__(self, "detectors", kinds)
+        object.__setattr__(self, "apsm_overrides", overrides)
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
@@ -70,10 +75,8 @@ def resolve_apsm_config(cfg: ExperimentConfig,
     """
     if kind not in _APSM_VARIANT:
         return None
-    base = cfg.apsm_overrides.get(kind)
-    if base is None:
-        base = standard_config(_APSM_VARIANT[kind], max_iters=cfg.max_iters)
-    return replace(base, variant=_APSM_VARIANT[kind], max_iters=cfg.max_iters)
+    base = cfg.apsm_overrides.get(kind) or standard_config(_APSM_VARIANT[kind])
+    return replace(base, max_iters=cfg.max_iters)
 
 
 @dataclass(frozen=True)
@@ -133,14 +136,14 @@ _worker_limiter = None
 
 
 def _init_worker():
-    # small-matrix workloads: BLAS thread pools only add contention
+    # small-matrix workloads: BLAS thread pools only add contention. The import
+    # is lazy so serial runs skip it; where it is missing, BLAS keeps its default.
     global _worker_limiter
     try:
         from threadpoolctl import threadpool_limits
-
-        _worker_limiter = threadpool_limits(limits=1)
     except ImportError:
-        pass
+        return
+    _worker_limiter = threadpool_limits(limits=1)
 
 
 def _map_tasks(fn, tasks: list, workers: int):

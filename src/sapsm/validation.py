@@ -11,12 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apsm import apsm_run, check_attracting, check_quasi_fejer
-from .cost import VARIANTS, QuadraticResidualCost, apsm_map, standard_config
+from .apsm import AUDIT_TOL, apsm_run, check_attracting, check_quasi_fejer
+from .cost import MU, VARIANTS, QuadraticResidualCost, apsm_map, standard_config
 from .geometry import BoxSet, constellation, prox_l1_levels
 from .mimo import ChannelModel, make_instance, trial_seed
 
+# prox oracle: search grid, alphabets, and the objective gap it tolerates
 GRID_LO, GRID_HI, GRID_STEP = -3.0, 3.0, 1e-4
+PROX_ALPHABETS, GAP_TOL = ("qpsk", "16qam"), 1e-6
+# setup of the audited full runs: small enough (2K = 8) for many trials
+RUN_K, RUN_N, RUN_MODULATION, RUN_SNR_DB, RUN_ITERS = 4, 8, "qpsk", 8.0, 260
 
 
 @dataclass
@@ -37,21 +41,19 @@ class SuiteResult:
                 f"/ {self.checked} checks (worst excess {self.worst:.3e})")
 
 
-def prox_grid_suite(cases: int = 10_000, seed: int = 0,
-                    alphabets: tuple[str, ...] = ("qpsk", "16qam"),
-                    gap_tol: float = 1e-6) -> SuiteResult:
+def prox_grid_suite(cases: int = 10_000, seed: int = 0) -> SuiteResult:
     """Scalar prox against a dense grid-search argmin oracle.
 
     For random (x, tau), the shrink-to-lattice prox must attain the grid
-    minimum of tau * |u - P_S(u)| + (x - u)^2 / 2 within ``gap_tol``.
+    minimum of tau * |u - P_S(u)| + (x - u)^2 / 2 within ``GAP_TOL``.
     """
     rng = np.random.default_rng(seed)
     grid = np.arange(GRID_LO, GRID_HI + GRID_STEP / 2, GRID_STEP)
     violations = 0
     worst = 0.0
-    per_alpha = cases // len(alphabets)
+    per_alpha = cases // len(PROX_ALPHABETS)
     buf = np.empty_like(grid)
-    for name in alphabets:
+    for name in PROX_ALPHABETS:
         c = constellation(name)
         f1_grid = np.abs(grid - c.nearest(grid))
         xs = rng.uniform(-2.0, 2.0, size=per_alpha)
@@ -66,23 +68,22 @@ def prox_grid_suite(cases: int = 10_000, seed: int = 0,
             p = float(prox_l1_levels(np.array([xi]), ti, c)[0])
             ours = ti * abs(p - c.nearest(p)) + 0.5 * (xi - p) ** 2
             gap = ours - best
-            if gap > gap_tol:
+            if gap > GAP_TOL:
                 violations += 1
             worst = max(worst, gap)
-    return SuiteResult("prox-grid-oracle", per_alpha * len(alphabets),
+    return SuiteResult("prox-grid-oracle", per_alpha * len(PROX_ALPHABETS),
                        violations, worst)
 
 
-def attracting_step_suite(draws: int = 10_000, seed: int = 0,
-                          mu: float = 0.7, tol: float = 1e-9) -> SuiteResult:
+def attracting_step_suite(draws: int = 10_000, seed: int = 0) -> SuiteResult:
     """Single-step attracting inequality on random feasible geometry.
 
-    Draws random (H, y, x in B, feasible z) and checks, with kappa = 1 - mu/2,
+    Draws random (H, y, x in B, feasible z) and checks, with kappa = 1 - MU/2,
     that one iteration map application satisfies
-    ||T(x) - z||^2 <= ||x - z||^2 - kappa ||x - T(x)||^2 + tol.
+    ||T(x) - z||^2 <= ||x - z||^2 - kappa ||x - T(x)||^2 + AUDIT_TOL.
     """
     rng = np.random.default_rng(seed)
-    kappa = 1.0 - mu / 2.0
+    kappa = 1.0 - MU / 2.0
     box = BoxSet(1.0)
     violations = 0
     worst = 0.0
@@ -96,27 +97,26 @@ def attracting_step_suite(draws: int = 10_000, seed: int = 0,
         resid_z = cost.residual_sq(z)
         rho = resid_z * (1.0 + rng.uniform(0.0, 1.0))
         x = rng.uniform(-1.0, 1.0, size=k2)
-        tx = apsm_map(cost, x, rho, mu, box)
+        tx = apsm_map(cost, x, rho, MU, box)
         lhs = float(np.sum((tx - z) ** 2))
-        rhs = float(np.sum((x - z) ** 2) - kappa * np.sum((x - tx) ** 2)) + tol
+        rhs = float(np.sum((x - z) ** 2) - kappa * np.sum((x - tx) ** 2)) + AUDIT_TOL
         if lhs > rhs:
             violations += 1
             worst = max(worst, lhs - rhs)
     return SuiteResult("attracting-step", draws, violations, worst)
 
 
-def _audited_runs(name: str, audit, trials: int, seed: int, k: int, n: int,
-                  modulation: str, snr_db: float, max_iters: int,
+def _audited_runs(name: str, audit, trials: int, seed: int, max_iters: int,
                   variants: tuple[str, ...]) -> SuiteResult:
-    """Recorded engine runs on seeded instances, each audited against the
-    true transmit vector by ``audit`` (a ``check_*`` function)."""
-    c = constellation(modulation)
+    """Recorded engine runs on seeded RUN_* instances, each audited against
+    the true transmit vector by ``audit`` (a ``check_*`` function)."""
+    c = constellation(RUN_MODULATION)
     model = ChannelModel("iid")
     violations = 0
     checked = 0
     worst = 0.0
     for t in range(trials):
-        inst = make_instance(model, c, k, n, snr_db, trial_seed(seed, t))
+        inst = make_instance(model, c, RUN_K, RUN_N, RUN_SNR_DB, trial_seed(seed, t))
         cost = QuadraticResidualCost(inst.H, inst.y)
         for variant in variants:
             cfg = standard_config(variant, max_iters=max_iters)
@@ -128,21 +128,17 @@ def _audited_runs(name: str, audit, trials: int, seed: int, k: int, n: int,
     return SuiteResult(name, checked, violations, worst)
 
 
-def quasi_fejer_suite(trials: int = 60, seed: int = 0, k: int = 4, n: int = 8,
-                      modulation: str = "qpsk", snr_db: float = 8.0,
-                      max_iters: int = 260,
+def quasi_fejer_suite(trials: int = 60, seed: int = 0, max_iters: int = RUN_ITERS,
                       variants: tuple[str, ...] = VARIANTS) -> SuiteResult:
     """Full-run Type-I quasi-Fejér audits against the true transmit vector."""
-    return _audited_runs("quasi-fejer-run", check_quasi_fejer, trials, seed, k, n,
-                         modulation, snr_db, max_iters, variants)
+    return _audited_runs("quasi-fejer-run", check_quasi_fejer, trials, seed,
+                         max_iters, variants)
 
 
-def attracting_run_suite(trials: int = 20, seed: int = 0, k: int = 4, n: int = 8,
-                         modulation: str = "qpsk", snr_db: float = 8.0,
-                         max_iters: int = 260) -> SuiteResult:
+def attracting_run_suite(trials: int = 20, seed: int = 0) -> SuiteResult:
     """Full-run attracting audits (with perturbation slack) for all variants."""
-    return _audited_runs("attracting-run", check_attracting, trials, seed, k, n,
-                         modulation, snr_db, max_iters, VARIANTS)
+    return _audited_runs("attracting-run", check_attracting, trials, seed,
+                         RUN_ITERS, VARIANTS)
 
 
 def run_all_suites(seed: int = 0, prox_cases: int = 2000,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import sapsm.sim
 from sapsm.cli import main
 
 
@@ -105,6 +106,21 @@ class TestConfigFile:
         key = next(iter(bad))
         assert f"config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [{"format": "xml"}, {"mod": "8psk"},
+                                     {"channel": "rayleigh"}])
+    def test_config_value_outside_choices_rejected(self, tmp_path, capsys,
+                                                   monkeypatch, bad):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(sapsm.sim, "make_instance", no_trials)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 2, "n": 4, "mod": "qpsk", "trials": 2,
+                                   "iters": 10, "detectors": "lmmse"} | bad))
+        assert run(["ser-snr", "--config", str(cfg), "--workers", "1"]) == 2
+        key = next(iter(bad))
+        assert f"config key {key!r} must be one of" in capsys.readouterr().err
+
     def test_scalar_snr_in_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k": 2, "n": 4, "mod": "qpsk", "snr": 13,
@@ -152,6 +168,18 @@ class TestDiagnoseAndValidate:
         out = capsys.readouterr().out
         assert "summable_beta=False" in out
         assert '"violations": 0' in out
+
+    @pytest.mark.parametrize("flags", [["--beta", "0.9999"],
+                                       ["--beta-geom", "0.5"], ["--tau", "0.1"]])
+    def test_plain_ignores_perturbation_flags(self, capsys, flags):
+        argv = ["diagnose", "--k", "4", "--n", "8", "--mod", "qpsk", "--snr", "8",
+                "--iters", "260", "--detectors", "apsm_plain"]
+        assert run(argv) == 0
+        bare = capsys.readouterr().out
+        assert run(argv + flags) == 0
+        out = capsys.readouterr().out
+        assert out == bare
+        assert "summable_beta=True" in out
 
     def test_validate_passes(self, capsys):
         code = run(["validate", "--seed", "1"])

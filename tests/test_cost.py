@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sapsm.cost import (
+    RHO_MAX,
     ApsmConfig,
     BetaSchedule,
     QuadraticResidualCost,
@@ -24,7 +25,7 @@ def theta(cost, x, rho):
 
 
 def subgradient(cost, x):
-    return cost.eval(x)[1]
+    return cost.gradient(np.asarray(x, dtype=float))
 
 
 def random_cost(rng, n2=8, k2=4):
@@ -179,7 +180,7 @@ class TestRhoSchedule:
 
     def test_saturates_without_overflow(self):
         sched = RhoSchedule(5e-5, 1.06)
-        assert rho_at(sched, 10**6) == sched.rho_max
+        assert rho_at(sched, 10**6) == RHO_MAX
         assert np.isfinite(rho_at(sched, 10**9))
 
     def test_validation(self):
@@ -189,6 +190,8 @@ class TestRhoSchedule:
             RhoSchedule(1e-4, 0.99)
         with pytest.raises(ConfigError):
             rho_at(RhoSchedule(1e-4), -1)
+        with pytest.raises(ConfigError):
+            RhoSchedule(2 * RHO_MAX, 1.06)
 
 
 class TestSchedulesAndConfig:
@@ -226,6 +229,19 @@ class TestSchedulesAndConfig:
         with pytest.raises(ConfigError):
             ApsmConfig(rho=rho, mu=0.01)
 
+    def test_settings_a_variant_does_not_read_rejected(self):
+        rho = RhoSchedule(5e-5, 1.06)
+        for beta in (BetaSchedule.constant(0.5), BetaSchedule.geometric(0.9),
+                     BetaSchedule.constant(0.0)):
+            with pytest.raises(ConfigError):
+                ApsmConfig(rho=rho, variant="plain", beta=beta)
+        with pytest.raises(ConfigError):
+            ApsmConfig(rho=rho, variant="plain", tau=0.1)
+        with pytest.raises(ConfigError):
+            ApsmConfig(rho=rho, variant="l2", tau=0.1)
+        ApsmConfig(rho=rho, variant="l2", beta=BetaSchedule.none())
+        ApsmConfig(rho=rho, variant="l1", tau=0.1)
+
     def test_standard_configs(self):
         plain = standard_config("plain")
         l2 = standard_config("l2")
@@ -242,3 +258,9 @@ class TestSchedulesAndConfig:
         b = standard_config("l2")
         assert a.config_hash() != b.config_hash()
         assert a.config_hash() == standard_config("plain").config_hash()
+
+    def test_config_hashes_are_stable(self):
+        hashes = {v: standard_config(v, max_iters=300).config_hash()
+                  for v in ("plain", "l2", "l1")}
+        assert hashes == {"plain": "89e6f260a0ea", "l2": "5c914541f7f5",
+                          "l1": "5ecee2bf0b53"}

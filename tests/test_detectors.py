@@ -14,7 +14,7 @@ from sapsm.detectors import (
     detect_ml_bruteforce,
     first_order_residual,
 )
-from sapsm.errors import CandidateBudget, SolverFailure
+from sapsm.errors import CandidateBudget, ConfigError, SolverFailure
 from sapsm.geometry import BoxSet, constellation
 from sapsm.mimo import ChannelInstance, ChannelModel, make_instance, realify, trial_seed
 
@@ -192,15 +192,23 @@ class TestDispatch:
 
     def test_plain_equals_l2_with_zero_beta(self):
         inst = rand_instance(700)
-        cfg = replace(standard_config("l2", max_iters=120), beta=BetaSchedule.none())
-        x_plain, t_plain = detect(DetectorKind.APSM_PLAIN, inst, QPSK, cfg,
+        plain = standard_config("plain", max_iters=120)
+        l2 = replace(standard_config("l2", max_iters=120), beta=BetaSchedule.none())
+        x_plain, t_plain = detect(DetectorKind.APSM_PLAIN, inst, QPSK, plain,
                                   record_iterates=True)
-        x_l2, t_l2 = detect(DetectorKind.APSM_L2, inst, QPSK, cfg,
+        x_l2, t_l2 = detect(DetectorKind.APSM_L2, inst, QPSK, l2,
                             record_iterates=True)
         np.testing.assert_array_equal(x_plain, x_l2)
         np.testing.assert_array_equal(t_plain.iterates, t_l2.iterates)
         for name in ("theta", "objective", "step_norm", "pert_norm"):
             np.testing.assert_array_equal(getattr(t_plain, name), getattr(t_l2, name))
+
+    def test_config_of_another_variant_rejected(self):
+        inst = rand_instance(700)
+        with pytest.raises(ConfigError):
+            detect(DetectorKind.APSM_PLAIN, inst, QPSK, standard_config("l2"))
+        with pytest.raises(ConfigError):
+            detect(DetectorKind.APSM_L1, inst, QPSK, standard_config("l2"))
 
     def test_outputs_respect_their_sets(self):
         inst = rand_instance(800)

@@ -43,6 +43,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             iter_cfg(detectors=("turbo",))
 
+    def test_rejects_overrides_a_detector_cannot_take(self):
+        with pytest.raises(ConfigError):
+            iter_cfg(apsm_overrides={D.LMMSE: standard_config("plain")})
+        with pytest.raises(ConfigError):
+            iter_cfg(apsm_overrides={D.APSM_PLAIN: standard_config("l2")})
+        with pytest.raises(ConfigError):
+            iter_cfg(apsm_overrides={"turbo": standard_config("plain")})
+        cfg = iter_cfg(apsm_overrides={"apsm_l1": standard_config("l1")})
+        assert list(cfg.apsm_overrides) == [D.APSM_L1]
+
     def test_iter_sweep_needs_single_snr(self):
         with pytest.raises(ConfigError):
             run_ser_vs_iter(iter_cfg(snr_db=(0.0, 8.0)))
