@@ -2,7 +2,9 @@
 
 One run interleaves a superiorization perturbation (hard or soft slicing
 toward the constellation lattice) with a relaxed subgradient projection onto
-the current residual sublevel set, clamped to the box. The recorded trace is
+the current residual sublevel set, clamped to the box. The engine iterates a
+stack of runs that share one config, each row bitwise the run it would be
+alone; a single run is a stack of one. The recorded trace is
 enough to audit, after the fact, the two inequalities that convergence theory
 promises: quasi-Fejér monotonicity of Type I and the kappa-attracting step
 decrease, both relative to a feasible reference point.
@@ -17,7 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import ApsmConfig, QuadraticResidualCost, rho_at, sublevel_step
+from .cost import (
+    ApsmConfig,
+    QuadraticResidualCost,
+    residuals,
+    rho_at,
+    row_dot,
+    row_matvec,
+    stack_costs,
+    sublevel_step,
+)
 from .errors import DimensionMismatch, NonFiniteIterate
 from .geometry import Constellation, perturbation_l1, perturbation_l2
 
@@ -56,27 +67,40 @@ class IterateTrace:
                 writer.writerow([int(n)] + [format(v, ".17g") for v in values])
 
 
-def apsm_run(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,
-             x0: np.ndarray | None = None,
-             record_iterates: bool = False) -> tuple[np.ndarray, IterateTrace]:
-    """Run the perturbed iteration and return (final iterate, trace).
+def apsm_run_batch(costs: list[QuadraticResidualCost], cfg: ApsmConfig,
+                   c: Constellation, x0: np.ndarray | None = None,
+                   record_iterates: bool = False) -> tuple[np.ndarray, list[IterateTrace]]:
+    """Run the perturbed iteration on B problems at once; return (final
+    iterates as (B, d), one trace per row).
 
-    Follows the superiorized recursion: perturb the current iterate, evaluate
-    the sublevel cost and its subgradient at the perturbed point, take the
-    relaxed subgradient-projection step, clamp to the box. Stops at the
-    iteration budget, or earlier once the step norm falls to ``stop_eps``
-    (disabled at 0). Every iterate after the first projection lies in the box.
+    Follows the superiorized recursion on every row: perturb the current
+    iterate, evaluate the sublevel cost and its subgradient at the perturbed
+    point, take the relaxed subgradient-projection step, clamp to the box.
+    A row stops at the iteration budget, or earlier once its step norm falls
+    to ``stop_eps`` (disabled at 0); a stopped row leaves the stack. Each row
+    is bitwise the run it would be alone. Every iterate after the first
+    projection lies in the box. The traces' arrays are views into buffers
+    that the stack's traces share.
     """
-    dim = cost.dim_in
+    gram, hty, yty = stack_costs(costs)
+    size, dim = hty.shape
     if x0 is None:
-        x = np.zeros(dim)
+        x = np.zeros((size, dim))
     else:
-        x = np.asarray(x0, dtype=float).copy()
-        if x.shape != (dim,):
-            raise DimensionMismatch(f"x0 has shape {x.shape}, expected ({dim},)")
+        x = np.array(x0, dtype=float)
+        if x.shape != (size, dim):
+            raise DimensionMismatch(f"x0 has shape {x.shape}, expected {(size, dim)}")
     box = c.box()
-    records = []  # one TRACE_COLUMNS row per iteration
-    iterates = [x.copy()] if record_iterates else None
+    rows = np.arange(size)  # the rows still running, in order
+    active = slice(None)  # the same as an index, while no row has stopped
+    final = np.empty((size, dim))
+    lengths = np.full(size, cfg.max_iters)
+    rhos = []
+    # theta, objective, step_norm, pert_norm of each row and iteration
+    records = np.empty((4, size, cfg.max_iters))
+    iterates = np.empty((size, cfg.max_iters + 1, dim)) if record_iterates else None
+    if record_iterates:
+        iterates[:, 0] = x
 
     for n in range(cfg.max_iters):
         beta_n = cfg.beta.at(n)
@@ -85,38 +109,76 @@ def apsm_run(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,
                 v = perturbation_l2(x, c)
             else:
                 v = perturbation_l1(x, cfg.tau, c)
-            pert_norm = beta_n * math.sqrt(float(v @ v))
+            pert_norm = beta_n * np.sqrt(row_dot(v, v))
             z = x + beta_n * v
         else:
-            pert_norm = 0.0
+            pert_norm = np.zeros(rows.size)
             z = x
 
         rho_n = rho_at(cfg.rho, n)
-        x_next, resid_z, theta_n = sublevel_step(cost, z, rho_n, cfg.mu, box)
+        x_next, resid_z, theta_n = sublevel_step(gram, hty, yty, z, rho_n, cfg.mu, box)
 
         diff = x_next - x
-        step_norm = math.sqrt(float(diff @ diff))
-        # scalar checks: any overflow or nan upstream lands in one of these
-        if not (math.isfinite(step_norm) and math.isfinite(resid_z)):
+        step_norm = np.sqrt(row_dot(diff, diff))
+        # any overflow or nan upstream lands in one of these; both are
+        # nonnegative or nan, and np.maximum propagates nan
+        if np.count_nonzero(np.maximum(step_norm, resid_z) < math.inf) < rows.size:
             raise NonFiniteIterate(n)
 
-        objective = resid_z if pert_norm == 0.0 else cost.residual_sq(x)
-        records.append((n, theta_n, objective, rho_n, step_norm, pert_norm))
+        if beta_n != 0.0:
+            resid_x = residuals(hty, yty, x, row_matvec(gram, x))
+            objective = np.where(pert_norm == 0.0, resid_z, resid_x)
+        else:
+            objective = resid_z
+        rhos.append(rho_n)
+        records[:, active, n] = theta_n, objective, step_norm, pert_norm
         if record_iterates:
-            iterates.append(x_next.copy())
+            iterates[active, n + 1] = x_next
 
         x = x_next
-        if cfg.stop_eps > 0.0 and step_norm <= cfg.stop_eps:
-            break
+        if cfg.stop_eps > 0.0:
+            stopped = step_norm <= cfg.stop_eps
+            if np.count_nonzero(stopped):
+                lengths[rows[stopped]] = n + 1
+                final[rows[stopped]] = x[stopped]
+                going = ~stopped
+                rows, x = rows[going], x[going]
+                gram, hty, yty = gram[going], hty[going], yty[going]
+                active = rows
+                if not rows.size:
+                    break
+    final[rows] = x
 
-    trace = IterateTrace(
-        **{col: np.asarray(vals) for col, vals in zip(TRACE_COLUMNS, zip(*records))},
-        variant=cfg.variant,
-        config_hash=cfg.config_hash(),
-        summability_flag=cfg.beta.summable,
-        iterates=np.asarray(iterates) if record_iterates else None,
-    )
-    return x, trace
+    rho = np.array(rhos)
+    theta, objective, step_norm, pert_norm = records
+    config_hash = cfg.config_hash()
+    traces = [
+        IterateTrace(
+            n=np.arange(count),
+            theta=theta[i, :count],
+            objective=objective[i, :count],
+            rho=rho[:count],
+            step_norm=step_norm[i, :count],
+            pert_norm=pert_norm[i, :count],
+            variant=cfg.variant,
+            config_hash=config_hash,
+            summability_flag=cfg.beta.summable,
+            iterates=iterates[i, :count + 1] if record_iterates else None,
+        )
+        for i, count in enumerate(lengths)
+    ]
+    return final, traces
+
+
+def apsm_run(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,
+             x0: np.ndarray | None = None,
+             record_iterates: bool = False) -> tuple[np.ndarray, IterateTrace]:
+    """Run the perturbed iteration on one problem and return (final iterate,
+    trace): ``apsm_run_batch`` on a stack of one."""
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)[None]
+    final, (trace,) = apsm_run_batch([cost], cfg, c, x0, record_iterates)
+    return final[0], trace
 
 
 @dataclass

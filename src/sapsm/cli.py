@@ -2,7 +2,7 @@
 
 Subcommands: ``ser-iter`` and ``ser-snr`` run Monte-Carlo sweeps, ``detect``
 runs every requested detector on one seeded realization, ``diagnose`` audits
-the convergence inequalities of a single run, and ``validate`` executes the
+the convergence inequalities of one run per requested iterative detector, and ``validate`` executes the
 randomized invariant suites. Option precedence is flag > config file >
 built-in default; the built-in defaults mirror the reference experiment
 setup (K=16, N=64, 16-QAM, 9 dB) at a reduced trial count.
@@ -218,13 +218,16 @@ def _cmd_diagnose(args) -> int:
     vals = _resolve(args)
     cfg, c, inst = _single_instance(vals)
     apsm_kinds = [k for k in cfg.detectors if k in _APSM_VARIANT]
-    kind = apsm_kinds[0] if apsm_kinds else DetectorKind.APSM_L1
-    acfg = resolve_apsm_config(cfg, kind)
+    if not apsm_kinds:
+        raise ConfigError("diagnose needs at least one iterative detector")
     cost = QuadraticResidualCost(inst.H, inst.y)
-    report = diagnose(cost, acfg, c, inst.s)
-    print(f"detector={kind.value} summable_beta={acfg.beta.summable}")
-    print(report.to_json())
-    ok = report.quasi_fejer.violations == 0 and report.attracting.violations == 0
+    ok = True
+    for kind in apsm_kinds:
+        acfg = resolve_apsm_config(cfg, kind)
+        report = diagnose(cost, acfg, c, inst.s)
+        print(f"detector={kind.value} summable_beta={acfg.beta.summable}")
+        print(report.to_json())
+        ok &= report.quasi_fejer.violations == 0 and report.attracting.violations == 0
     return 0 if ok else 1
 
 
@@ -249,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("ser-snr", partial(_cmd_sweep, run_ser_vs_snr),
          "symbol error ratio across an SNR grid"),
         ("detect", _cmd_detect, "run detectors on one seeded realization"),
-        ("diagnose", _cmd_diagnose, "audit convergence inequalities of one run"),
+        ("diagnose", _cmd_diagnose,
+         "audit convergence inequalities of each iterative detector's run"),
         ("validate", _cmd_validate, "run the randomized invariant suites"),
     ):
         p = sub.add_parser(name, help=desc, parents=[])

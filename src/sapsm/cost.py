@@ -45,38 +45,78 @@ class QuadraticResidualCost:
             )
         return x
 
-    def _residual(self, x: np.ndarray, gx: np.ndarray) -> float:
-        # x'Gx - 2h'x + y'y from the Gram matvec gx = Gx, clamped at 0
-        # against cancellation
-        return max(float(x @ gx - 2.0 * (self.hty @ x) + self.yty), 0.0)
-
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Gradient 2H'(Hx - y) of the residual (no shape check: hot loops)."""
         return 2.0 * (self.gram @ x - self.hty)
 
     def residual_sq(self, x: np.ndarray) -> float:
-        x = self._check(x)
-        return self._residual(x, self.gram @ x)
+        x = self._check(x)[None]
+        gram, hty, yty = stack_costs([self])
+        return float(residuals(hty, yty, x, row_matvec(gram, x))[0])
 
 
-def sublevel_step(cost: QuadraticResidualCost, z: np.ndarray, rho: float,
-                  mu: float, box: BoxSet) -> tuple[np.ndarray, float, float]:
-    """One relaxed subgradient projection of z toward the rho-sublevel set,
-    clamped to the box.
+def stack_costs(costs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gram stack (B, d, d), the H'y stack (B, d) and y'y per row of
+    B costs that share one dimension."""
+    dims = {cost.dim_in for cost in costs}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"a stack needs costs of one dimension, got {sorted(dims)}")
+    return (np.stack([cost.gram for cost in costs]),
+            np.stack([cost.hty for cost in costs]),
+            np.array([cost.yty for cost in costs]))
 
-    Returns (next iterate, residual ||Hz - y||^2, theta) with
-    theta = (residual - rho)_+ the cost value at z. The step is skipped when
-    theta is zero or the subgradient 2H'(Hz - y) vanishes.
+
+# Row-wise products of stacks. Stacked np.matmul makes one BLAS call per row
+# (gemv for G_i z_i, ddot for a_i . b_i), the very call ``G @ z`` and
+# ``a @ b`` make on one row, so every row is bitwise independent of the
+# stack it sits in. einsum sums in its own order and is not.
+def row_matvec(gram: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return np.matmul(gram, z[:, :, None])[:, :, 0]
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def residuals(hty: np.ndarray, yty: np.ndarray, x: np.ndarray,
+              gx: np.ndarray) -> np.ndarray:
+    """||H_i x_i - y_i||^2 per row as x'Gx - 2h'x + y'y, from the Gram
+    matvecs gx, clamped at 0 against cancellation.
+
+    The clamps here and in ``sublevel_step`` are np.maximum, whose SIMD
+    loops may differ from Python's max on -0.0 alone. Neither clamped value
+    can be -0.0: the sum ends by adding y'y, which is +0.0 or positive, and
+    theta subtracts a nonnegative rho from that.
     """
-    gz = cost.gram @ z
-    resid = cost._residual(z, gz)
-    theta = max(resid - rho, 0.0)
-    if theta > 0.0:
-        grad = 2.0 * (gz - cost.hty)
-        gn2 = float(grad @ grad)
+    return np.maximum(row_dot(x, gx) - 2.0 * row_dot(hty, x) + yty, 0.0)
+
+
+def sublevel_step(gram: np.ndarray, hty: np.ndarray, yty: np.ndarray,
+                  z: np.ndarray, rho: float, mu: float,
+                  box: BoxSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One relaxed subgradient projection of each row of z toward its
+    rho-sublevel set, clamped to the box.
+
+    Takes the stacks of ``stack_costs`` and z as (B, d). Returns (next
+    iterates, residuals ||H_i z_i - y_i||^2, theta) with theta = (residual -
+    rho)_+ the cost value at z, one per row. A row keeps z when its theta is
+    zero or its subgradient 2H'(Hz - y) vanishes.
+    """
+    gz = row_matvec(gram, z)
+    resid = residuals(hty, yty, z, gz)
+    theta = np.maximum(resid - rho, 0.0)
+    take = theta > 0.0
+    if np.count_nonzero(take):
+        grad = 2.0 * (gz - hty)
+        gn2 = row_dot(grad, grad)
         # scale-aware stand-in for the exact test "subgradient != 0"
-        if math.sqrt(gn2) > 1e-12 * (1.0 + math.sqrt(float(z @ z))):
-            z = z - (mu * theta / gn2) * grad
+        take &= np.sqrt(gn2) > 1e-12 * (1.0 + np.sqrt(row_dot(z, z)))
+        taken = np.count_nonzero(take)
+        if taken == take.size:  # the common case, without the masks
+            z = z - (mu * theta / gn2)[:, None] * grad
+        elif taken:
+            coef = mu * theta / np.where(take, gn2, 1.0)
+            z = np.where(take[:, None], z - coef[:, None] * grad, z)
     return project_box(z, box), resid, theta
 
 
@@ -88,7 +128,8 @@ def apsm_map(cost: QuadraticResidualCost, x: np.ndarray, rho: float,
         raise ConfigError("mu must lie in (0, 2)")
     if rho < 0:
         raise ConfigError("rho must be nonnegative")
-    return sublevel_step(cost, cost._check(x), rho, mu, box)[0]
+    x = cost._check(x)[None]
+    return sublevel_step(*stack_costs([cost]), x, rho, mu, box)[0][0]
 
 
 RHO_MAX = 1e12

@@ -101,7 +101,8 @@ def constellation(name: str) -> Constellation:
 
 def project_box(x: np.ndarray, box: BoxSet) -> np.ndarray:
     """Coordinate-wise clamp onto the box."""
-    return np.clip(x, -box.a_max, box.a_max)
+    out = np.maximum(x, -box.a_max)
+    return np.minimum(out, box.a_max, out=out)
 
 
 def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:

@@ -159,15 +159,16 @@ def symbol_errors(x_hat: np.ndarray, s: np.ndarray,
 
     Coordinates k and k+K form one symbol; the symbol is wrong when either
     real component slices to a different level than the reference. A stack
-    of estimates (one per row) gives one count per row.
+    of estimates (one per row) gives one count per row, against one
+    reference or against a stack of references of the same shape.
     """
     x_hat = np.asarray(x_hat, dtype=float)
     s = np.asarray(s, dtype=float)
-    if s.ndim != 1 or x_hat.ndim not in (1, 2) or x_hat.shape[-1] != s.size:
+    if x_hat.ndim not in (1, 2) or s.shape not in (x_hat.shape, x_hat.shape[-1:]):
         raise DimensionMismatch(f"shapes {x_hat.shape} vs {s.shape}")
-    if s.size % 2:
+    if s.shape[-1] % 2:
         raise DimensionMismatch("vectors must have even length")
-    k = s.size // 2
+    k = s.shape[-1] // 2
     wrong = c.nearest_indices(x_hat) != c.nearest_indices(s)
     errors = np.count_nonzero(wrong[..., :k] | wrong[..., k:], axis=-1)
     return errors if x_hat.ndim == 2 else int(errors)

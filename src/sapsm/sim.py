@@ -2,8 +2,10 @@
 
 Every trial draws its own channel/noise realization from a counter-based
 seed mix, and all detectors within a trial share that realization (paired
-comparison). Aggregation is a plain integer sum, so results are identical
-for any worker count.
+comparison). Trials run in consecutive batches, each iterative detector on
+a whole batch as one engine stack; a row's result does not depend on the
+batch it sits in. Aggregation is a plain integer sum, so results are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -18,12 +20,15 @@ from functools import partial
 import numpy as np
 
 from .cost import ApsmConfig, standard_config
-from .detectors import _APSM_VARIANT, DetectorKind, detect
+from .detectors import _APSM_VARIANT, DetectorKind, detect, detect_iterative_batch
 from .errors import ConfigError
 from .geometry import Constellation, constellation
 from .mimo import ChannelModel, make_instance, symbol_errors, trial_seed
 
 CSV_HEADER = ("detector", "x_kind", "x_value", "errors", "symbols", "ser")
+# trials per engine stack: large enough to amortize the per-iteration
+# dispatch over many rows, small enough to spread over the workers
+BATCH_TRIALS = 64
 
 
 @dataclass(frozen=True)
@@ -107,29 +112,41 @@ class SerTable:
         return sorted(self.rows, key=lambda r: (r.detector, r.x_value))
 
 
-def _trial_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
-                  task: tuple[int, int]) -> dict:
-    """Symbol errors of every detector on one paired realization.
+def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
+                  tasks: list[tuple[int, int]]) -> dict:
+    """Error totals keyed by (detector, SNR index) over a batch of paired
+    realizations.
 
-    ``task`` is (SNR index, seed). Per-iteration counts are arrays of length
-    ``max_iters``; non-iterative baselines repeat their single count.
+    Each task is (SNR index, seed) and draws one realization. The baselines
+    run per realization, in task order; each iterative detector runs the
+    whole batch as one engine stack, whose rows do not depend on the batch
+    they sit in. Per-iteration counts are arrays of length ``max_iters``;
+    non-iterative baselines repeat their single count.
     """
-    si, seed = task
-    inst = make_instance(cfg.channel, c, cfg.k, cfg.n, cfg.snr_db[si], seed)
-    out = {}
+    insts = [make_instance(cfg.channel, c, cfg.k, cfg.n, cfg.snr_db[si], seed)
+             for si, seed in tasks]
+    sent = np.stack([inst.s for inst in insts])
+    totals = {}
     for kind in cfg.detectors:
-        x_hat, trace = detect(kind, inst, c, resolve_apsm_config(cfg, kind),
-                              record_iterates=per_iteration)
-        if not per_iteration:
-            out[kind] = symbol_errors(x_hat, inst.s, c)
-        elif trace is None:
-            out[kind] = np.full(cfg.max_iters, symbol_errors(x_hat, inst.s, c),
-                                dtype=np.int64)
+        acfg = resolve_apsm_config(cfg, kind)
+        if acfg is None:
+            x_hat = np.stack([detect(kind, inst, c)[0] for inst in insts])
+            errs = symbol_errors(x_hat, sent, c)
+            if per_iteration:
+                errs = np.repeat(errs[:, None], cfg.max_iters, axis=1)
         else:
-            errs = symbol_errors(trace.iterates[1:], inst.s, c)
-            # early stop: the iterate is frozen, extend the last value
-            out[kind] = np.pad(errs, (0, cfg.max_iters - errs.size), mode="edge")
-    return out
+            x_hat, traces = detect_iterative_batch(kind, insts, c, acfg,
+                                                   record_iterates=per_iteration)
+            if per_iteration:
+                # early stop: the iterate is frozen, extend the last value
+                errs = [np.pad(symbol_errors(trace.iterates[1:], s, c),
+                               (0, cfg.max_iters - len(trace)), mode="edge")
+                        for trace, s in zip(traces, sent)]
+            else:
+                errs = symbol_errors(x_hat, sent, c)
+        for (si, _), e in zip(tasks, errs):
+            totals[(kind, si)] = totals.get((kind, si), 0) + e
+    return totals
 
 
 _worker_limiter = None
@@ -146,15 +163,15 @@ def _init_worker():
     _worker_limiter = threadpool_limits(limits=1)
 
 
-def _map_tasks(fn, tasks: list, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
-        return map(fn, tasks)
+def _map_batches(fn, batches: list, workers: int):
+    if workers <= 1 or len(batches) <= 1:
+        return map(fn, batches)
 
     def parallel():
-        chunk = max(1, len(tasks) // (workers * 4))
+        chunk = max(1, len(batches) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_worker) as executor:
-            yield from executor.map(fn, tasks, chunksize=chunk)
+            yield from executor.map(fn, batches, chunksize=chunk)
 
     return parallel()
 
@@ -162,11 +179,12 @@ def _map_tasks(fn, tasks: list, workers: int):
 def _sweep(cfg: ExperimentConfig, per_iteration: bool, tasks: list,
            workers: int) -> dict:
     """Error totals keyed by (detector, SNR index), summed over the tasks."""
-    fn = partial(_trial_errors, cfg, constellation(cfg.modulation), per_iteration)
+    fn = partial(_batch_errors, cfg, constellation(cfg.modulation), per_iteration)
+    batches = [tasks[i:i + BATCH_TRIALS] for i in range(0, len(tasks), BATCH_TRIALS)]
     totals = {}
-    for (si, _), result in zip(tasks, _map_tasks(fn, tasks, workers)):
-        for kind, errs in result.items():
-            totals[(kind, si)] = totals.get((kind, si), 0) + errs
+    for result in _map_batches(fn, batches, workers):
+        for key, errs in result.items():
+            totals[key] = totals.get(key, 0) + errs
     return totals
 
 
@@ -194,7 +212,7 @@ def run_ser_vs_snr(cfg: ExperimentConfig, workers: int = 1) -> SerTable:
     totals = _sweep(cfg, False, tasks, workers)
     symbols = cfg.k * cfg.trials
     return SerTable([
-        SerRow(kind.value, "snr_db", cfg.snr_db[si], totals[(kind, si)], symbols)
+        SerRow(kind.value, "snr_db", cfg.snr_db[si], int(totals[(kind, si)]), symbols)
         for kind in cfg.detectors
         for si in range(len(cfg.snr_db))
     ])

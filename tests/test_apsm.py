@@ -1,12 +1,17 @@
 import csv
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapsm.apsm import (
+    TRACE_COLUMNS,
     IterateTrace,
     activation_index,
     apsm_run,
+    apsm_run_batch,
     check_attracting,
     check_quasi_fejer,
     diagnose,
@@ -17,6 +22,8 @@ from sapsm.cost import (
     RhoSchedule,
     apsm_map,
     rho_at,
+    row_dot,
+    row_matvec,
     standard_config,
 )
 from sapsm.errors import DimensionMismatch, NonFiniteIterate
@@ -25,6 +32,7 @@ from sapsm.mimo import ChannelModel, make_instance, trial_seed
 from sapsm.validation import quasi_fejer_suite
 
 QPSK = constellation("qpsk")
+QAM16 = constellation("16qam")
 
 
 def small_instance(seed=0, k=2, n=4, snr=8.0):
@@ -228,3 +236,169 @@ class TestTraceExport:
         assert set(rows[0]) == {"n", "theta", "objective", "rho", "step_norm", "pert_norm"}
         np.testing.assert_allclose(
             [float(r["objective"]) for r in rows], trace.objective, rtol=0)
+
+
+# (K, N, constellation) per problem size 2K of the batched-engine properties
+SIZES = {4: (2, 4, QPSK), 8: (4, 8, QPSK), 32: (16, 32, QAM16)}
+
+
+def assert_same_run(a, b):
+    """Two (final iterate, trace) results are bitwise equal."""
+    (xa, ta), (xb, tb) = a, b
+    assert xa.dtype == xb.dtype and xa.tobytes() == xb.tobytes()
+    assert len(ta) == len(tb)
+    for col in TRACE_COLUMNS:
+        ca, cb = getattr(ta, col), getattr(tb, col)
+        assert ca.dtype == cb.dtype and ca.tobytes() == cb.tobytes(), col
+    assert (ta.iterates is None) == (tb.iterates is None)
+    if ta.iterates is not None:
+        assert ta.iterates.tobytes() == tb.iterates.tobytes()
+    assert (ta.variant, ta.config_hash, ta.summability_flag) == (
+        tb.variant, tb.config_hash, tb.summability_flag)
+
+
+def serial_reference_run(cost, cfg, c, x0=None):
+    """The engine as one serial loop of 1-D numpy and Python float
+    operations: the reference the batched engine must reproduce bit for
+    bit. Returns (final iterate, TRACE_COLUMNS arrays, iterates)."""
+    box = c.box()
+    x = np.zeros(cost.dim_in) if x0 is None else np.array(x0, dtype=float)
+
+    def residual(v, gv):
+        return max(float(v @ gv - 2.0 * (cost.hty @ v) + cost.yty), 0.0)
+
+    records, iterates = [], [x.copy()]
+    for n in range(cfg.max_iters):
+        beta_n = cfg.beta.at(n)
+        pert_norm, z = 0.0, x
+        if beta_n != 0.0:
+            if cfg.variant == "l2":
+                v = perturbation_l2(x, c)
+            else:
+                v = perturbation_l1(x, cfg.tau, c)
+            pert_norm = beta_n * math.sqrt(float(v @ v))
+            z = x + beta_n * v
+        rho_n = rho_at(cfg.rho, n)
+        gz = cost.gram @ z
+        resid_z = residual(z, gz)
+        theta_n = max(resid_z - rho_n, 0.0)
+        if theta_n > 0.0:
+            grad = 2.0 * (gz - cost.hty)
+            gn2 = float(grad @ grad)
+            if math.sqrt(gn2) > 1e-12 * (1.0 + math.sqrt(float(z @ z))):
+                z = z - (cfg.mu * theta_n / gn2) * grad
+        x_next = np.clip(z, -box.a_max, box.a_max)
+        diff = x_next - x
+        step_norm = math.sqrt(float(diff @ diff))
+        objective = resid_z if pert_norm == 0.0 else residual(x, cost.gram @ x)
+        records.append((n, theta_n, objective, rho_n, step_norm, pert_norm))
+        iterates.append(x_next.copy())
+        x = x_next
+        if cfg.stop_eps > 0.0 and step_norm <= cfg.stop_eps:
+            break
+    columns = [np.asarray(col) for col in zip(*records)]
+    return x, columns, np.asarray(iterates)
+
+
+@st.composite
+def batches(draw):
+    """Problems of one size, one config with early stop, and start points
+    of which some lie outside the box."""
+    dim = draw(st.sampled_from(sorted(SIZES)))
+    k, n, c = SIZES[dim]
+    size = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**16))
+    snrs = draw(st.lists(st.sampled_from([0.0, 8.0, 20.0]), min_size=size,
+                         max_size=size))
+    costs = []
+    for t, snr in enumerate(snrs):
+        inst = make_instance(ChannelModel("iid"), c, k, n, snr, trial_seed(seed, t))
+        costs.append(QuadraticResidualCost(inst.H, inst.y))
+    cfg = standard_config(draw(st.sampled_from(("plain", "l2", "l1"))),
+                          max_iters=draw(st.integers(1, 80)),
+                          stop_eps=draw(st.sampled_from([0.0, 1e-3, 1e-2, 5e-2])))
+    x0 = None
+    if draw(st.booleans()):
+        x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(size, dim))
+    return costs, cfg, c, x0, draw(st.booleans())
+
+
+class TestBatch:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(batches())
+    def test_each_row_is_its_single_run(self, batch):
+        costs, cfg, c, x0, record = batch
+        final, traces = apsm_run_batch(costs, cfg, c, x0, record_iterates=record)
+        assert final.shape == (len(costs), costs[0].dim_in) and len(traces) == len(costs)
+        for i, cost in enumerate(costs):
+            single = apsm_run(cost, cfg, c, None if x0 is None else x0[i],
+                              record_iterates=record)
+            assert_same_run((final[i], traces[i]), single)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(batches(), st.randoms(use_true_random=False))
+    def test_rows_do_not_depend_on_the_stack(self, batch, rnd):
+        costs, cfg, c, x0, record = batch
+        whole = apsm_run_batch(costs, cfg, c, x0, record_iterates=record)
+        order = rnd.sample(range(len(costs)), rnd.randint(1, len(costs)))
+        part = apsm_run_batch([costs[i] for i in order], cfg, c,
+                              None if x0 is None else x0[order], record_iterates=record)
+        for j, i in enumerate(order):
+            assert_same_run((part[0][j], part[1][j]), (whole[0][i], whole[1][i]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(batches())
+    def test_rows_are_the_serial_loop(self, batch):
+        costs, cfg, c, x0, _ = batch
+        final, traces = apsm_run_batch(costs, cfg, c, x0, record_iterates=True)
+        for i, cost in enumerate(costs):
+            x, columns, iterates = serial_reference_run(
+                cost, cfg, c, None if x0 is None else x0[i])
+            assert final[i].tobytes() == x.tobytes()
+            for col, ref in zip(TRACE_COLUMNS, columns):
+                got = getattr(traces[i], col)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), col
+            assert traces[i].iterates.tobytes() == iterates.tobytes()
+
+    def test_rows_stop_at_different_iterations(self):
+        c = QPSK
+        costs = [QuadraticResidualCost(inst.H, inst.y) for inst in (
+            make_instance(ChannelModel("iid"), c, 2, 4, 8.0, trial_seed(5, t))
+            for t in range(8))]
+        cfg = standard_config("l2", max_iters=200, stop_eps=1e-3)
+        final, traces = apsm_run_batch(costs, cfg, c, record_iterates=True)
+        lengths = [len(trace) for trace in traces]
+        assert len(set(lengths)) > 1 and max(lengths) < cfg.max_iters
+        for i, cost in enumerate(costs):
+            assert_same_run((final[i], traces[i]),
+                            apsm_run(cost, cfg, c, record_iterates=True))
+
+    def test_costs_of_different_sizes_rejected(self):
+        costs = [small_instance(seed=0)[1], small_instance(seed=1, k=4, n=8)[1]]
+        with pytest.raises(DimensionMismatch):
+            apsm_run_batch(costs, standard_config("plain", max_iters=3), QPSK)
+        with pytest.raises(DimensionMismatch):
+            apsm_run_batch(costs[:1], standard_config("plain", max_iters=3), QPSK,
+                           x0=np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("size", [1, 2, 15, 45, 64])
+    @pytest.mark.parametrize("dim", [4, 7, 8, 32, 64])
+    def test_stacked_matmul_is_the_serial_blas_call(self, size, dim):
+        # The engine is bitwise its serial self only because a stacked
+        # np.matmul makes, per row, the BLAS call a single matvec or dot
+        # makes. If a numpy or BLAS upgrade breaks this, outputs drift.
+        rng = np.random.default_rng(1000 * size + dim)
+        H = rng.standard_normal((size, 2 * dim, dim))
+        gram = np.stack([h.T @ h for h in H])
+        z = rng.standard_normal((size, dim))
+        a = rng.standard_normal((size, dim))
+        gz = row_matvec(gram, z)
+        for rows in (np.arange(size), np.arange(size)[::-2], rng.permutation(size)):
+            g, x, y, gx = gram[rows], z[rows], a[rows], gz[rows]
+            mv = row_matvec(g, x)
+            dots = (row_dot(x, y), row_dot(x, gx), row_dot(gx, gx))
+            for j, i in enumerate(rows):
+                assert mv[j].tobytes() == (gram[i] @ z[i]).tobytes()
+                assert dots[0][j] == z[i] @ a[i]
+                assert dots[1][j] == z[i] @ (gram[i] @ z[i])
+                assert dots[2][j] == gz[i] @ gz[i]

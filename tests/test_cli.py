@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import sapsm.cli
 import sapsm.sim
 from sapsm.cli import main
 
@@ -168,6 +169,41 @@ class TestDiagnoseAndValidate:
         out = capsys.readouterr().out
         assert "summable_beta=False" in out
         assert '"violations": 0' in out
+
+    def test_diagnose_audits_each_iterative_detector_in_order(self, capsys):
+        argv = ["diagnose", "--k", "4", "--n", "8", "--mod", "qpsk", "--snr", "8",
+                "--iters", "50"]
+        assert run(argv + ["--detectors", "apsm_l1,lmmse,apsm_plain,apsm_l2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[::2]] == [
+            "detector=apsm_l1", "detector=apsm_plain", "detector=apsm_l2"]
+        reports = [json.loads(line) for line in lines[1::2]]
+        for kind, report in zip(("apsm_l1", "apsm_plain", "apsm_l2"), reports):
+            assert run(argv + ["--detectors", kind]) == 0
+            assert json.loads(capsys.readouterr().out.splitlines()[1]) == report
+
+    def test_diagnose_fails_when_any_report_has_violations(self, capsys, monkeypatch):
+        real = sapsm.cli.diagnose
+
+        def plain_violates(cost, cfg, c, z_ref):
+            report = real(cost, cfg, c, z_ref)
+            if cfg.variant == "plain":
+                report.attracting.violations = 1
+            return report
+
+        monkeypatch.setattr(sapsm.cli, "diagnose", plain_violates)
+        code = run(["diagnose", "--k", "4", "--n", "8", "--mod", "qpsk", "--snr", "8",
+                    "--iters", "50", "--detectors", "apsm_plain,apsm_l2"])
+        assert code == 1
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+    def test_diagnose_without_iterative_detector_rejected(self, capsys):
+        code = run(["diagnose", "--k", "4", "--n", "8", "--mod", "qpsk", "--snr", "8",
+                    "--iters", "50", "--detectors", "lmmse,box_oracle"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "iterative detector" in captured.err
 
     @pytest.mark.parametrize("flags", [["--beta", "0.9999"],
                                        ["--beta-geom", "0.5"], ["--tau", "0.1"]])

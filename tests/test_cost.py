@@ -9,6 +9,7 @@ from sapsm.cost import (
     RhoSchedule,
     apsm_map,
     rho_at,
+    stack_costs,
     standard_config,
     sublevel_step,
 )
@@ -19,9 +20,15 @@ I2 = np.eye(2)
 WIDE = BoxSet(1e9)
 
 
+def step(cost, x, rho):
+    """The engine's step on a stack of one: (next iterate, residual, theta)."""
+    x = np.asarray(x, dtype=float)[None]
+    return tuple(a[0] for a in sublevel_step(*stack_costs([cost]), x, rho, 1.0, WIDE))
+
+
 def theta(cost, x, rho):
     """Cost value (||Hx - y||^2 - rho)_+ as the engine's step computes it."""
-    return sublevel_step(cost, np.asarray(x, dtype=float), rho, 1.0, WIDE)[2]
+    return step(cost, x, rho)[2]
 
 
 def subgradient(cost, x):
@@ -41,7 +48,7 @@ class TestTheta:
 
     def test_direct_value(self):
         cost = QuadraticResidualCost(I2, np.zeros(2))
-        _, resid, theta_val = sublevel_step(cost, np.array([3.0, 4.0]), 5.0, 1.0, WIDE)
+        _, resid, theta_val = step(cost, np.array([3.0, 4.0]), 5.0)
         assert resid == pytest.approx(25.0, abs=1e-12)
         assert theta_val == pytest.approx(20.0, abs=1e-12)
 

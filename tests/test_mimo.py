@@ -199,6 +199,18 @@ class TestSymbolErrors:
         assert counts.max() > 0
 
 
+    def test_stacked_references_pair_with_rows(self):
+        rng = np.random.default_rng(11)
+        refs = np.stack([transmit(QPSK, 4, rng) for _ in range(6)])
+        rows = refs + rng.normal(0.0, 0.8, size=refs.shape)
+        counts = symbol_errors(rows, refs, QPSK)
+        assert counts.tolist() == [symbol_errors(r, s, QPSK) for r, s in zip(rows, refs)]
+        with pytest.raises(DimensionMismatch):
+            symbol_errors(rows, refs[:3], QPSK)
+        with pytest.raises(DimensionMismatch):
+            symbol_errors(rows[0], refs, QPSK)
+
+
 class TestInstance:
     def test_construction_identity_is_exact(self):
         inst = make_instance(ChannelModel("iid"), QAM16, 4, 8, 9.0, trial_seed(21, 0))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -7,9 +8,12 @@ import pytest
 import sapsm.sim
 from sapsm.cost import BetaSchedule, standard_config
 from sapsm.detectors import DetectorKind as D
+from sapsm.detectors import detect
 from sapsm.errors import ConfigError
-from sapsm.mimo import ChannelModel, make_instance
+from sapsm.geometry import constellation
+from sapsm.mimo import ChannelModel, make_instance, symbol_errors, trial_seed
 from sapsm.sim import (
+    BATCH_TRIALS,
     ExperimentConfig,
     SerRow,
     SerTable,
@@ -18,6 +22,10 @@ from sapsm.sim import (
     run_ser_vs_snr,
     table_text,
 )
+from sapsm.validation import run_all_suites
+
+ALL_SIX = (D.APSM_PLAIN, D.APSM_L2, D.APSM_L1, D.LMMSE, D.CONSTRAINED_LMMSE,
+           D.BOX_ORACLE)
 
 
 def iter_cfg(**kw):
@@ -184,3 +192,81 @@ class TestEmit:
         ])
         ordered = [(r.detector, r.x_value) for r in table.sorted_rows()]
         assert ordered == [("a", 1.0), ("b", 1.0), ("b", 2.0)]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenOutputs:
+    """Pinned digests of outputs from the serial per-trial engine, before
+    trials were batched. A change that alters any byte of these outputs is
+    a change of the program, not only of its speed. The digests are those
+    of numpy 2.4 with its bundled OpenBLAS on x86-64."""
+
+    def test_reference_snr_sweep(self):
+        cfg = ExperimentConfig(k=16, n=64, detectors=ALL_SIX, snr_db=(5.0, 9.0, 13.0),
+                               trials=10, master_seed=1)
+        assert sha256(table_text(run_ser_vs_snr(cfg))) == (
+            "85c498bf13d42d02265f909c4a38e016de14ca0e2d1979aaf3ff87a1515b2763")
+
+    def test_correlated_snr_sweep(self):
+        cfg = ExperimentConfig(k=16, n=64, channel=ChannelModel("kronecker", 0.8, 0.8),
+                               detectors=ALL_SIX, snr_db=(18.0,), trials=4,
+                               master_seed=2)
+        assert sha256(table_text(run_ser_vs_snr(cfg))) == (
+            "bdb7661c519b4c958892fb2d2066429c7228e8ff05f6623cef9faf222d9863e8")
+
+    def test_reference_iteration_sweep(self):
+        cfg = ExperimentConfig(k=16, n=64, detectors=(D.APSM_PLAIN, D.APSM_L2, D.APSM_L1,
+                                                      D.LMMSE),
+                               snr_db=(9.0,), trials=10, master_seed=3)
+        assert sha256(table_text(run_ser_vs_iter(cfg))) == (
+            "3f9fcdc21a629d67e5a2bb06cce0d7b8dac316f70e1485cdd1a20554e9e43663")
+
+    def test_validation_suites(self):
+        lines = "\n".join(r.line() for r in run_all_suites(
+            seed=1, prox_cases=200, attracting_draws=200, qf_trials=4))
+        assert sha256(lines) == (
+            "80400dfc2294c7bda0052bf187bcb3874cd5b8ba1d109d3dfd1024eac7e4beb3")
+
+
+class TestBatchBoundaries:
+    """Sweeps over more trials than one engine stack holds, with rows that
+    stop early at different iterations."""
+
+    def cfg(self, **kw):
+        early = {kind: standard_config(variant, stop_eps=1e-3) for kind, variant in (
+            (D.APSM_PLAIN, "plain"), (D.APSM_L2, "l2"), (D.APSM_L1, "l1"))}
+        base = dict(k=2, n=4, modulation="qpsk", channel=ChannelModel("iid"),
+                    detectors=(D.APSM_PLAIN, D.APSM_L2, D.APSM_L1, D.LMMSE),
+                    snr_db=(4.0, 10.0), trials=BATCH_TRIALS + 7, max_iters=120,
+                    master_seed=19, apsm_overrides=early)
+        base.update(kw)
+        return ExperimentConfig(**base)
+
+    @pytest.mark.parametrize("run", [run_ser_vs_snr, run_ser_vs_iter])
+    def test_worker_counts_give_the_same_bytes(self, run):
+        cfg = self.cfg() if run is run_ser_vs_snr else self.cfg(snr_db=(4.0,))
+        texts = {w: table_text(run(cfg, workers=w)) for w in (1, 2, 3)}
+        assert texts[1] == texts[2] == texts[3]
+
+    @pytest.mark.parametrize("run", [run_ser_vs_snr, run_ser_vs_iter])
+    def test_batched_sweep_equals_per_realization_detection(self, run):
+        # in ser-iter, a row that stopped early keeps its final count in
+        # every later iteration, so the last iteration's counts are those
+        # of the final estimates
+        cfg = self.cfg() if run is run_ser_vs_snr else self.cfg(snr_db=(4.0,))
+        c = constellation(cfg.modulation)
+        errors = {}
+        for si, snr in enumerate(cfg.snr_db):
+            for t in range(cfg.trials):
+                seed = (trial_seed(cfg.master_seed, si, t) if run is run_ser_vs_snr
+                        else trial_seed(cfg.master_seed, t))
+                inst = make_instance(cfg.channel, c, cfg.k, cfg.n, snr, seed)
+                for kind in cfg.detectors:
+                    x, _ = detect(kind, inst, c, sapsm.sim.resolve_apsm_config(cfg, kind))
+                    key = (kind.value, snr if run is run_ser_vs_snr else cfg.max_iters)
+                    errors[key] = errors.get(key, 0) + symbol_errors(x, inst.s, c)
+        rows = {(r.detector, r.x_value): r.errors for r in run(cfg).rows}
+        assert {key: rows[key] for key in errors} == errors
