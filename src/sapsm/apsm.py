@@ -24,8 +24,6 @@ from .cost import (
     QuadraticResidualCost,
     residuals,
     rho_at,
-    row_dot,
-    row_matvec,
     stack_costs,
     sublevel_step,
 )
@@ -67,6 +65,9 @@ class IterateTrace:
                 writer.writerow([int(n)] + [format(v, ".17g") for v in values])
 
 
+# a row that overflows or divides by zero surfaces as NonFiniteIterate, not
+# as a numpy warning
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def apsm_run_batch(costs: list[QuadraticResidualCost], cfg: ApsmConfig,
                    c: Constellation, x0: np.ndarray | None = None,
                    record_iterates: bool = False) -> tuple[np.ndarray, list[IterateTrace]]:
@@ -92,7 +93,6 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfg: ApsmConfig,
             raise DimensionMismatch(f"x0 has shape {x.shape}, expected {(size, dim)}")
     box = c.box()
     rows = np.arange(size)  # the rows still running, in order
-    active = slice(None)  # the same as an index, while no row has stopped
     final = np.empty((size, dim))
     lengths = np.full(size, cfg.max_iters)
     rhos = []
@@ -109,7 +109,7 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfg: ApsmConfig,
                 v = perturbation_l2(x, c)
             else:
                 v = perturbation_l1(x, cfg.tau, c)
-            pert_norm = beta_n * np.sqrt(row_dot(v, v))
+            pert_norm = beta_n * np.sqrt(np.vecdot(v, v))
             z = x + beta_n * v
         else:
             pert_norm = np.zeros(rows.size)
@@ -119,21 +119,21 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfg: ApsmConfig,
         x_next, resid_z, theta_n = sublevel_step(gram, hty, yty, z, rho_n, cfg.mu, box)
 
         diff = x_next - x
-        step_norm = np.sqrt(row_dot(diff, diff))
+        step_norm = np.sqrt(np.vecdot(diff, diff))
         # any overflow or nan upstream lands in one of these; both are
         # nonnegative or nan, and np.maximum propagates nan
         if np.count_nonzero(np.maximum(step_norm, resid_z) < math.inf) < rows.size:
             raise NonFiniteIterate(n)
 
         if beta_n != 0.0:
-            resid_x = residuals(hty, yty, x, row_matvec(gram, x))
+            resid_x = residuals(hty, yty, x, np.matvec(gram, x))
             objective = np.where(pert_norm == 0.0, resid_z, resid_x)
         else:
             objective = resid_z
         rhos.append(rho_n)
-        records[:, active, n] = theta_n, objective, step_norm, pert_norm
+        records[:, rows, n] = theta_n, objective, step_norm, pert_norm
         if record_iterates:
-            iterates[active, n + 1] = x_next
+            iterates[rows, n + 1] = x_next
 
         x = x_next
         if cfg.stop_eps > 0.0:
@@ -144,7 +144,6 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfg: ApsmConfig,
                 going = ~stopped
                 rows, x = rows[going], x[going]
                 gram, hty, yty = gram[going], hty[going], yty[going]
-                active = rows
                 if not rows.size:
                     break
     final[rows] = x

@@ -52,7 +52,7 @@ class QuadraticResidualCost:
     def residual_sq(self, x: np.ndarray) -> float:
         x = self._check(x)[None]
         gram, hty, yty = stack_costs([self])
-        return float(residuals(hty, yty, x, row_matvec(gram, x))[0])
+        return float(residuals(hty, yty, x, np.matvec(gram, x))[0])
 
 
 def stack_costs(costs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -66,18 +66,11 @@ def stack_costs(costs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array([cost.yty for cost in costs]))
 
 
-# Row-wise products of stacks. Stacked np.matmul makes one BLAS call per row
-# (gemv for G_i z_i, ddot for a_i . b_i), the very call ``G @ z`` and
-# ``a @ b`` make on one row, so every row is bitwise independent of the
-# stack it sits in. einsum sums in its own order and is not.
-def row_matvec(gram: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return np.matmul(gram, z[:, :, None])[:, :, 0]
-
-
-def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
+# Row-wise products of stacks, here and in the engine: np.matvec and
+# np.vecdot make one BLAS call per row (gemv for G_i z_i, ddot for a_i . b_i),
+# the very call ``G @ z`` and ``a @ b`` make on one row, so every row is
+# bitwise independent of the stack it sits in. einsum sums in its own order
+# and is not.
 def residuals(hty: np.ndarray, yty: np.ndarray, x: np.ndarray,
               gx: np.ndarray) -> np.ndarray:
     """||H_i x_i - y_i||^2 per row as x'Gx - 2h'x + y'y, from the Gram
@@ -88,7 +81,7 @@ def residuals(hty: np.ndarray, yty: np.ndarray, x: np.ndarray,
     can be -0.0: the sum ends by adding y'y, which is +0.0 or positive, and
     theta subtracts a nonnegative rho from that.
     """
-    return np.maximum(row_dot(x, gx) - 2.0 * row_dot(hty, x) + yty, 0.0)
+    return np.maximum(np.vecdot(x, gx) - 2.0 * np.vecdot(hty, x) + yty, 0.0)
 
 
 def sublevel_step(gram: np.ndarray, hty: np.ndarray, yty: np.ndarray,
@@ -102,21 +95,17 @@ def sublevel_step(gram: np.ndarray, hty: np.ndarray, yty: np.ndarray,
     rho)_+ the cost value at z, one per row. A row keeps z when its theta is
     zero or its subgradient 2H'(Hz - y) vanishes.
     """
-    gz = row_matvec(gram, z)
+    gz = np.matvec(gram, z)
     resid = residuals(hty, yty, z, gz)
     theta = np.maximum(resid - rho, 0.0)
     take = theta > 0.0
     if np.count_nonzero(take):
         grad = 2.0 * (gz - hty)
-        gn2 = row_dot(grad, grad)
+        gn2 = np.vecdot(grad, grad)
         # scale-aware stand-in for the exact test "subgradient != 0"
-        take &= np.sqrt(gn2) > 1e-12 * (1.0 + np.sqrt(row_dot(z, z)))
-        taken = np.count_nonzero(take)
-        if taken == take.size:  # the common case, without the masks
-            z = z - (mu * theta / gn2)[:, None] * grad
-        elif taken:
-            coef = mu * theta / np.where(take, gn2, 1.0)
-            z = np.where(take[:, None], z - coef[:, None] * grad, z)
+        take &= np.sqrt(gn2) > 1e-12 * (1.0 + np.sqrt(np.vecdot(z, z)))
+        coef = mu * theta / np.where(take, gn2, 1.0)
+        z = np.where(take[:, None], z - coef[:, None] * grad, z)
     return project_box(z, box), resid, theta
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .apsm import IterateTrace, apsm_run, apsm_run_batch
+from .apsm import IterateTrace, apsm_run
 from .cost import ApsmConfig, QuadraticResidualCost, standard_config
 from .errors import CandidateBudget, ConfigError, SolverFailure
 from .geometry import BoxSet, Constellation, project_box
@@ -142,18 +142,6 @@ def detect_ml_bruteforce(instance: ChannelInstance, c: Constellation) -> np.ndar
     return c.levels[np.asarray(digits)]
 
 
-def _iterative_config(kind: DetectorKind, cfg: ApsmConfig | None) -> ApsmConfig:
-    """Run parameters of an iterative kind: ``cfg``, which must be of the
-    kind's variant, or the variant's standard config."""
-    variant = _APSM_VARIANT[kind]
-    if cfg is None:
-        return standard_config(variant)
-    if cfg.variant != variant:
-        raise ConfigError(f"{kind.value} needs a {variant!r} config, "
-                          f"got {cfg.variant!r}")
-    return cfg
-
-
 def detect(kind: DetectorKind, instance: ChannelInstance, c: Constellation,
            cfg: ApsmConfig | None = None,
            record_iterates: bool = False) -> tuple[np.ndarray, IterateTrace | None]:
@@ -164,9 +152,15 @@ def detect(kind: DetectorKind, instance: ChannelInstance, c: Constellation,
     """
     kind = DetectorKind(kind)
     if kind in _APSM_VARIANT:
+        variant = _APSM_VARIANT[kind]
+        if cfg is None:
+            cfg = standard_config(variant)
+        elif cfg.variant != variant:
+            raise ConfigError(f"{kind.value} needs a {variant!r} config, "
+                              f"got {cfg.variant!r}")
         cost = QuadraticResidualCost(instance.H, instance.y)
-        return apsm_run(cost, _iterative_config(kind, cfg), c,
-                        record_iterates=record_iterates)
+        x, trace = apsm_run(cost, cfg, c, record_iterates=record_iterates)
+        return x, trace
     if kind is DetectorKind.LMMSE:
         return detect_lmmse(instance), None
     if kind is DetectorKind.CONSTRAINED_LMMSE:
@@ -176,18 +170,3 @@ def detect(kind: DetectorKind, instance: ChannelInstance, c: Constellation,
     if kind is DetectorKind.ML_BRUTEFORCE:
         return detect_ml_bruteforce(instance, c), None
     raise ValueError(f"unhandled detector kind {kind!r}")
-
-
-def detect_iterative_batch(kind: DetectorKind, instances: list[ChannelInstance],
-                           c: Constellation, cfg: ApsmConfig | None = None,
-                           record_iterates: bool = False
-                           ) -> tuple[np.ndarray, list[IterateTrace]]:
-    """An iterative kind on a stack of realizations in one engine run: row i
-    of the estimates and trace i are bitwise those of ``detect`` on
-    ``instances[i]``."""
-    kind = DetectorKind(kind)
-    if kind not in _APSM_VARIANT:
-        raise ConfigError(f"{kind.value} is not an iterative detector")
-    costs = [QuadraticResidualCost(inst.H, inst.y) for inst in instances]
-    return apsm_run_batch(costs, _iterative_config(kind, cfg), c,
-                          record_iterates=record_iterates)

@@ -13,21 +13,24 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
-from .cost import ApsmConfig, standard_config
-from .detectors import _APSM_VARIANT, DetectorKind, detect, detect_iterative_batch
+from .apsm import apsm_run_batch
+from .cost import ApsmConfig, QuadraticResidualCost, standard_config
+from .detectors import _APSM_VARIANT, DetectorKind, detect
 from .errors import ConfigError
 from .geometry import Constellation, constellation
 from .mimo import ChannelModel, make_instance, symbol_errors, trial_seed
 
 CSV_HEADER = ("detector", "x_kind", "x_value", "errors", "symbols", "ser")
-# trials per engine stack: large enough to amortize the per-iteration
-# dispatch over many rows, small enough to spread over the workers
+# most trials per engine stack: enough rows to amortize the per-iteration
+# dispatch; a sweep with fewer tasks per worker uses smaller stacks, so that
+# every worker gets one
 BATCH_TRIALS = 64
 
 
@@ -135,8 +138,8 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
             if per_iteration:
                 errs = np.repeat(errs[:, None], cfg.max_iters, axis=1)
         else:
-            x_hat, traces = detect_iterative_batch(kind, insts, c, acfg,
-                                                   record_iterates=per_iteration)
+            costs = [QuadraticResidualCost(inst.H, inst.y) for inst in insts]
+            x_hat, traces = apsm_run_batch(costs, acfg, c, record_iterates=per_iteration)
             if per_iteration:
                 # early stop: the iterate is frozen, extend the last value
                 errs = [np.pad(symbol_errors(trace.iterates[1:], s, c),
@@ -180,7 +183,8 @@ def _sweep(cfg: ExperimentConfig, per_iteration: bool, tasks: list,
            workers: int) -> dict:
     """Error totals keyed by (detector, SNR index), summed over the tasks."""
     fn = partial(_batch_errors, cfg, constellation(cfg.modulation), per_iteration)
-    batches = [tasks[i:i + BATCH_TRIALS] for i in range(0, len(tasks), BATCH_TRIALS)]
+    size = min(BATCH_TRIALS, math.ceil(len(tasks) / max(workers, 1)))
+    batches = [tasks[i:i + size] for i in range(0, len(tasks), size)]
     totals = {}
     for result in _map_batches(fn, batches, workers):
         for key, errs in result.items():

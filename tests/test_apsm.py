@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,6 @@ from sapsm.cost import (
     RhoSchedule,
     apsm_map,
     rho_at,
-    row_dot,
-    row_matvec,
     standard_config,
 )
 from sapsm.errors import DimensionMismatch, NonFiniteIterate
@@ -132,6 +131,22 @@ class TestRun:
             with pytest.raises(NonFiniteIterate) as err:
                 apsm_run(cost, standard_config("plain", max_iters=5), QPSK)
         assert err.value.iteration == 0
+
+    @pytest.mark.parametrize("variant", ["plain", "l2", "l1"])
+    def test_non_finite_is_the_only_signal(self, variant):
+        # under warnings-as-errors a run that overflows or starts from a
+        # non-finite point still raises NonFiniteIterate, not a RuntimeWarning
+        with np.errstate(over="ignore"):
+            huge = QuadraticResidualCost(np.eye(2), np.array([1e308, 0.0]))
+        _, cost = small_instance(seed=3)
+        cfg = standard_config(variant, max_iters=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run_cost, x0 in ((huge, None), (cost, [np.inf, 0.0, 0.0, 0.0]),
+                                 (cost, [0.0, np.nan, 0.0, 0.0])):
+                with pytest.raises(NonFiniteIterate) as err:
+                    apsm_run(run_cost, cfg, QPSK, x0=x0)
+                assert err.value.iteration == 0
 
     def test_metadata(self):
         inst, cost = small_instance(seed=6)
@@ -383,22 +398,26 @@ class TestBatch:
 
     @pytest.mark.parametrize("size", [1, 2, 15, 45, 64])
     @pytest.mark.parametrize("dim", [4, 7, 8, 32, 64])
-    def test_stacked_matmul_is_the_serial_blas_call(self, size, dim):
-        # The engine is bitwise its serial self only because a stacked
-        # np.matmul makes, per row, the BLAS call a single matvec or dot
-        # makes. If a numpy or BLAS upgrade breaks this, outputs drift.
+    def test_row_products_are_the_serial_blas_call(self, size, dim):
+        # The engine is bitwise its serial self only because np.matvec and
+        # np.vecdot make, per row, the BLAS call a single matvec or dot
+        # makes, as a stacked np.matmul does. If a numpy or BLAS upgrade
+        # breaks this, outputs drift.
         rng = np.random.default_rng(1000 * size + dim)
         H = rng.standard_normal((size, 2 * dim, dim))
         gram = np.stack([h.T @ h for h in H])
         z = rng.standard_normal((size, dim))
         a = rng.standard_normal((size, dim))
-        gz = row_matvec(gram, z)
+        gz = np.matvec(gram, z)
         for rows in (np.arange(size), np.arange(size)[::-2], rng.permutation(size)):
             g, x, y, gx = gram[rows], z[rows], a[rows], gz[rows]
-            mv = row_matvec(g, x)
-            dots = (row_dot(x, y), row_dot(x, gx), row_dot(gx, gx))
+            mv = np.matvec(g, x)
+            assert mv.tobytes() == np.matmul(g, x[:, :, None])[:, :, 0].tobytes()
+            for u, w in ((x, y), (x, gx), (gx, gx)):
+                dots = np.vecdot(u, w)
+                assert dots.tobytes() == np.matmul(u[:, None, :], w[:, :, None]).tobytes()
+                for j in range(rows.size):
+                    assert dots[j].tobytes() == np.float64(u[j] @ w[j]).tobytes()
             for j, i in enumerate(rows):
                 assert mv[j].tobytes() == (gram[i] @ z[i]).tobytes()
-                assert dots[0][j] == z[i] @ a[i]
-                assert dots[1][j] == z[i] @ (gram[i] @ z[i])
-                assert dots[2][j] == gz[i] @ gz[i]
+                assert gx[j].tobytes() == mv[j].tobytes()

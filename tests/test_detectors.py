@@ -10,7 +10,6 @@ from sapsm.detectors import (
     detect,
     detect_box_oracle,
     detect_constrained_lmmse,
-    detect_iterative_batch,
     detect_lmmse,
     detect_ml_bruteforce,
     first_order_residual,
@@ -210,22 +209,6 @@ class TestDispatch:
             detect(DetectorKind.APSM_PLAIN, inst, QPSK, standard_config("l2"))
         with pytest.raises(ConfigError):
             detect(DetectorKind.APSM_L1, inst, QPSK, standard_config("l2"))
-
-    def test_iterative_batch_rows_are_single_detections(self):
-        insts = [rand_instance(900 + t) for t in range(5)]
-        for kind in (DetectorKind.APSM_PLAIN, DetectorKind.APSM_L2, DetectorKind.APSM_L1):
-            X, traces = detect_iterative_batch(kind, insts, QPSK, record_iterates=True)
-            for inst, x, trace in zip(insts, X, traces):
-                x1, t1 = detect(kind, inst, QPSK, record_iterates=True)
-                assert x.tobytes() == x1.tobytes()
-                assert trace.iterates.tobytes() == t1.iterates.tobytes()
-
-    def test_iterative_batch_rejects_baselines_and_foreign_configs(self):
-        insts = [rand_instance(700)]
-        with pytest.raises(ConfigError):
-            detect_iterative_batch(DetectorKind.LMMSE, insts, QPSK)
-        with pytest.raises(ConfigError):
-            detect_iterative_batch(DetectorKind.APSM_L1, insts, QPSK, standard_config("l2"))
 
     def test_outputs_respect_their_sets(self):
         inst = rand_instance(800)

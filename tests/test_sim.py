@@ -251,6 +251,22 @@ class TestBatchBoundaries:
         texts = {w: table_text(run(cfg, workers=w)) for w in (1, 2, 3)}
         assert texts[1] == texts[2] == texts[3]
 
+    @pytest.mark.parametrize("workers, sizes", [
+        (1, [64, 36]), (2, [50, 50]), (3, [34, 34, 32]), (8, [13] * 7 + [9]),
+        (200, [1] * 100)])
+    def test_every_worker_gets_a_batch(self, monkeypatch, workers, sizes):
+        seen = []
+
+        def serial(fn, batches, workers):
+            seen.extend(len(batch) for batch in batches)
+            return map(fn, batches)
+
+        monkeypatch.setattr(sapsm.sim, "_map_batches", serial)
+        cfg = self.cfg(snr_db=(4.0,), trials=100, max_iters=3, detectors=(D.APSM_PLAIN,))
+        text = table_text(run_ser_vs_snr(cfg, workers=workers))
+        assert seen == sizes
+        assert text == table_text(run_ser_vs_snr(cfg))
+
     @pytest.mark.parametrize("run", [run_ser_vs_snr, run_ser_vs_iter])
     def test_batched_sweep_equals_per_realization_detection(self, run):
         # in ser-iter, a row that stopped early keeps its final count in
