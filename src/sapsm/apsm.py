@@ -77,11 +77,10 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfg: ApsmConfig,
     Follows the superiorized recursion on every row: perturb the current
     iterate, evaluate the sublevel cost and its subgradient at the perturbed
     point, take the relaxed subgradient-projection step, clamp to the box.
-    A row stops at the iteration budget, or earlier once its step norm falls
-    to ``stop_eps`` (disabled at 0); a stopped row leaves the stack. Each row
-    is bitwise the run it would be alone. Every iterate after the first
-    projection lies in the box. The traces' arrays are views into buffers
-    that the stack's traces share.
+    Every row runs the full ``cfg.max_iters`` iterations and is bitwise the
+    run it would be alone. Every iterate after the first projection lies in
+    the box. The traces' arrays are views into buffers that the stack's
+    traces share.
     """
     gram, hty, yty = stack_costs(costs)
     size, dim = hty.shape
@@ -92,9 +91,6 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfg: ApsmConfig,
         if x.shape != (size, dim):
             raise DimensionMismatch(f"x0 has shape {x.shape}, expected {(size, dim)}")
     box = c.box()
-    rows = np.arange(size)  # the rows still running, in order
-    final = np.empty((size, dim))
-    lengths = np.full(size, cfg.max_iters)
     rhos = []
     # theta, objective, step_norm, pert_norm of each row and iteration
     records = np.empty((4, size, cfg.max_iters))
@@ -112,7 +108,7 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfg: ApsmConfig,
             pert_norm = beta_n * np.sqrt(np.vecdot(v, v))
             z = x + beta_n * v
         else:
-            pert_norm = np.zeros(rows.size)
+            pert_norm = np.zeros(size)
             z = x
 
         rho_n = rho_at(cfg.rho, n)
@@ -122,7 +118,7 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfg: ApsmConfig,
         step_norm = np.sqrt(np.vecdot(diff, diff))
         # any overflow or nan upstream lands in one of these; both are
         # nonnegative or nan, and np.maximum propagates nan
-        if np.count_nonzero(np.maximum(step_norm, resid_z) < math.inf) < rows.size:
+        if np.count_nonzero(np.maximum(step_norm, resid_z) < math.inf) < size:
             raise NonFiniteIterate(n)
 
         if beta_n != 0.0:
@@ -131,42 +127,31 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfg: ApsmConfig,
         else:
             objective = resid_z
         rhos.append(rho_n)
-        records[:, rows, n] = theta_n, objective, step_norm, pert_norm
+        records[:, :, n] = theta_n, objective, step_norm, pert_norm
         if record_iterates:
-            iterates[rows, n + 1] = x_next
-
+            iterates[:, n + 1] = x_next
         x = x_next
-        if cfg.stop_eps > 0.0:
-            stopped = step_norm <= cfg.stop_eps
-            if np.count_nonzero(stopped):
-                lengths[rows[stopped]] = n + 1
-                final[rows[stopped]] = x[stopped]
-                going = ~stopped
-                rows, x = rows[going], x[going]
-                gram, hty, yty = gram[going], hty[going], yty[going]
-                if not rows.size:
-                    break
-    final[rows] = x
 
+    steps = np.arange(cfg.max_iters)
     rho = np.array(rhos)
     theta, objective, step_norm, pert_norm = records
     config_hash = cfg.config_hash()
     traces = [
         IterateTrace(
-            n=np.arange(count),
-            theta=theta[i, :count],
-            objective=objective[i, :count],
-            rho=rho[:count],
-            step_norm=step_norm[i, :count],
-            pert_norm=pert_norm[i, :count],
+            n=steps,
+            theta=theta[i],
+            objective=objective[i],
+            rho=rho,
+            step_norm=step_norm[i],
+            pert_norm=pert_norm[i],
             variant=cfg.variant,
             config_hash=config_hash,
             summability_flag=cfg.beta.summable,
-            iterates=iterates[i, :count + 1] if record_iterates else None,
+            iterates=iterates[i] if record_iterates else None,
         )
-        for i, count in enumerate(lengths)
+        for i in range(size)
     ]
-    return final, traces
+    return x, traces
 
 
 def apsm_run(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,
@@ -219,8 +204,15 @@ def activation_index(trace: IterateTrace, residual_ref: float) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _distances(x_seq: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(x_seq - z_ref[None, :], axis=1)
+def _audit_window(trace: IterateTrace, x_seq: np.ndarray, z_ref: np.ndarray,
+                  cost: QuadraticResidualCost) -> tuple[int | None, np.ndarray | None]:
+    """The activation index and the distances ||x_n - z|| of the iterates
+    x_0 .. x_N of a trace of N records, or (None, None) when the reference
+    never becomes feasible."""
+    start = activation_index(trace, cost.residual_sq(z_ref))
+    if start is None:
+        return None, None
+    return start, np.linalg.norm(x_seq - z_ref[None, :], axis=1)
 
 
 def check_quasi_fejer(trace: IterateTrace, x_seq: np.ndarray,
@@ -232,13 +224,11 @@ def check_quasi_fejer(trace: IterateTrace, x_seq: np.ndarray,
     for every iteration at which the reference is feasible (its residual is
     within the radius); earlier iterations are outside the guarantee.
     """
-    start = activation_index(trace, cost.residual_sq(z_ref))
+    start, d = _audit_window(trace, x_seq, z_ref, cost)
     if start is None:
         return AuditResult()
-    d = _distances(x_seq, z_ref)
-    count = len(trace)
-    lhs = d[start + 1:count + 1]
-    rhs = d[start:count] + trace.pert_norm[start:count] + AUDIT_TOL
+    lhs = d[start + 1:]
+    rhs = d[start:-1] + trace.pert_norm[start:] + AUDIT_TOL
     return AuditResult.from_excess(lhs - rhs)
 
 
@@ -252,25 +242,23 @@ def check_attracting(trace: IterateTrace, x_seq: np.ndarray,
     where gamma_n = beta_n * r^2 * (2 + b) is the summable slack implied by
     bounded perturbations; r and b are reconstructed from the recorded norms.
     """
-    start = activation_index(trace, cost.residual_sq(z_ref))
+    start, d = _audit_window(trace, x_seq, z_ref, cost)
     if start is None:
         return AuditResult()
     kappa = 1.0 - cfg.mu / 2.0
-    count = len(trace)
-    d = _distances(x_seq, z_ref)
-    steps = trace.step_norm[start:count]
-    betas = np.array([cfg.beta.at(int(k)) for k in trace.n[start:count]])
+    steps = trace.step_norm[start:]
+    betas = np.array([cfg.beta.at(int(k)) for k in trace.n[start:]])
     v_norms = np.zeros_like(betas)
     pos = betas > 0
-    v_norms[pos] = trace.pert_norm[start:count][pos] / betas[pos]
+    v_norms[pos] = trace.pert_norm[start:][pos] / betas[pos]
     r = max(
-        float((d[start:count] + kappa * steps).max(initial=0.0)),
+        float((d[start:-1] + kappa * steps).max(initial=0.0)),
         float(v_norms.max(initial=0.0)),
     )
     b = cfg.beta.series_sum(cfg.max_iters)
     gamma = betas * r**2 * (2.0 + b)
-    lhs = d[start + 1:count + 1] ** 2
-    rhs = d[start:count] ** 2 - kappa * steps**2 + gamma + AUDIT_TOL
+    lhs = d[start + 1:] ** 2
+    rhs = d[start:-1] ** 2 - kappa * steps**2 + gamma + AUDIT_TOL
     return AuditResult.from_excess(lhs - rhs)
 
 

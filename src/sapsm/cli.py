@@ -2,10 +2,12 @@
 
 Subcommands: ``ser-iter`` and ``ser-snr`` run Monte-Carlo sweeps, ``detect``
 runs every requested detector on one seeded realization, ``diagnose`` audits
-the convergence inequalities of one run per requested iterative detector, and ``validate`` executes the
-randomized invariant suites. Option precedence is flag > config file >
-built-in default; the built-in defaults mirror the reference experiment
-setup (K=16, N=64, 16-QAM, 9 dB) at a reduced trial count.
+the convergence inequalities of one run per requested iterative detector,
+and ``validate`` executes the randomized invariant suites. Each subcommand
+takes only the flags (and config-file keys) it reads. Option precedence is
+flag > config file > built-in default; the built-in defaults mirror the
+reference experiment setup (K=16, N=64, 16-QAM, 9 dB) at a reduced trial
+count.
 """
 
 from __future__ import annotations
@@ -61,6 +63,15 @@ FLAGS = {
                    {"help": "write the per-iteration trace CSV of one detector"}),
 }
 DEFAULTS = {key: default for key, (_, default, _) in FLAGS.items()}
+_SINGLE_SHOT = tuple(k for k in FLAGS if k not in ("trials", "workers", "out", "format"))
+# subcommand -> the keys it reads; any other flag or config-file key is an error
+COMMAND_KEYS = {
+    "ser-iter": tuple(k for k in FLAGS if k != "dump_trace"),
+    "ser-snr": tuple(k for k in FLAGS if k != "dump_trace"),
+    "detect": _SINGLE_SHOT,
+    "diagnose": tuple(k for k in _SINGLE_SHOT if k != "dump_trace"),
+    "validate": ("seed",),
+}
 # keys whose file value may also be a list of values of the flag's type
 _LIST_KEYS = ("snr", "detectors")
 # JSON types accepted for each flag type (bool is excluded separately)
@@ -73,10 +84,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_flags(p: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
     p.add_argument("--config", type=str, default=None,
                    help="JSON config file (flags override file values)")
-    for key, (typ, _, extra) in FLAGS.items():
+    for key in keys:
+        typ, _, extra = FLAGS[key]
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=typ, **extra)
 
 
@@ -99,6 +111,7 @@ def _file_value(key: str, val):
 
 
 def _resolve(args: argparse.Namespace) -> dict:
+    keys = COMMAND_KEYS[args.command]
     merged = dict(DEFAULTS)
     if args.config:
         try:
@@ -108,11 +121,12 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config file {args.config}: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}")
-        unknown = set(file_vals) - set(DEFAULTS)
+        unknown = set(file_vals) - set(keys)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"config keys not read by {args.command}: "
+                              f"{sorted(unknown)}")
         merged.update({key: _file_value(key, val) for key, val in file_vals.items()})
-    for key in DEFAULTS:
+    for key in keys:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
@@ -256,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
          "audit convergence inequalities of each iterative detector's run"),
         ("validate", _cmd_validate, "run the randomized invariant suites"),
     ):
-        p = sub.add_parser(name, help=desc, parents=[])
-        _add_common(p)
+        p = sub.add_parser(name, help=desc)
+        _add_flags(p, COMMAND_KEYS[name])
         p.set_defaults(handler=handler)
     return parser
 

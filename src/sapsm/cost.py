@@ -50,9 +50,8 @@ class QuadraticResidualCost:
         return 2.0 * (self.gram @ x - self.hty)
 
     def residual_sq(self, x: np.ndarray) -> float:
-        x = self._check(x)[None]
-        gram, hty, yty = stack_costs([self])
-        return float(residuals(hty, yty, x, np.matvec(gram, x))[0])
+        x = self._check(x)
+        return float(residuals(self.hty, self.yty, x, self.gram @ x))
 
 
 def stack_costs(costs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,7 +219,6 @@ class ApsmConfig:
     tau: float = 0.0
     variant: str = "plain"
     max_iters: int = 300
-    stop_eps: float = 0.0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -235,8 +233,6 @@ class ApsmConfig:
             raise ConfigError(f"tau applies only to the l1 variant, not {self.variant}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
-        if self.stop_eps < 0:
-            raise ConfigError("stop_eps must be nonnegative")
 
     def config_hash(self) -> str:
         payload = json.dumps(
@@ -247,15 +243,15 @@ class ApsmConfig:
                 "tau": self.tau,
                 "variant": self.variant,
                 "max_iters": self.max_iters,
-                "stop_eps": self.stop_eps,
+                # every run goes the full budget; the key keeps hashes stable
+                "stop_eps": 0.0,
             },
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def standard_config(variant: str, max_iters: int = 300,
-                    stop_eps: float = 0.0) -> ApsmConfig:
+def standard_config(variant: str, max_iters: int = 300) -> ApsmConfig:
     """Default run parameters per variant.
 
     All variants share the radius schedule 5e-5 * 1.06^n and relaxation MU.
@@ -267,5 +263,4 @@ def standard_config(variant: str, max_iters: int = 300,
     perturbation = {"l2": {"beta": BetaSchedule.geometric(0.9)},
                     "l1": {"beta": BetaSchedule.constant(0.9999), "tau": 0.005}}
     return ApsmConfig(rho=RhoSchedule(5e-5, 1.06), variant=variant,
-                      max_iters=max_iters, stop_eps=stop_eps,
-                      **perturbation.get(variant, {}))
+                      max_iters=max_iters, **perturbation.get(variant, {}))

@@ -33,6 +33,8 @@ class ChannelModel:
     def __post_init__(self):
         if self.kind not in ("iid", "kronecker"):
             raise ConfigError(f"unknown channel kind {self.kind!r}")
+        if self.kind == "iid" and (self.rho_tx or self.rho_rx):
+            raise ConfigError("the iid channel takes no correlation; use kronecker")
         if not (0.0 <= self.rho_tx < 1.0 and 0.0 <= self.rho_rx < 1.0):
             raise ConfigError("correlation magnitudes must lie in [0, 1)")
 

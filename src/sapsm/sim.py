@@ -141,9 +141,7 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
             costs = [QuadraticResidualCost(inst.H, inst.y) for inst in insts]
             x_hat, traces = apsm_run_batch(costs, acfg, c, record_iterates=per_iteration)
             if per_iteration:
-                # early stop: the iterate is frozen, extend the last value
-                errs = [np.pad(symbol_errors(trace.iterates[1:], s, c),
-                               (0, cfg.max_iters - len(trace)), mode="edge")
+                errs = [symbol_errors(trace.iterates[1:], s, c)
                         for trace, s in zip(traces, sent)]
             else:
                 errs = symbol_errors(x_hat, sent, c)

@@ -46,6 +46,7 @@ class TestRun:
         cfg = ApsmConfig(rho=RhoSchedule(1e-3, 1.0), variant="plain", max_iters=50)
         x, trace = apsm_run(cost, cfg, QPSK, x0=x0)
         np.testing.assert_array_equal(x, x0)
+        assert len(trace) == cfg.max_iters
         assert np.all(trace.step_norm == 0.0)
         assert np.all(trace.theta == 0.0)
 
@@ -83,20 +84,20 @@ class TestRun:
             np.testing.assert_array_equal(getattr(t1, name), getattr(t2, name))
         np.testing.assert_array_equal(t1.iterates, t2.iterates)
 
-    def test_stop_eps_halts_early(self):
-        x0 = np.array([0.5, -0.5])
-        cost = QuadraticResidualCost(np.eye(2), x0.copy())
-        cfg = ApsmConfig(rho=RhoSchedule(1e-3, 1.0), variant="plain",
-                         max_iters=50, stop_eps=1e-12)
-        _, trace = apsm_run(cost, cfg, QPSK, x0=x0)
-        assert len(trace) == 1
-
     def test_record_budget(self):
         inst, cost = small_instance(seed=4)
-        cfg = standard_config("l2", max_iters=75)
-        _, trace = apsm_run(cost, cfg, QPSK, record_iterates=True)
-        assert len(trace) <= cfg.max_iters
-        assert trace.iterates.shape == (len(trace) + 1, 4)
+        for variant in ("plain", "l2", "l1"):
+            cfg = standard_config(variant, max_iters=75)
+            for record in (False, True):
+                _, trace = apsm_run(cost, cfg, QPSK, record_iterates=record)
+                assert len(trace) == cfg.max_iters
+                for col in TRACE_COLUMNS:
+                    assert getattr(trace, col).shape == (cfg.max_iters,), col
+                np.testing.assert_array_equal(trace.n, np.arange(cfg.max_iters))
+                if record:
+                    assert trace.iterates.shape == (cfg.max_iters + 1, 4)
+                else:
+                    assert trace.iterates is None
 
     def test_every_step_is_apsm_map(self):
         # the engine's step at the reference setup is the audited iteration
@@ -309,16 +310,14 @@ def serial_reference_run(cost, cfg, c, x0=None):
         records.append((n, theta_n, objective, rho_n, step_norm, pert_norm))
         iterates.append(x_next.copy())
         x = x_next
-        if cfg.stop_eps > 0.0 and step_norm <= cfg.stop_eps:
-            break
     columns = [np.asarray(col) for col in zip(*records)]
     return x, columns, np.asarray(iterates)
 
 
 @st.composite
 def batches(draw):
-    """Problems of one size, one config with early stop, and start points
-    of which some lie outside the box."""
+    """Problems of one size, one config, and start points of which some lie
+    outside the box."""
     dim = draw(st.sampled_from(sorted(SIZES)))
     k, n, c = SIZES[dim]
     size = draw(st.integers(1, 8))
@@ -330,8 +329,7 @@ def batches(draw):
         inst = make_instance(ChannelModel("iid"), c, k, n, snr, trial_seed(seed, t))
         costs.append(QuadraticResidualCost(inst.H, inst.y))
     cfg = standard_config(draw(st.sampled_from(("plain", "l2", "l1"))),
-                          max_iters=draw(st.integers(1, 80)),
-                          stop_eps=draw(st.sampled_from([0.0, 1e-3, 1e-2, 5e-2])))
+                          max_iters=draw(st.integers(1, 80)))
     x0 = None
     if draw(st.booleans()):
         x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(size, dim))
@@ -374,19 +372,6 @@ class TestBatch:
                 got = getattr(traces[i], col)
                 assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), col
             assert traces[i].iterates.tobytes() == iterates.tobytes()
-
-    def test_rows_stop_at_different_iterations(self):
-        c = QPSK
-        costs = [QuadraticResidualCost(inst.H, inst.y) for inst in (
-            make_instance(ChannelModel("iid"), c, 2, 4, 8.0, trial_seed(5, t))
-            for t in range(8))]
-        cfg = standard_config("l2", max_iters=200, stop_eps=1e-3)
-        final, traces = apsm_run_batch(costs, cfg, c, record_iterates=True)
-        lengths = [len(trace) for trace in traces]
-        assert len(set(lengths)) > 1 and max(lengths) < cfg.max_iters
-        for i, cost in enumerate(costs):
-            assert_same_run((final[i], traces[i]),
-                            apsm_run(cost, cfg, c, record_iterates=True))
 
     def test_costs_of_different_sizes_rejected(self):
         costs = [small_instance(seed=0)[1], small_instance(seed=1, k=4, n=8)[1]]

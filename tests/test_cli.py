@@ -4,7 +4,7 @@ import pytest
 
 import sapsm.cli
 import sapsm.sim
-from sapsm.cli import main
+from sapsm.cli import build_parser, main
 
 
 def run(argv):
@@ -223,3 +223,75 @@ class TestDiagnoseAndValidate:
         out = capsys.readouterr().out
         assert "suites passed" in out
         assert "FAIL" not in out
+
+
+# a value of the right type for every flag, so that only the subcommand can
+# make a flag wrong
+FLAG_VALUES = {
+    "k": "2", "n": "4", "mod": "qpsk", "channel": "iid", "rho_tx": "0",
+    "rho_rx": "0", "snr": "8", "trials": "3", "iters": "10",
+    "detectors": "apsm_l2", "rho0": "1e-4", "growth": "1.05", "mu": "0.9",
+    "beta": "0.5", "beta_geom": "0.5", "tau": "0.01", "seed": "1",
+    "workers": "1", "out": "x.csv", "format": "csv", "dump_trace": "t.csv",
+}
+ALL_KEYS = tuple(FLAG_VALUES)
+SWEEP_KEYS = tuple(k for k in ALL_KEYS if k != "dump_trace")
+DETECT_KEYS = tuple(k for k in ALL_KEYS if k not in ("trials", "workers", "out", "format"))
+# the keys each subcommand reads; the flags of all other keys are foreign to it
+READS = {
+    "ser-iter": SWEEP_KEYS,
+    "ser-snr": SWEEP_KEYS,
+    "detect": DETECT_KEYS,
+    "diagnose": tuple(k for k in DETECT_KEYS if k != "dump_trace"),
+    "validate": ("seed",),
+}
+FOREIGN = [(cmd, key) for cmd, keys in READS.items() for key in ALL_KEYS
+           if key not in keys]
+
+
+def flag(key):
+    return ["--" + key.replace("_", "-"), FLAG_VALUES[key]]
+
+
+@pytest.fixture
+def no_trials(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    for module, name in ((sapsm.sim, "make_instance"), (sapsm.cli, "make_instance"),
+                         (sapsm.cli, "run_all_suites")):
+        monkeypatch.setattr(module, name, fail)
+
+
+class TestFlagsPerSubcommand:
+    def test_foreign_pairs(self):
+        # sweeps 1 each, detect 4, diagnose 5, validate 20
+        assert len(FOREIGN) == 31
+
+    @pytest.mark.parametrize("cmd", sorted(READS))
+    def test_every_read_flag_parses(self, cmd):
+        argv = [cmd] + [arg for key in READS[cmd] for arg in flag(key)]
+        args = build_parser().parse_args(argv)
+        assert all(getattr(args, key) is not None for key in READS[cmd])
+
+    @pytest.mark.parametrize("cmd, key", FOREIGN)
+    def test_foreign_flag_exits_2_before_any_trial(self, capsys, no_trials, cmd, key):
+        assert run([cmd] + flag(key)) == 2
+        assert "unrecognized arguments: " + flag(key)[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd, key", [("validate", "k"), ("validate", "trials"),
+                                          ("detect", "out"), ("diagnose", "dump_trace"),
+                                          ("ser-snr", "dump_trace"), ("ser-iter", "dump_trace")])
+    def test_foreign_config_key_exits_2_before_any_trial(self, tmp_path, capsys, no_trials,
+                                                         cmd, key):
+        typ = sapsm.cli.FLAGS[key][0]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, key: typ(FLAG_VALUES[key])}))
+        assert run([cmd, "--config", str(cfg)]) == 2
+        assert f"config keys not read by {cmd}: [{key!r}]" in capsys.readouterr().err
+
+    def test_correlated_iid_channel_exits_2(self, capsys, no_trials):
+        argv = ["detect", "--k", "2", "--n", "4", "--mod", "qpsk", "--snr", "10",
+                "--detectors", "lmmse"]
+        assert run(argv + ["--rho-tx", "0.9", "--rho-rx", "0.9"]) == 2
+        assert "iid channel takes no correlation" in capsys.readouterr().err

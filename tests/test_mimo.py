@@ -78,6 +78,13 @@ class TestChannels:
             lo.append(abs(np.vdot(Hi[:, 0], Hi[:, 1])))
         assert np.mean(hi) > np.mean(lo)
 
+    @pytest.mark.parametrize("rho_tx, rho_rx", [(0.9, 0.0), (0.0, 0.3), (0.5, 0.5)])
+    def test_iid_takes_no_correlation(self, rho_tx, rho_rx):
+        # an iid channel would silently ignore a correlation
+        with pytest.raises(ConfigError):
+            ChannelModel("iid", rho_tx, rho_rx)
+        assert ChannelModel("kronecker", rho_tx, rho_rx).rho_tx == rho_tx
+
     def test_dims_validated(self):
         with pytest.raises(ConfigError):
             gen_channel(ChannelModel("iid"), 2, 4, np.random.default_rng(0))

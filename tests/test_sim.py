@@ -232,16 +232,13 @@ class TestGoldenOutputs:
 
 
 class TestBatchBoundaries:
-    """Sweeps over more trials than one engine stack holds, with rows that
-    stop early at different iterations."""
+    """Sweeps over more trials than one engine stack holds."""
 
     def cfg(self, **kw):
-        early = {kind: standard_config(variant, stop_eps=1e-3) for kind, variant in (
-            (D.APSM_PLAIN, "plain"), (D.APSM_L2, "l2"), (D.APSM_L1, "l1"))}
         base = dict(k=2, n=4, modulation="qpsk", channel=ChannelModel("iid"),
                     detectors=(D.APSM_PLAIN, D.APSM_L2, D.APSM_L1, D.LMMSE),
                     snr_db=(4.0, 10.0), trials=BATCH_TRIALS + 7, max_iters=120,
-                    master_seed=19, apsm_overrides=early)
+                    master_seed=19)
         base.update(kw)
         return ExperimentConfig(**base)
 
@@ -269,9 +266,8 @@ class TestBatchBoundaries:
 
     @pytest.mark.parametrize("run", [run_ser_vs_snr, run_ser_vs_iter])
     def test_batched_sweep_equals_per_realization_detection(self, run):
-        # in ser-iter, a row that stopped early keeps its final count in
-        # every later iteration, so the last iteration's counts are those
-        # of the final estimates
+        # in ser-iter, the last iteration's counts are those of the final
+        # estimates
         cfg = self.cfg() if run is run_ser_vs_snr else self.cfg(snr_db=(4.0,))
         c = constellation(cfg.modulation)
         errors = {}
