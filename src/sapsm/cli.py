@@ -63,13 +63,14 @@ FLAGS = {
                    {"help": "write the per-iteration trace CSV of one detector"}),
 }
 DEFAULTS = {key: default for key, (_, default, _) in FLAGS.items()}
-_SINGLE_SHOT = tuple(k for k in FLAGS if k not in ("trials", "workers", "out", "format"))
+_SWEEP_KEYS = tuple(k for k in FLAGS if k != "dump_trace")
+_DETECT_KEYS = tuple(k for k in FLAGS if k not in ("trials", "workers", "out", "format"))
 # subcommand -> the keys it reads; any other flag or config-file key is an error
 COMMAND_KEYS = {
-    "ser-iter": tuple(k for k in FLAGS if k != "dump_trace"),
-    "ser-snr": tuple(k for k in FLAGS if k != "dump_trace"),
-    "detect": _SINGLE_SHOT,
-    "diagnose": tuple(k for k in _SINGLE_SHOT if k != "dump_trace"),
+    "ser-iter": _SWEEP_KEYS,
+    "ser-snr": _SWEEP_KEYS,
+    "detect": _DETECT_KEYS,
+    "diagnose": tuple(k for k in _DETECT_KEYS if k != "dump_trace"),
     "validate": ("seed",),
 }
 # keys whose file value may also be a list of values of the flag's type
@@ -127,7 +128,7 @@ def _resolve(args: argparse.Namespace) -> dict:
                               f"{sorted(unknown)}")
         merged.update({key: _file_value(key, val) for key, val in file_vals.items()})
     for key in keys:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             merged[key] = val
     if isinstance(merged["snr"], float):

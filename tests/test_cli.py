@@ -264,10 +264,6 @@ def no_trials(monkeypatch):
 
 
 class TestFlagsPerSubcommand:
-    def test_foreign_pairs(self):
-        # sweeps 1 each, detect 4, diagnose 5, validate 20
-        assert len(FOREIGN) == 31
-
     @pytest.mark.parametrize("cmd", sorted(READS))
     def test_every_read_flag_parses(self, cmd):
         argv = [cmd] + [arg for key in READS[cmd] for arg in flag(key)]
