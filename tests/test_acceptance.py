@@ -121,8 +121,8 @@ def test_criterion_4_box_proximity(capsys):
                              trial_seed(SEED_BOX, i))
         cost = QuadraticResidualCost(inst.H, inst.y)
         x, _ = detect(D.APSM_PLAIN, inst, QPSK)
-        box = detect_box_oracle(inst, QPSK.box(), tol=tol)
-        resid = first_order_residual(cost, box.x, QPSK.box(), box.lipschitz)
+        box = detect_box_oracle(inst, QPSK.box())
+        resid = first_order_residual(cost, box.x, QPSK.box())
         first_order_ok &= box.converged and resid <= 10 * tol
         if cost.residual_sq(x) <= 1.5 * cost.residual_sq(box.x):
             close += 1
