@@ -3,11 +3,12 @@
 One run interleaves a superiorization perturbation (hard or soft slicing
 toward the constellation lattice) with a relaxed subgradient projection onto
 the current residual sublevel set, clamped to the box. The engine iterates a
-stack of runs that share one config, each row bitwise the run it would be
-alone; a single run is a stack of one. The recorded trace is
-enough to audit, after the fact, the two inequalities that convergence theory
-promises: quasi-Fejér monotonicity of Type I and the kappa-attracting step
-decrease, both relative to a feasible reference point.
+stack of runs, one config per row (rows with an equal config perturb as a
+group), each row bitwise the run it would be alone; a single run is a stack
+of one. The recorded trace is enough to audit, after the fact, the two
+inequalities that convergence theory promises: quasi-Fejér monotonicity of
+Type I and the kappa-attracting step decrease, both relative to a feasible
+reference point.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .cost import (
     ApsmConfig,
     QuadraticResidualCost,
     residuals,
-    rho_at,
+    schedule_table,
     stack_costs,
     sublevel_step,
 )
-from .errors import DimensionMismatch, NonFiniteIterate
+from .errors import ConfigError, DimensionMismatch, NonFiniteIterate
 from .geometry import Constellation, perturbation_l1, perturbation_l2
 
 TRACE_COLUMNS = ("n", "theta", "objective", "rho", "step_norm", "pert_norm")
@@ -40,22 +41,35 @@ class IterateTrace:
     """Per-iteration scalars of one run, plus identifying metadata.
 
     ``iterates`` holds the full sequence x_0 .. x_final (one row more than
-    there are records) and is only populated when requested.
+    there are records) and is only populated when requested; the
+    ``objective`` column is derived from it.
     """
 
     n: np.ndarray
     theta: np.ndarray
-    objective: np.ndarray
     rho: np.ndarray
     step_norm: np.ndarray
     pert_norm: np.ndarray
     variant: str
     config_hash: str
     summability_flag: bool
+    cost: QuadraticResidualCost
     iterates: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.n.size
+
+    @property
+    def objective(self) -> np.ndarray:
+        """The residual ||H x_n - y||^2 at each unperturbed iterate x_n,
+        computed from the recorded iterates (the engine does not compute
+        it). np.matvec makes per iterate the gemv the engine makes per row,
+        so this is bitwise the residual the loop would have computed."""
+        if self.iterates is None:
+            raise ConfigError("the objective column needs a run with record_iterates=True")
+        xs = self.iterates[:-1]
+        gram, hty, yty = self.cost.gram, self.cost.hty, self.cost.yty
+        return residuals(hty, yty, xs, np.matvec(gram, xs))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -65,23 +79,43 @@ class IterateTrace:
                 writer.writerow([int(n)] + [format(v, ".17g") for v in values])
 
 
+def _row_groups(cfgs: list[ApsmConfig]) -> list[tuple[int, int, ApsmConfig]]:
+    """(start, stop, config) of each run of consecutive rows with an equal
+    config."""
+    groups = []
+    start = 0
+    for i in range(1, len(cfgs) + 1):
+        if i == len(cfgs) or cfgs[i] != cfgs[start]:
+            groups.append((start, i, cfgs[start]))
+            start = i
+    return groups
+
+
 # a row that overflows or divides by zero surfaces as NonFiniteIterate, not
 # as a numpy warning
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def apsm_run_batch(costs: list[QuadraticResidualCost], cfg: ApsmConfig,
+def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
                    c: Constellation, x0: np.ndarray | None = None,
                    record_iterates: bool = False) -> tuple[np.ndarray, list[IterateTrace]]:
-    """Run the perturbed iteration on B problems at once; return (final
-    iterates as (B, d), one trace per row).
+    """Run the perturbed iteration on B problems at once, row i under
+    ``cfgs[i]``; return (final iterates as (B, d), one trace per row).
 
     Follows the superiorized recursion on every row: perturb the current
     iterate, evaluate the sublevel cost and its subgradient at the perturbed
     point, take the relaxed subgradient-projection step, clamp to the box.
-    Every row runs the full ``cfg.max_iters`` iterations and is bitwise the
-    run it would be alone. Every iterate after the first projection lies in
-    the box. The traces' arrays are views into buffers that the stack's
-    traces share.
+    Consecutive rows with an equal config form a group, which perturbs as
+    one call on its slice of the stack; all rows take one step together.
+    Every row runs the full ``max_iters`` iterations, which all configs of a
+    stack must share, and is bitwise the run it would be alone. Every
+    iterate after the first projection lies in the box. The traces' arrays
+    are views into buffers that the stack's traces share.
     """
+    if len(cfgs) != len(costs):
+        raise ConfigError(f"{len(cfgs)} configs for {len(costs)} problems")
+    budgets = sorted({cfg.max_iters for cfg in cfgs})
+    if len(budgets) != 1:
+        raise ConfigError(f"a stack needs one max_iters, got {budgets}")
+    (steps,) = budgets
     gram, hty, yty = stack_costs(costs)
     size, dim = hty.shape
     if x0 is None:
@@ -91,28 +125,37 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfg: ApsmConfig,
         if x.shape != (size, dim):
             raise DimensionMismatch(f"x0 has shape {x.shape}, expected {(size, dim)}")
     box = c.box()
-    rhos = []
-    # theta, objective, step_norm, pert_norm of each row and iteration
-    records = np.empty((4, size, cfg.max_iters))
-    iterates = np.empty((size, cfg.max_iters + 1, dim)) if record_iterates else None
+    groups = _row_groups(cfgs)
+    rho = np.empty((steps, size))
+    mu = np.empty(size)
+    perturbed = []
+    for a, b, cfg in groups:
+        rho[:, a:b] = schedule_table(cfg.rho, steps)[:, None]
+        mu[a:b] = cfg.mu
+        if cfg.variant != "plain":
+            perturbed.append((a, b, cfg, schedule_table(cfg.beta, steps).tolist()))
+    # theta, step_norm, pert_norm of each iteration and row
+    records = np.zeros((3, steps, size))
+    iterates = np.empty((size, steps + 1, dim)) if record_iterates else None
     if record_iterates:
         iterates[:, 0] = x
 
-    for n in range(cfg.max_iters):
-        beta_n = cfg.beta.at(n)
-        if beta_n != 0.0:
+    for n in range(steps):
+        z = x
+        for a, b, cfg, betas in perturbed:
+            beta_n = betas[n]
+            if beta_n == 0.0:
+                continue
             if cfg.variant == "l2":
-                v = perturbation_l2(x, c)
+                v = perturbation_l2(x[a:b], c)
             else:
-                v = perturbation_l1(x, cfg.tau, c)
-            pert_norm = beta_n * np.sqrt(np.vecdot(v, v))
-            z = x + beta_n * v
-        else:
-            pert_norm = np.zeros(size)
-            z = x
+                v = perturbation_l1(x[a:b], cfg.tau, c)
+            if z is x:
+                z = x.copy()
+            z[a:b] += beta_n * v
+            records[2, n, a:b] = beta_n * np.sqrt(np.vecdot(v, v))
 
-        rho_n = rho_at(cfg.rho, n)
-        x_next, resid_z, theta_n = sublevel_step(gram, hty, yty, z, rho_n, cfg.mu, box)
+        x_next, resid_z, theta_n = sublevel_step(gram, hty, yty, z, rho[n], mu, box)
 
         diff = x_next - x
         step_norm = np.sqrt(np.vecdot(diff, diff))
@@ -120,37 +163,33 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfg: ApsmConfig,
         # nonnegative or nan, and np.maximum propagates nan
         if np.count_nonzero(np.maximum(step_norm, resid_z) < math.inf) < size:
             raise NonFiniteIterate(n)
-
-        if beta_n != 0.0:
-            resid_x = residuals(hty, yty, x, np.matvec(gram, x))
-            objective = np.where(pert_norm == 0.0, resid_z, resid_x)
-        else:
-            objective = resid_z
-        rhos.append(rho_n)
-        records[:, :, n] = theta_n, objective, step_norm, pert_norm
+        records[0, n] = theta_n
+        records[1, n] = step_norm
         if record_iterates:
             iterates[:, n + 1] = x_next
         x = x_next
 
-    steps = np.arange(cfg.max_iters)
-    rho = np.array(rhos)
-    theta, objective, step_norm, pert_norm = records
-    config_hash = cfg.config_hash()
-    traces = [
-        IterateTrace(
-            n=steps,
-            theta=theta[i],
-            objective=objective[i],
-            rho=rho,
-            step_norm=step_norm[i],
-            pert_norm=pert_norm[i],
-            variant=cfg.variant,
-            config_hash=config_hash,
-            summability_flag=cfg.beta.summable,
-            iterates=iterates[i] if record_iterates else None,
-        )
-        for i in range(size)
-    ]
+    iters = np.arange(steps)
+    theta, step_norm, pert_norm = records
+    traces = []
+    for a, b, cfg in groups:
+        config_hash = cfg.config_hash()
+        rho_column = schedule_table(cfg.rho, steps)
+        traces += [
+            IterateTrace(
+                n=iters,
+                theta=theta[:, i],
+                rho=rho_column,
+                step_norm=step_norm[:, i],
+                pert_norm=pert_norm[:, i],
+                variant=cfg.variant,
+                config_hash=config_hash,
+                summability_flag=cfg.beta.summable,
+                cost=costs[i],
+                iterates=iterates[i] if record_iterates else None,
+            )
+            for i in range(a, b)
+        ]
     return x, traces
 
 
@@ -161,7 +200,7 @@ def apsm_run(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,
     trace): ``apsm_run_batch`` on a stack of one."""
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)[None]
-    final, (trace,) = apsm_run_batch([cost], cfg, c, x0, record_iterates)
+    final, (trace,) = apsm_run_batch([cost], [cfg], c, x0, record_iterates)
     return final[0], trace
 
 
@@ -247,7 +286,7 @@ def check_attracting(trace: IterateTrace, x_seq: np.ndarray,
         return AuditResult()
     kappa = 1.0 - cfg.mu / 2.0
     steps = trace.step_norm[start:]
-    betas = np.array([cfg.beta.at(int(k)) for k in trace.n[start:]])
+    betas = schedule_table(cfg.beta, len(trace))[start:]
     v_norms = np.zeros_like(betas)
     pos = betas > 0
     v_norms[pos] = trace.pert_norm[start:][pos] / betas[pos]

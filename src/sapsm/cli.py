@@ -221,7 +221,9 @@ def _cmd_detect(args) -> int:
         raise ConfigError("--dump-trace needs exactly one iterative detector")
     cost = QuadraticResidualCost(inst.H, inst.y)
     for kind in cfg.detectors:
-        x_hat, trace = detect(kind, inst, c, resolve_apsm_config(cfg, kind))
+        # the trace's objective column is derived from the recorded iterates
+        x_hat, trace = detect(kind, inst, c, resolve_apsm_config(cfg, kind),
+                              record_iterates=bool(vals["dump_trace"]))
         if vals["dump_trace"] and trace is not None:
             trace.to_csv(vals["dump_trace"])
         print(f"detector={kind.value} residual={cost.residual_sq(x_hat):.6e} "

@@ -9,6 +9,7 @@ matrix-vector product in the low-dimensional space.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -84,12 +85,13 @@ def residuals(hty: np.ndarray, yty: np.ndarray, x: np.ndarray,
 
 
 def sublevel_step(gram: np.ndarray, hty: np.ndarray, yty: np.ndarray,
-                  z: np.ndarray, rho: float, mu: float,
+                  z: np.ndarray, rho: float | np.ndarray, mu: float | np.ndarray,
                   box: BoxSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One relaxed subgradient projection of each row of z toward its
     rho-sublevel set, clamped to the box.
 
-    Takes the stacks of ``stack_costs`` and z as (B, d). Returns (next
+    Takes the stacks of ``stack_costs`` and z as (B, d); ``rho`` and ``mu``
+    are scalars or one value per row. Returns (next
     iterates, residuals ||H_i z_i - y_i||^2, theta) with theta = (residual -
     rho)_+ the cost value at z, one per row. A row keeps z when its theta is
     zero or its subgradient 2H'(Hz - y) vanishes.
@@ -197,6 +199,17 @@ class BetaSchedule:
         if self.kind == "constant":
             return self.value * n_terms
         return 0.0
+
+
+@functools.lru_cache(maxsize=256)
+def schedule_table(schedule: RhoSchedule | BetaSchedule, n_terms: int) -> np.ndarray:
+    """The values of a schedule at n = 0 .. n_terms - 1: ``rho_at`` for a
+    radius schedule, ``BetaSchedule.at`` for a perturbation one. Tabulated
+    once per (schedule, length) and shared, so the array is read-only."""
+    at = functools.partial(rho_at, schedule) if isinstance(schedule, RhoSchedule) else schedule.at
+    table = np.array([at(n) for n in range(n_terms)], dtype=float)
+    table.flags.writeable = False
+    return table
 
 
 VARIANTS = ("plain", "l2", "l1")

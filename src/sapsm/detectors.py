@@ -73,13 +73,17 @@ def detect_constrained_lmmse(instance: ChannelInstance) -> np.ndarray:
 
     Scales each coordinate of the regularized estimate by
     alpha_k = 1 / (h_k' (HH' + sigma2 I)^-1 h_k), with h_k the k-th column.
+    By the push-through identity the denominator is the k-th diagonal entry
+    of (H'H + sigma2 I)^-1 H'H, so one solve in the 2K-dimensional input
+    space gives both the estimate and every alpha_k. With sigma2 = 0 and H
+    of full column rank, every alpha_k is 1: zero forcing.
     """
     H = instance.H
-    base = detect_lmmse(instance)
-    A = H @ H.T + instance.sigma2 * np.eye(H.shape[0])
-    U = _solve_spd(A, H, "output covariance")
-    quad = np.einsum("ij,ij->j", H, U)
-    return base / quad
+    gram = H.T @ H
+    A = gram + instance.sigma2 * np.eye(H.shape[1])
+    sol = _solve_spd(A, np.column_stack([H.T @ instance.y, gram]),
+                     "regularized normal equations")
+    return sol[:, 0] / np.diagonal(sol[:, 1:])
 
 
 class BoxOracleResult(NamedTuple):

@@ -2,9 +2,9 @@
 
 Every trial draws its own channel/noise realization from a counter-based
 seed mix, and all detectors within a trial share that realization (paired
-comparison). Trials run in consecutive batches, each iterative detector on
-a whole batch as one engine stack; a row's result does not depend on the
-batch it sits in. Aggregation is a plain integer sum, so results are
+comparison). Trials run in consecutive batches, and all iterative detectors
+of a batch iterate as one engine stack; a row's result does not depend on
+the stack it sits in. Aggregation is a plain integer sum, so results are
 identical for any worker count.
 """
 
@@ -121,30 +121,39 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
     realizations.
 
     Each task is (SNR index, seed) and draws one realization. The baselines
-    run per realization, in task order; each iterative detector runs the
-    whole batch as one engine stack, whose rows do not depend on the batch
-    they sit in. Per-iteration counts are arrays of length ``max_iters``;
-    non-iterative baselines repeat their single count.
+    run per realization, in task order; the iterative detectors run the
+    whole batch as one engine stack, rows ordered detector by realization,
+    and a row does not depend on the stack it sits in. Per-iteration counts
+    are arrays of length ``max_iters``; non-iterative baselines repeat their
+    single count.
     """
     insts = [make_instance(cfg.channel, c, cfg.k, cfg.n, cfg.snr_db[si], seed)
              for si, seed in tasks]
     sent = np.stack([inst.s for inst in insts])
-    totals = {}
+    errors = {}
+    iterative = []
     for kind in cfg.detectors:
         acfg = resolve_apsm_config(cfg, kind)
-        if acfg is None:
-            x_hat = np.stack([detect(kind, inst, c)[0] for inst in insts])
-            errs = symbol_errors(x_hat, sent, c)
+        if acfg is not None:
+            iterative.append((kind, acfg))
+            continue
+        x_hat = np.stack([detect(kind, inst, c)[0] for inst in insts])
+        errors[kind] = symbol_errors(x_hat, sent, c)
+        if per_iteration:
+            errors[kind] = np.repeat(errors[kind][:, None], cfg.max_iters, axis=1)
+    if iterative:
+        costs = [QuadraticResidualCost(inst.H, inst.y) for _ in iterative for inst in insts]
+        cfgs = [acfg for _, acfg in iterative for _ in insts]
+        x_hat, traces = apsm_run_batch(costs, cfgs, c, record_iterates=per_iteration)
+        for j, (kind, _) in enumerate(iterative):
+            rows = slice(j * len(insts), (j + 1) * len(insts))
             if per_iteration:
-                errs = np.repeat(errs[:, None], cfg.max_iters, axis=1)
-        else:
-            costs = [QuadraticResidualCost(inst.H, inst.y) for inst in insts]
-            x_hat, traces = apsm_run_batch(costs, acfg, c, record_iterates=per_iteration)
-            if per_iteration:
-                errs = [symbol_errors(trace.iterates[1:], s, c)
-                        for trace, s in zip(traces, sent)]
+                errors[kind] = [symbol_errors(trace.iterates[1:], s, c)
+                                for trace, s in zip(traces[rows], sent)]
             else:
-                errs = symbol_errors(x_hat, sent, c)
+                errors[kind] = symbol_errors(x_hat[rows], sent, c)
+    totals = {}
+    for kind, errs in errors.items():
         for (si, _), e in zip(tasks, errs):
             totals[(kind, si)] = totals.get((kind, si), 0) + e
     return totals

@@ -116,25 +116,27 @@ def attracting_step_suite(draws: int = 10_000, seed: int = 0) -> SuiteResult:
 
 def _audited_runs(name: str, audit, trials: int, seed: int, max_iters: int,
                   variants: tuple[str, ...]) -> SuiteResult:
-    """Recorded engine runs on seeded RUN_* instances, one engine stack of
-    all trials per variant, each row audited against the true transmit
-    vector by ``audit`` (a ``check_*`` function)."""
+    """Recorded engine runs on seeded RUN_* instances, all variants of all
+    trials as one engine stack (rows ordered variant by trial), each row
+    audited against the true transmit vector by ``audit`` (a ``check_*``
+    function)."""
     c = constellation(RUN_MODULATION)
     model = ChannelModel("iid")
     insts = [make_instance(model, c, RUN_K, RUN_N, RUN_SNR_DB, trial_seed(seed, t))
              for t in range(trials)]
     costs = [QuadraticResidualCost(inst.H, inst.y) for inst in insts]
+    rows = [(inst, cost, standard_config(variant, max_iters=max_iters))
+            for variant in variants for inst, cost in zip(insts, costs)]
+    _, traces = apsm_run_batch([cost for _, cost, _ in rows], [cfg for *_, cfg in rows],
+                               c, record_iterates=True)
     violations = 0
     checked = 0
     worst = 0.0
-    for variant in variants:
-        cfg = standard_config(variant, max_iters=max_iters)
-        _, traces = apsm_run_batch(costs, cfg, c, record_iterates=True)
-        for inst, cost, trace in zip(insts, costs, traces):
-            result = audit(trace, trace.iterates, inst.s, cost, cfg)
-            checked += result.checked
-            violations += result.violations
-            worst = max(worst, result.max_excess)
+    for (inst, cost, cfg), trace in zip(rows, traces):
+        result = audit(trace, trace.iterates, inst.s, cost, cfg)
+        checked += result.checked
+        violations += result.violations
+        worst = max(worst, result.max_excess)
     return SuiteResult(name, checked, violations, worst)
 
 

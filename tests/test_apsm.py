@@ -19,13 +19,14 @@ from sapsm.apsm import (
 )
 from sapsm.cost import (
     ApsmConfig,
+    BetaSchedule,
     QuadraticResidualCost,
     RhoSchedule,
     apsm_map,
     rho_at,
     standard_config,
 )
-from sapsm.errors import DimensionMismatch, NonFiniteIterate
+from sapsm.errors import ConfigError, DimensionMismatch, NonFiniteIterate
 from sapsm.geometry import constellation, perturbation_l1, perturbation_l2
 from sapsm.mimo import ChannelModel, make_instance, trial_seed
 from sapsm.validation import quasi_fejer_suite
@@ -56,7 +57,7 @@ class TestRun:
         cost = QuadraticResidualCost(np.eye(2), y)
         cfg = ApsmConfig(rho=RhoSchedule(1e-30, 1.0), mu=1.0, variant="plain",
                          max_iters=200)
-        x, trace = apsm_run(cost, cfg, QPSK)
+        x, trace = apsm_run(cost, cfg, QPSK, record_iterates=True)
         np.testing.assert_allclose(x, y, atol=1e-6)
         assert trace.objective[-1] < 1e-12
 
@@ -91,13 +92,16 @@ class TestRun:
             for record in (False, True):
                 _, trace = apsm_run(cost, cfg, QPSK, record_iterates=record)
                 assert len(trace) == cfg.max_iters
-                for col in TRACE_COLUMNS:
+                for col in recorded_columns(trace):
                     assert getattr(trace, col).shape == (cfg.max_iters,), col
                 np.testing.assert_array_equal(trace.n, np.arange(cfg.max_iters))
                 if record:
                     assert trace.iterates.shape == (cfg.max_iters + 1, 4)
                 else:
                     assert trace.iterates is None
+                    # the objective column is derived from the iterates
+                    with pytest.raises(ConfigError):
+                        trace.objective
 
     def test_every_step_is_apsm_map(self):
         # the engine's step at the reference setup is the audited iteration
@@ -243,7 +247,8 @@ class TestAudits:
 class TestTraceExport:
     def test_csv_round_readable(self, tmp_path):
         inst, cost = small_instance(seed=16)
-        _, trace = apsm_run(cost, standard_config("l2", max_iters=20), QPSK)
+        _, trace = apsm_run(cost, standard_config("l2", max_iters=20), QPSK,
+                            record_iterates=True)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         with open(path, newline="") as fh:
@@ -258,12 +263,20 @@ class TestTraceExport:
 SIZES = {4: (2, 4, QPSK), 8: (4, 8, QPSK), 32: (16, 32, QAM16)}
 
 
+def recorded_columns(trace):
+    """The trace columns a run has: all of TRACE_COLUMNS when it recorded
+    its iterates, every one but the derived objective otherwise."""
+    if trace.iterates is not None:
+        return TRACE_COLUMNS
+    return tuple(col for col in TRACE_COLUMNS if col != "objective")
+
+
 def assert_same_run(a, b):
     """Two (final iterate, trace) results are bitwise equal."""
     (xa, ta), (xb, tb) = a, b
     assert xa.dtype == xb.dtype and xa.tobytes() == xb.tobytes()
     assert len(ta) == len(tb)
-    for col in TRACE_COLUMNS:
+    for col in recorded_columns(ta):
         ca, cb = getattr(ta, col), getattr(tb, col)
         assert ca.dtype == cb.dtype and ca.tobytes() == cb.tobytes(), col
     assert (ta.iterates is None) == (tb.iterates is None)
@@ -276,7 +289,9 @@ def assert_same_run(a, b):
 def serial_reference_run(cost, cfg, c, x0=None):
     """The engine as one serial loop of 1-D numpy and Python float
     operations: the reference the batched engine must reproduce bit for
-    bit. Returns (final iterate, TRACE_COLUMNS arrays, iterates)."""
+    bit. Its objective is computed in the loop, as the reference for the
+    column the trace derives from its iterates. Returns (final iterate,
+    TRACE_COLUMNS arrays, iterates)."""
     box = c.box()
     x = np.zeros(cost.dim_in) if x0 is None else np.array(x0, dtype=float)
 
@@ -314,10 +329,30 @@ def serial_reference_run(cost, cfg, c, x0=None):
     return x, columns, np.asarray(iterates)
 
 
+def config_pool(max_iters):
+    """Configs a stack's rows draw from: the three standard variants, an l2
+    with its own radius schedule and relaxation, an l2 whose geometric beta
+    underflows to 0 by iteration 3, and an l1 with another tau and beta."""
+    return (
+        standard_config("plain", max_iters=max_iters),
+        standard_config("l2", max_iters=max_iters),
+        standard_config("l1", max_iters=max_iters),
+        ApsmConfig(rho=RhoSchedule(1e-3, 1.1), mu=1.3,
+                   beta=BetaSchedule.geometric(0.5), variant="l2",
+                   max_iters=max_iters),
+        ApsmConfig(rho=RhoSchedule(5e-5, 1.06), beta=BetaSchedule.geometric(1e-160),
+                   variant="l2", max_iters=max_iters),
+        ApsmConfig(rho=RhoSchedule(1e-4, 1.03), mu=0.4,
+                   beta=BetaSchedule.constant(0.5), tau=0.05, variant="l1",
+                   max_iters=max_iters),
+    )
+
+
 @st.composite
 def batches(draw):
-    """Problems of one size, one config, and start points of which some lie
-    outside the box."""
+    """Problems of one size, a config per row (all with one budget; equal
+    configs in a row or scattered), and start points of which some lie
+    outside the box and some have -0.0 entries."""
     dim = draw(st.sampled_from(sorted(SIZES)))
     k, n, c = SIZES[dim]
     size = draw(st.integers(1, 8))
@@ -328,33 +363,39 @@ def batches(draw):
     for t, snr in enumerate(snrs):
         inst = make_instance(ChannelModel("iid"), c, k, n, snr, trial_seed(seed, t))
         costs.append(QuadraticResidualCost(inst.H, inst.y))
-    cfg = standard_config(draw(st.sampled_from(("plain", "l2", "l1"))),
-                          max_iters=draw(st.integers(1, 80)))
+    pool = config_pool(draw(st.integers(1, 80)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        picks.sort()
+    cfgs = [pool[i] for i in picks]
     x0 = None
     if draw(st.booleans()):
-        x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(size, dim))
-    return costs, cfg, c, x0, draw(st.booleans())
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(-2.0, 2.0, size=(size, dim))
+        x0[rng.random((size, dim)) < 0.3] = -0.0
+    return costs, cfgs, c, x0, draw(st.booleans())
 
 
 class TestBatch:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(batches())
     def test_each_row_is_its_single_run(self, batch):
-        costs, cfg, c, x0, record = batch
-        final, traces = apsm_run_batch(costs, cfg, c, x0, record_iterates=record)
+        costs, cfgs, c, x0, record = batch
+        final, traces = apsm_run_batch(costs, cfgs, c, x0, record_iterates=record)
         assert final.shape == (len(costs), costs[0].dim_in) and len(traces) == len(costs)
         for i, cost in enumerate(costs):
-            single = apsm_run(cost, cfg, c, None if x0 is None else x0[i],
+            single = apsm_run(cost, cfgs[i], c, None if x0 is None else x0[i],
                               record_iterates=record)
             assert_same_run((final[i], traces[i]), single)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(batches(), st.randoms(use_true_random=False))
     def test_rows_do_not_depend_on_the_stack(self, batch, rnd):
-        costs, cfg, c, x0, record = batch
-        whole = apsm_run_batch(costs, cfg, c, x0, record_iterates=record)
+        costs, cfgs, c, x0, record = batch
+        whole = apsm_run_batch(costs, cfgs, c, x0, record_iterates=record)
+        # a subset of the rows in another order: groups split, merge and move
         order = rnd.sample(range(len(costs)), rnd.randint(1, len(costs)))
-        part = apsm_run_batch([costs[i] for i in order], cfg, c,
+        part = apsm_run_batch([costs[i] for i in order], [cfgs[i] for i in order], c,
                               None if x0 is None else x0[order], record_iterates=record)
         for j, i in enumerate(order):
             assert_same_run((part[0][j], part[1][j]), (whole[0][i], whole[1][i]))
@@ -362,11 +403,11 @@ class TestBatch:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(batches())
     def test_rows_are_the_serial_loop(self, batch):
-        costs, cfg, c, x0, _ = batch
-        final, traces = apsm_run_batch(costs, cfg, c, x0, record_iterates=True)
+        costs, cfgs, c, x0, _ = batch
+        final, traces = apsm_run_batch(costs, cfgs, c, x0, record_iterates=True)
         for i, cost in enumerate(costs):
             x, columns, iterates = serial_reference_run(
-                cost, cfg, c, None if x0 is None else x0[i])
+                cost, cfgs[i], c, None if x0 is None else x0[i])
             assert final[i].tobytes() == x.tobytes()
             for col, ref in zip(TRACE_COLUMNS, columns):
                 got = getattr(traces[i], col)
@@ -375,11 +416,21 @@ class TestBatch:
 
     def test_costs_of_different_sizes_rejected(self):
         costs = [small_instance(seed=0)[1], small_instance(seed=1, k=4, n=8)[1]]
+        cfg = standard_config("plain", max_iters=3)
         with pytest.raises(DimensionMismatch):
-            apsm_run_batch(costs, standard_config("plain", max_iters=3), QPSK)
+            apsm_run_batch(costs, [cfg, cfg], QPSK)
         with pytest.raises(DimensionMismatch):
-            apsm_run_batch(costs[:1], standard_config("plain", max_iters=3), QPSK,
-                           x0=np.zeros((2, 4)))
+            apsm_run_batch(costs[:1], [cfg], QPSK, x0=np.zeros((2, 4)))
+
+    def test_stack_needs_one_budget_and_one_config_per_row(self):
+        costs = [small_instance(seed=0)[1], small_instance(seed=1)[1]]
+        with pytest.raises(ConfigError, match="max_iters"):
+            apsm_run_batch(costs, [standard_config("plain", max_iters=3),
+                                   standard_config("l2", max_iters=4)], QPSK)
+        for cfgs in ([standard_config("l1", max_iters=3)],
+                     [standard_config("l1", max_iters=3)] * 3):
+            with pytest.raises(ConfigError, match="configs for 2 problems"):
+                apsm_run_batch(costs, cfgs, QPSK)
 
     @pytest.mark.parametrize("size", [1, 2, 15, 45, 64])
     @pytest.mark.parametrize("dim", [4, 7, 8, 32, 64])

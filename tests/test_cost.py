@@ -9,6 +9,7 @@ from sapsm.cost import (
     RhoSchedule,
     apsm_map,
     rho_at,
+    schedule_table,
     stack_costs,
     standard_config,
     sublevel_step,
@@ -212,6 +213,19 @@ class TestSchedulesAndConfig:
         assert BetaSchedule.constant(0.0).summable
         none = BetaSchedule.none()
         assert none.at(5) == 0.0 and none.summable
+
+    @pytest.mark.parametrize("schedule", [
+        RhoSchedule(5e-5, 1.06), RhoSchedule(1e11, 1.5), RhoSchedule(1e-3),
+        BetaSchedule.geometric(0.9), BetaSchedule.geometric(1e-160),
+        BetaSchedule.constant(0.9999), BetaSchedule.none()])
+    def test_table_is_the_schedule(self, schedule):
+        at = (lambda n: rho_at(schedule, n)) if isinstance(schedule, RhoSchedule) else schedule.at
+        table = schedule_table(schedule, 300)
+        assert table.dtype == np.float64 and table.shape == (300,)
+        assert table.tobytes() == np.array([at(n) for n in range(300)]).tobytes()
+        # runs share the table, so it cannot be written
+        assert not table.flags.writeable
+        assert schedule_table(schedule, 300) is table
 
     def test_beta_validation(self):
         with pytest.raises(ConfigError):

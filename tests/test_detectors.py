@@ -86,6 +86,18 @@ class TestConstrainedLmmse:
         np.testing.assert_allclose(detect_constrained_lmmse(inst),
                                    detect_lmmse(inst), rtol=1e-5, atol=1e-9)
 
+    def test_noiseless_full_rank_is_zero_forcing(self):
+        # sigma2 = 0 with H of full column rank: H'H is invertible, every
+        # alpha_k is 1 and the estimate is the least-squares solution (the
+        # 2N x 2N output covariance HH' would be singular here)
+        rng = np.random.default_rng(2)
+        H = rng.standard_normal((8, 4))
+        y = rng.standard_normal(8)
+        inst = manual_instance(H, y, sigma2=0.0)
+        np.testing.assert_allclose(detect_constrained_lmmse(inst),
+                                   np.linalg.lstsq(H, y, rcond=None)[0],
+                                   rtol=1e-10, atol=1e-12)
+
     def test_alpha_matches_per_column_solves(self):
         for seed in range(20):
             inst = rand_instance(seed + 100)
