@@ -134,11 +134,14 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
         mu[a:b] = cfg.mu
         if cfg.variant != "plain":
             perturbed.append((a, b, cfg, schedule_table(cfg.beta, steps).tolist()))
-    # theta, step_norm, pert_norm of each iteration and row
+    # theta, squared step norm and squared perturbation norm of each
+    # iteration and row; the norms are finished after the loop
     records = np.zeros((3, steps, size))
     iterates = np.empty((size, steps + 1, dim)) if record_iterates else None
     if record_iterates:
         iterates[:, 0] = x
+    z_buf = np.empty_like(x)
+    diff = np.empty_like(x)
 
     for n in range(steps):
         z = x
@@ -151,24 +154,27 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
             else:
                 v = perturbation_l1(x[a:b], cfg.tau, c)
             if z is x:
-                z = x.copy()
-            z[a:b] += beta_n * v
-            records[2, n, a:b] = beta_n * np.sqrt(np.vecdot(v, v))
+                z = z_buf
+                np.copyto(z, x)
+            np.add(x[a:b], beta_n * v, out=z[a:b])
+            np.vecdot(v, v, out=records[2, n, a:b])
 
-        x_next, resid_z, theta_n = sublevel_step(gram, hty, yty, z, rho[n], mu, box)
+        x_next, _, records[0, n] = sublevel_step(gram, hty, yty, z, rho[n], mu, box)
 
-        diff = x_next - x
-        step_norm = np.sqrt(np.vecdot(diff, diff))
-        # any overflow or nan upstream lands in one of these; both are
-        # nonnegative or nan, and np.maximum propagates nan
-        if np.count_nonzero(np.maximum(step_norm, resid_z) < math.inf) < size:
-            raise NonFiniteIterate(n)
-        records[0, n] = theta_n
-        records[1, n] = step_norm
+        np.subtract(x_next, x, out=diff)
+        np.vecdot(diff, diff, out=records[1, n])
         if record_iterates:
             iterates[:, n + 1] = x_next
         x = x_next
 
+    # any overflow or nan lands in theta (through the residual) or in the
+    # squared step; report the first iteration that holds one
+    bad = np.flatnonzero(~np.isfinite(records[:2]).all(axis=(0, 2)))
+    if bad.size:
+        raise NonFiniteIterate(int(bad[0]))
+    np.sqrt(records[1:], out=records[1:])
+    for a, b, cfg, _ in perturbed:
+        records[2, :, a:b] *= schedule_table(cfg.beta, steps)[:, None]
     iters = np.arange(steps)
     theta, step_norm, pert_norm = records
     traces = []

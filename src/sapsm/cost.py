@@ -101,12 +101,19 @@ def sublevel_step(gram: np.ndarray, hty: np.ndarray, yty: np.ndarray,
     theta = np.maximum(resid - rho, 0.0)
     take = theta > 0.0
     if np.count_nonzero(take):
-        grad = 2.0 * (gz - hty)
+        # the gradient 2(Gz - H'y), formed in the matvec's buffer
+        grad = np.subtract(gz, hty, out=gz)
+        grad *= 2.0
         gn2 = np.vecdot(grad, grad)
         # scale-aware stand-in for the exact test "subgradient != 0"
         take &= np.sqrt(gn2) > 1e-12 * (1.0 + np.sqrt(np.vecdot(z, z)))
-        coef = mu * theta / np.where(take, gn2, 1.0)
-        z = np.where(take[:, None], z - coef[:, None] * grad, z)
+        stepping = np.count_nonzero(take)
+        if stepping == take.size:
+            grad *= (mu * theta / gn2)[:, None]
+            z = z - grad
+        elif stepping:
+            grad *= (mu * theta / np.where(take, gn2, 1.0))[:, None]
+            z = np.subtract(z, grad, out=z.copy(), where=take[:, None])
     return project_box(z, box), resid, theta
 
 

@@ -64,11 +64,11 @@ class Constellation:
         Exact midpoints resolve to the smaller level, making the selection
         deterministic.
         """
-        return np.searchsorted(self.midpoints, x, side="left")
+        return self.midpoints.searchsorted(x, side="left")
 
     def nearest(self, x: np.ndarray) -> np.ndarray:
         """Projection onto the lattice S: the nearest level per coordinate."""
-        return self.levels[self.nearest_indices(x)]
+        return self.levels.take(self.nearest_indices(x))
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,14 @@ def project_box(x: np.ndarray, box: BoxSet) -> np.ndarray:
 
 
 def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
-    """Shrinkage sign(x) * max(|x| - tau, 0), the prox of tau * l1-norm."""
+    """Shrinkage sign(x) * max(|x| - tau, 0), the prox of tau * l1-norm.
+
+    The result carries the sign of x, also when it is zero, so that
+    soft_threshold(-x) is -soft_threshold(x) bit for bit; -0.0 maps to -0.0.
+    """
     if tau < 0:
         raise ConfigError("tau must be nonnegative")
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+    return np.copysign(np.maximum(np.abs(x) - tau, 0.0), x)
 
 
 def prox_l1_levels(x: np.ndarray, tau: float, c: Constellation) -> np.ndarray:

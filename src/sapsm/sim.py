@@ -209,11 +209,12 @@ def run_ser_vs_iter(cfg: ExperimentConfig, workers: int = 1) -> SerTable:
     tasks = [(0, trial_seed(cfg.master_seed, t)) for t in range(cfg.trials)]
     totals = _sweep(cfg, True, tasks, workers)
     symbols = cfg.k * cfg.trials
-    return SerTable([
-        SerRow(kind.value, "iter", float(it + 1), int(totals[(kind, 0)][it]), symbols)
-        for kind in cfg.detectors
-        for it in range(cfg.max_iters)
-    ])
+    rows = []
+    for kind in cfg.detectors:
+        name = kind.value
+        rows += [SerRow(name, "iter", float(it), errors, symbols)
+                 for it, errors in enumerate(totals[(kind, 0)].tolist(), 1)]
+    return SerTable(rows)
 
 
 def run_ser_vs_snr(cfg: ExperimentConfig, workers: int = 1) -> SerTable:

@@ -2,17 +2,22 @@
 is supposed to satisfy on every instance, and reports violation counts.
 
 These back the ``validate`` CLI subcommand and the acceptance tests; sample
-sizes are parameters so both can pick their own budget.
+sizes are parameters so both can pick their own budget. The audited full
+runs of every suite in a call share one engine stack, and the single-step
+suite steps all its cases of one dimension as one stack; each row is
+bitwise the run or step it would be alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-# apsm_run is not called here, but the benchmark harness (perfbench/) patches
-# this module's name for it, so the import stays
+# apsm_run and apsm_map are not called here, but the benchmark harness
+# (perfbench/) patches this module's names for them, so the imports stay
 from .apsm import (  # noqa: F401
     AUDIT_TOL,
     apsm_run,
@@ -20,7 +25,16 @@ from .apsm import (  # noqa: F401
     check_attracting,
     check_quasi_fejer,
 )
-from .cost import MU, VARIANTS, QuadraticResidualCost, apsm_map, standard_config
+from .cost import (  # noqa: F401
+    MU,
+    VARIANTS,
+    QuadraticResidualCost,
+    apsm_map,
+    residuals,
+    stack_costs,
+    standard_config,
+    sublevel_step,
+)
 from .geometry import BoxSet, constellation, prox_l1_levels
 from .mimo import ChannelModel, make_instance, trial_seed
 
@@ -89,76 +103,107 @@ def attracting_step_suite(draws: int = 10_000, seed: int = 0) -> SuiteResult:
     Draws random (H, y, x in B, feasible z) and checks, with kappa = 1 - MU/2,
     that one iteration map application satisfies
     ||T(x) - z||^2 <= ||x - z||^2 - kappa ||x - T(x)||^2 + AUDIT_TOL.
+    Every case is drawn first; the cases of each dimension then take their
+    step as one stack, each row bitwise the map applied to it alone.
     """
     rng = np.random.default_rng(seed)
-    kappa = 1.0 - MU / 2.0
-    box = BoxSet(1.0)
-    violations = 0
-    worst = 0.0
+    cases = {}
     for _ in range(draws):
         k2 = 2 * int(rng.integers(2, 5))
         n2 = 2 * k2
         H = rng.standard_normal((n2, k2))
         z = rng.uniform(-1.0, 1.0, size=k2)
         y = H @ z + 0.1 * rng.standard_normal(n2)
-        cost = QuadraticResidualCost(H, y)
-        resid_z = cost.residual_sq(z)
-        rho = resid_z * (1.0 + rng.uniform(0.0, 1.0))
+        # the radius is drawn before x and set once the residual at z is known
+        grow = 1.0 + rng.uniform(0.0, 1.0)
         x = rng.uniform(-1.0, 1.0, size=k2)
-        tx = apsm_map(cost, x, rho, MU, box)
-        lhs = float(np.sum((tx - z) ** 2))
-        rhs = float(np.sum((x - z) ** 2) - kappa * np.sum((x - tx) ** 2)) + AUDIT_TOL
-        if lhs > rhs:
-            violations += 1
-            worst = max(worst, lhs - rhs)
+        cases.setdefault(k2, []).append((QuadraticResidualCost(H, y), z, grow, x))
+    kappa = 1.0 - MU / 2.0
+    violations = 0
+    worst = 0.0
+    for group in cases.values():
+        costs, z, grow, x = zip(*group)
+        gram, hty, yty = stack_costs(costs)
+        z, grow, x = np.array(z), np.array(grow), np.array(x)
+        rho = residuals(hty, yty, z, np.matvec(gram, z)) * grow
+        tx = sublevel_step(gram, hty, yty, x, rho, MU, BoxSet(1.0))[0]
+        lhs = np.sum((tx - z) ** 2, axis=1)
+        rhs = np.sum((x - z) ** 2, axis=1) - kappa * np.sum((x - tx) ** 2, axis=1) + AUDIT_TOL
+        excess = (lhs - rhs)[lhs > rhs]
+        violations += excess.size
+        worst = max(worst, float(excess.max(initial=0.0)))
     return SuiteResult("attracting-step", draws, violations, worst)
 
 
-def _audited_runs(name: str, audit, trials: int, seed: int, max_iters: int,
-                  variants: tuple[str, ...]) -> SuiteResult:
-    """Recorded engine runs on seeded RUN_* instances, all variants of all
-    trials as one engine stack (rows ordered variant by trial), each row
-    audited against the true transmit vector by ``audit`` (a ``check_*``
-    function)."""
+class _RunSpec(NamedTuple):
+    """One audited suite: ``trials`` seeded RUN_* instances, run once per
+    variant, each run audited against the true transmit vector by ``audit``
+    (a ``check_*`` function)."""
+
+    name: str
+    audit: Callable
+    trials: int
+    seed: int
+    max_iters: int = RUN_ITERS
+    variants: tuple[str, ...] = VARIANTS
+
+
+def _audited_runs(specs: list[_RunSpec]) -> list[SuiteResult]:
+    """The result of each spec, from one recorded engine stack that holds
+    the runs of every spec; all specs must share one ``max_iters``.
+
+    The stack orders its rows variant by spec by trial, so that the runs of
+    one variant perturb as one group whatever spec they serve; the audits
+    run in spec by variant by trial order, as separate calls would.
+    """
     c = constellation(RUN_MODULATION)
     model = ChannelModel("iid")
-    insts = [make_instance(model, c, RUN_K, RUN_N, RUN_SNR_DB, trial_seed(seed, t))
-             for t in range(trials)]
-    costs = [QuadraticResidualCost(inst.H, inst.y) for inst in insts]
-    rows = [(inst, cost, standard_config(variant, max_iters=max_iters))
-            for variant in variants for inst, cost in zip(insts, costs)]
-    _, traces = apsm_run_batch([cost for _, cost, _ in rows], [cfg for *_, cfg in rows],
+    rows = []
+    for i, spec in enumerate(specs):
+        insts = [make_instance(model, c, RUN_K, RUN_N, RUN_SNR_DB, trial_seed(spec.seed, t))
+                 for t in range(spec.trials)]
+        costs = [QuadraticResidualCost(inst.H, inst.y) for inst in insts]
+        rows += [(i, inst, cost, standard_config(variant, max_iters=spec.max_iters))
+                 for variant in spec.variants for inst, cost in zip(insts, costs)]
+    order = sorted(range(len(rows)), key=lambda j: VARIANTS.index(rows[j][3].variant))
+    _, traces = apsm_run_batch([rows[j][2] for j in order], [rows[j][3] for j in order],
                                c, record_iterates=True)
-    violations = 0
-    checked = 0
-    worst = 0.0
-    for (inst, cost, cfg), trace in zip(rows, traces):
-        result = audit(trace, trace.iterates, inst.s, cost, cfg)
-        checked += result.checked
-        violations += result.violations
-        worst = max(worst, result.max_excess)
-    return SuiteResult(name, checked, violations, worst)
+    trace_of = dict(zip(order, traces))
+    # checked, violations, worst excess of each spec
+    tallies = [[0, 0, 0.0] for _ in specs]
+    for j, (i, inst, cost, cfg) in enumerate(rows):
+        trace = trace_of[j]
+        result = specs[i].audit(trace, trace.iterates, inst.s, cost, cfg)
+        tally = tallies[i]
+        tally[0] += result.checked
+        tally[1] += result.violations
+        tally[2] = max(tally[2], result.max_excess)
+    return [SuiteResult(spec.name, *tally) for spec, tally in zip(specs, tallies)]
 
 
 def quasi_fejer_suite(trials: int = 60, seed: int = 0, max_iters: int = RUN_ITERS,
                       variants: tuple[str, ...] = VARIANTS) -> SuiteResult:
     """Full-run Type-I quasi-Fejér audits against the true transmit vector."""
-    return _audited_runs("quasi-fejer-run", check_quasi_fejer, trials, seed,
-                         max_iters, variants)
+    (result,) = _audited_runs([_RunSpec("quasi-fejer-run", check_quasi_fejer, trials,
+                                        seed, max_iters, variants)])
+    return result
 
 
 def attracting_run_suite(trials: int = 20, seed: int = 0) -> SuiteResult:
     """Full-run attracting audits (with perturbation slack) for all variants."""
-    return _audited_runs("attracting-run", check_attracting, trials, seed,
-                         RUN_ITERS, VARIANTS)
+    (result,) = _audited_runs([_RunSpec("attracting-run", check_attracting, trials, seed)])
+    return result
 
 
 def run_all_suites(seed: int = 0, prox_cases: int = 2000,
                    attracting_draws: int = 2000,
                    qf_trials: int = 40) -> list[SuiteResult]:
+    """Every suite; the two audited-run suites share one engine stack."""
     return [
         prox_grid_suite(cases=prox_cases, seed=seed),
         attracting_step_suite(draws=attracting_draws, seed=seed + 1),
-        quasi_fejer_suite(trials=qf_trials, seed=seed + 2),
-        attracting_run_suite(trials=max(qf_trials // 2, 1), seed=seed + 3),
+        *_audited_runs([
+            _RunSpec("quasi-fejer-run", check_quasi_fejer, qf_trials, seed + 2),
+            _RunSpec("attracting-run", check_attracting, max(qf_trials // 2, 1), seed + 3),
+        ]),
     ]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sapsm.apsm
 from sapsm.apsm import (
     TRACE_COLUMNS,
     IterateTrace,
@@ -152,6 +153,30 @@ class TestRun:
                 with pytest.raises(NonFiniteIterate) as err:
                     apsm_run(run_cost, cfg, QPSK, x0=x0)
                 assert err.value.iteration == 0
+
+    @pytest.mark.parametrize("bad_row", [0, 1])
+    def test_non_finite_mid_run_reports_its_iteration(self, monkeypatch, bad_row):
+        # a mixed stack whose l2 group (two rows) turns nan from the 4th
+        # perturbation on, that is at iteration 3; the other rows stay finite
+        costs = [small_instance(seed=s)[1] for s in range(5)]
+        cfgs = [standard_config(v, max_iters=10) for v in ("plain", "l2", "l2", "l1", "plain")]
+        apsm_run_batch(costs, cfgs, QPSK)
+        calls = []
+
+        def poisoned(x, c):
+            calls.append(len(x))
+            v = perturbation_l2(x, c)
+            if len(calls) >= 4:
+                v[bad_row] = np.nan
+            return v
+
+        monkeypatch.setattr(sapsm.apsm, "perturbation_l2", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIterate) as err:
+                apsm_run_batch(costs, cfgs, QPSK, record_iterates=True)
+        assert err.value.iteration == 3
+        assert calls[0] == 2
 
     def test_metadata(self):
         inst, cost = small_instance(seed=6)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,6 +27,16 @@ properties = settings(derandomize=True, max_examples=200, deadline=None)
 alphabets = st.sampled_from(["qpsk", "16qam", "64qam"]).map(constellation)
 points = arrays(np.float64, st.integers(1, 16),
                 elements=st.floats(-3.0, 3.0, allow_nan=False))
+SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan)
+# any float, with signed zeros, infinities and nans drawn often
+any_points = arrays(np.float64, st.integers(1, 16),
+                    elements=st.sampled_from(SPECIALS) | st.floats())
+taus = st.just(0.0) | st.floats(0.0, 4.0)
+
+
+def sign_product_threshold(x, tau):
+    """Shrinkage as the product sign(x) * max(|x| - tau, 0)."""
+    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 
 class TestConstellation:
@@ -146,6 +156,37 @@ class TestSoftThreshold:
             x = rng.normal(size=10) * 3
             tau = rng.uniform(0, 1)
             assert np.max(np.abs(soft_threshold(x, tau))) <= np.max(np.abs(x)) + 1e-15
+
+    @properties
+    @given(x=any_points, tau=taus)
+    @example(x=np.array(SPECIALS + (-1e-300, 1e-300, -0.5, 2.0)), tau=0.0)
+    @example(x=np.array(SPECIALS + (-0.25, 0.25, -3.0)), tau=0.5)
+    def test_copysign_form_is_the_sign_product(self, x, tau):
+        # byte-equal wherever the result is a number and x is not -0.0.
+        # np.sign(-0.0) is +0.0, so the product drops the sign there, while
+        # copysign keeps it and the shrinkage stays odd. A nan result keeps
+        # the sign of x; the product's nan takes the sign of whichever
+        # operand numpy's multiply loop puts first.
+        got, ref = soft_threshold(x, tau), sign_product_threshold(x, tau)
+        assert np.array_equal(np.isnan(got), np.isnan(x))
+        assert np.array_equal(np.isnan(ref), np.isnan(x))
+        same = ~np.isnan(x) & ~((x == 0.0) & np.signbit(x))
+        assert got[same].tobytes() == ref[same].tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(x))
+        assert soft_threshold(-x, tau).tobytes() == (-got).tobytes()
+
+    @properties
+    @given(c=alphabets, x=any_points, tau=taus)
+    @example(c=QAM16, x=np.array(SPECIALS + (U16, -U16, 0.0)), tau=0.0)
+    @example(c=QPSK, x=np.array(SPECIALS + (A1, -A1, 1.05 * A1)), tau=0.1 * A1)
+    def test_prox_is_unchanged_by_the_form(self, c, x, tau):
+        # the prox shrinks x - P_S(x), which is never -0.0 (no level is
+        # zero), so every number it returns is byte-equal under either form
+        sliced = c.nearest(x)
+        ref = x.copy() if tau == 0 else sign_product_threshold(x - sliced, tau) + sliced
+        got = prox_l1_levels(x, tau, c)
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        assert got[~np.isnan(got)].tobytes() == ref[~np.isnan(ref)].tobytes()
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(5)
