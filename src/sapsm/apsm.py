@@ -38,38 +38,58 @@ AUDIT_TOL = 1e-9
 
 @dataclass
 class IterateTrace:
-    """Per-iteration scalars of one run, plus identifying metadata.
+    """Theta of each iteration of one run, with the config, cost and
+    constellation it ran on, from which the other columns are derived.
 
-    ``iterates`` holds the full sequence x_0 .. x_final (one row more than
-    there are records) and is only populated when requested; the
-    ``objective`` column is derived from it.
+    ``iterates`` holds x_0 .. x_final (one row more than there are
+    iterations) and is only populated when requested; the objective and
+    norm columns are derived from it, bitwise what a serial loop computes
+    (np.matvec and np.vecdot make per iterate the BLAS call a loop makes).
     """
 
-    n: np.ndarray
     theta: np.ndarray
-    rho: np.ndarray
-    step_norm: np.ndarray
-    pert_norm: np.ndarray
-    variant: str
-    config_hash: str
-    summability_flag: bool
+    cfg: ApsmConfig
     cost: QuadraticResidualCost
+    c: Constellation
     iterates: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return self.n.size
+        return self.theta.size
+
+    @property
+    def n(self) -> np.ndarray:
+        return np.arange(len(self))
+
+    @property
+    def rho(self) -> np.ndarray:
+        return schedule_table(self.cfg.rho, len(self))
+
+    def _recorded(self, column: str) -> np.ndarray:
+        if self.iterates is None:
+            raise ConfigError(f"the {column} column needs a run with record_iterates=True")
+        return self.iterates
 
     @property
     def objective(self) -> np.ndarray:
-        """The residual ||H x_n - y||^2 at each unperturbed iterate x_n,
-        computed from the recorded iterates (the engine does not compute
-        it). np.matvec makes per iterate the gemv the engine makes per row,
-        so this is bitwise the residual the loop would have computed."""
-        if self.iterates is None:
-            raise ConfigError("the objective column needs a run with record_iterates=True")
-        xs = self.iterates[:-1]
+        """The residual ||H x_n - y||^2 at each unperturbed iterate x_n."""
+        xs = self._recorded("objective")[:-1]
         gram, hty, yty = self.cost.gram, self.cost.hty, self.cost.yty
         return residuals(hty, yty, xs, np.matvec(gram, xs))
+
+    @property
+    def step_norm(self) -> np.ndarray:
+        """||x_{n+1} - x_n|| of each iteration."""
+        d = np.diff(self._recorded("step_norm"), axis=0)
+        return np.sqrt(np.vecdot(d, d))
+
+    @property
+    def pert_norm(self) -> np.ndarray:
+        """beta_n ||v_n|| of each iteration; zero for the unperturbed run."""
+        xs = self._recorded("pert_norm")[:-1]
+        if self.cfg.variant == "plain":
+            return np.zeros(len(self))
+        v = _perturbation(self.cfg, xs, self.c)
+        return np.sqrt(np.vecdot(v, v)) * schedule_table(self.cfg.beta, len(self))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -77,6 +97,13 @@ class IterateTrace:
             writer.writerow(TRACE_COLUMNS)
             for n, *values in zip(*(getattr(self, col) for col in TRACE_COLUMNS)):
                 writer.writerow([int(n)] + [format(v, ".17g") for v in values])
+
+
+def _perturbation(cfg: ApsmConfig, x: np.ndarray, c: Constellation) -> np.ndarray:
+    """The perturbation direction v of a perturbing config at each row of x."""
+    if cfg.variant == "l2":
+        return perturbation_l2(x, c)
+    return perturbation_l1(x, cfg.tau, c)
 
 
 def _row_groups(cfgs: list[ApsmConfig]) -> list[tuple[int, int, ApsmConfig]]:
@@ -107,8 +134,8 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     one call on its slice of the stack; all rows take one step together.
     Every row runs the full ``max_iters`` iterations, which all configs of a
     stack must share, and is bitwise the run it would be alone. Every
-    iterate after the first projection lies in the box. The traces' arrays
-    are views into buffers that the stack's traces share.
+    iterate after the first projection lies in the box. The loop records
+    theta alone, in one table of which each trace holds a column.
     """
     if len(cfgs) != len(costs):
         raise ConfigError(f"{len(cfgs)} configs for {len(costs)} problems")
@@ -125,23 +152,15 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
         if x.shape != (size, dim):
             raise DimensionMismatch(f"x0 has shape {x.shape}, expected {(size, dim)}")
     box = c.box()
-    groups = _row_groups(cfgs)
-    rho = np.empty((steps, size))
-    mu = np.empty(size)
-    perturbed = []
-    for a, b, cfg in groups:
-        rho[:, a:b] = schedule_table(cfg.rho, steps)[:, None]
-        mu[a:b] = cfg.mu
-        if cfg.variant != "plain":
-            perturbed.append((a, b, cfg, schedule_table(cfg.beta, steps).tolist()))
-    # theta, squared step norm and squared perturbation norm of each
-    # iteration and row; the norms are finished after the loop
-    records = np.zeros((3, steps, size))
+    rho = np.stack([schedule_table(cfg.rho, steps) for cfg in cfgs], axis=1)
+    mu = np.array([cfg.mu for cfg in cfgs])
+    perturbed = [(a, b, cfg, schedule_table(cfg.beta, steps).tolist())
+                 for a, b, cfg in _row_groups(cfgs) if cfg.variant != "plain"]
+    thetas = np.empty((steps, size))
     iterates = np.empty((size, steps + 1, dim)) if record_iterates else None
     if record_iterates:
         iterates[:, 0] = x
     z_buf = np.empty_like(x)
-    diff = np.empty_like(x)
 
     for n in range(steps):
         z = x
@@ -149,53 +168,26 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
             beta_n = betas[n]
             if beta_n == 0.0:
                 continue
-            if cfg.variant == "l2":
-                v = perturbation_l2(x[a:b], c)
-            else:
-                v = perturbation_l1(x[a:b], cfg.tau, c)
+            v = _perturbation(cfg, x[a:b], c)
             if z is x:
                 z = z_buf
                 np.copyto(z, x)
             np.add(x[a:b], beta_n * v, out=z[a:b])
-            np.vecdot(v, v, out=records[2, n, a:b])
 
-        x_next, _, records[0, n] = sublevel_step(gram, hty, yty, z, rho[n], mu, box)
-
-        np.subtract(x_next, x, out=diff)
-        np.vecdot(diff, diff, out=records[1, n])
+        x, _, thetas[n] = sublevel_step(gram, hty, yty, z, rho[n], mu, box)
         if record_iterates:
-            iterates[:, n + 1] = x_next
-        x = x_next
+            iterates[:, n + 1] = x
 
-    # any overflow or nan lands in theta (through the residual) or in the
-    # squared step; report the first iteration that holds one
-    bad = np.flatnonzero(~np.isfinite(records[:2]).all(axis=(0, 2)))
+    # a nan in x_{n+1} reaches theta_{n+1} through the residual, and the box
+    # clips an inf: theta names the first bad iteration, x only the last
+    bad = np.flatnonzero(~np.isfinite(thetas).all(axis=1))
     if bad.size:
         raise NonFiniteIterate(int(bad[0]))
-    np.sqrt(records[1:], out=records[1:])
-    for a, b, cfg, _ in perturbed:
-        records[2, :, a:b] *= schedule_table(cfg.beta, steps)[:, None]
-    iters = np.arange(steps)
-    theta, step_norm, pert_norm = records
-    traces = []
-    for a, b, cfg in groups:
-        config_hash = cfg.config_hash()
-        rho_column = schedule_table(cfg.rho, steps)
-        traces += [
-            IterateTrace(
-                n=iters,
-                theta=theta[:, i],
-                rho=rho_column,
-                step_norm=step_norm[:, i],
-                pert_norm=pert_norm[:, i],
-                variant=cfg.variant,
-                config_hash=config_hash,
-                summability_flag=cfg.beta.summable,
-                cost=costs[i],
-                iterates=iterates[i] if record_iterates else None,
-            )
-            for i in range(a, b)
-        ]
+    if not np.isfinite(x).all():
+        raise NonFiniteIterate(steps - 1)
+    traces = [IterateTrace(thetas[:, i], cfgs[i], costs[i], c,
+                           iterates[i] if record_iterates else None)
+              for i in range(size)]
     return x, traces
 
 
@@ -285,7 +277,7 @@ def check_attracting(trace: IterateTrace, x_seq: np.ndarray,
     With kappa = 1 - mu/2, checks, up to AUDIT_TOL,
     ||x_{n+1} - z||^2 <= ||x_n - z||^2 - kappa ||x_{n+1} - x_n||^2 + gamma_n,
     where gamma_n = beta_n * r^2 * (2 + b) is the summable slack implied by
-    bounded perturbations; r and b are reconstructed from the recorded norms.
+    bounded perturbations; r and b are reconstructed from the trace's norms.
     """
     start, d = _audit_window(trace, x_seq, z_ref, cost)
     if start is None:

@@ -221,7 +221,7 @@ def _cmd_detect(args) -> int:
         raise ConfigError("--dump-trace needs exactly one iterative detector")
     cost = QuadraticResidualCost(inst.H, inst.y)
     for kind in cfg.detectors:
-        # the trace's objective column is derived from the recorded iterates
+        # the trace derives its objective and norm columns from the iterates
         x_hat, trace = detect(kind, inst, c, resolve_apsm_config(cfg, kind),
                               record_iterates=bool(vals["dump_trace"]))
         if vals["dump_trace"] and trace is not None:

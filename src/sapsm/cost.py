@@ -277,8 +277,8 @@ def standard_config(variant: str, max_iters: int = 300) -> ApsmConfig:
     All variants share the radius schedule 5e-5 * 1.06^n and relaxation MU.
     The hard-slicing variant scales its perturbations by 0.9^n; the
     soft-thresholded variant uses tau 0.005 with a constant 0.9999 scaling
-    (not summable, so the resilience guarantee is void and flagged as such
-    in trace metadata).
+    (not summable, so the resilience guarantee is void; ``beta.summable``
+    says so, on the config and on every trace's ``cfg``).
     """
     perturbation = {"l2": {"beta": BetaSchedule.geometric(0.9)},
                     "l1": {"beta": BetaSchedule.constant(0.9999), "tau": 0.005}}

@@ -109,10 +109,7 @@ class SerTable:
 
     def __post_init__(self):
         # row order is part of the output: detector, then x-value
-        self.rows = self.sorted_rows()
-
-    def sorted_rows(self) -> list[SerRow]:
-        return sorted(self.rows, key=lambda r: (r.detector, r.x_value))
+        self.rows = sorted(self.rows, key=lambda r: (r.detector, r.x_value))
 
 
 def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
@@ -231,8 +228,8 @@ def run_ser_vs_snr(cfg: ExperimentConfig, workers: int = 1) -> SerTable:
 
 
 def table_text(table: SerTable, fmt: str = "csv") -> str:
-    """Render a table with a stable row order and byte-stable formatting."""
-    rows = table.sorted_rows()
+    """Render a table in its row order with byte-stable formatting."""
+    rows = table.rows
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -46,7 +46,7 @@ class TestRun:
         x0 = np.array([0.5, -0.5])
         cost = QuadraticResidualCost(np.eye(2), x0.copy())
         cfg = ApsmConfig(rho=RhoSchedule(1e-3, 1.0), variant="plain", max_iters=50)
-        x, trace = apsm_run(cost, cfg, QPSK, x0=x0)
+        x, trace = apsm_run(cost, cfg, QPSK, x0=x0, record_iterates=True)
         np.testing.assert_array_equal(x, x0)
         assert len(trace) == cfg.max_iters
         assert np.all(trace.step_norm == 0.0)
@@ -100,9 +100,10 @@ class TestRun:
                     assert trace.iterates.shape == (cfg.max_iters + 1, 4)
                 else:
                     assert trace.iterates is None
-                    # the objective column is derived from the iterates
-                    with pytest.raises(ConfigError):
-                        trace.objective
+                    # these columns are derived from the iterates
+                    for col in ("objective", "step_norm", "pert_norm"):
+                        with pytest.raises(ConfigError, match=col):
+                            getattr(trace, col)
 
     def test_every_step_is_apsm_map(self):
         # the engine's step at the reference setup is the audited iteration
@@ -178,14 +179,37 @@ class TestRun:
         assert err.value.iteration == 3
         assert calls[0] == 2
 
+    def test_non_finite_last_iterate_names_the_last_iteration(self, monkeypatch):
+        # a nan that appears in the last step's result never reaches a theta;
+        # the check of the final iterate names the last iteration
+        costs = [small_instance(seed=s)[1] for s in range(3)]
+        cfgs = [standard_config(v, max_iters=6) for v in ("plain", "l2", "l1")]
+        step = sapsm.apsm.sublevel_step
+        calls = []
+
+        def poisoned(*args):
+            calls.append(None)
+            x, resid, theta = step(*args)
+            if len(calls) == cfgs[0].max_iters:
+                x[1] = np.nan
+            return x, resid, theta
+
+        monkeypatch.setattr(sapsm.apsm, "sublevel_step", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIterate) as err:
+                apsm_run_batch(costs, cfgs, QPSK)
+        assert err.value.iteration == cfgs[0].max_iters - 1
+        assert len(calls) == cfgs[0].max_iters
+
     def test_metadata(self):
         inst, cost = small_instance(seed=6)
         for variant, summable in (("plain", True), ("l2", True), ("l1", False)):
             cfg = standard_config(variant, max_iters=10)
             _, trace = apsm_run(cost, cfg, QPSK)
-            assert trace.variant == variant
-            assert trace.summability_flag is summable
-            assert trace.config_hash == cfg.config_hash()
+            assert trace.cfg == cfg and trace.cfg.variant == variant
+            assert trace.cfg.beta.summable is summable
+            assert trace.cost is cost and trace.c is QPSK
 
 
 class TestAudits:
@@ -246,7 +270,8 @@ class TestAudits:
 
     def test_steps_decay_on_converging_runs(self):
         inst, cost = small_instance(seed=13)
-        _, trace = apsm_run(cost, standard_config("plain", max_iters=300), QPSK)
+        _, trace = apsm_run(cost, standard_config("plain", max_iters=300), QPSK,
+                            record_iterates=True)
         decile = max(1, len(trace) // 10)
         assert trace.step_norm[-decile:].mean() < trace.step_norm[:decile].mean()
 
@@ -290,10 +315,10 @@ SIZES = {4: (2, 4, QPSK), 8: (4, 8, QPSK), 32: (16, 32, QAM16)}
 
 def recorded_columns(trace):
     """The trace columns a run has: all of TRACE_COLUMNS when it recorded
-    its iterates, every one but the derived objective otherwise."""
+    its iterates, only those not derived from them otherwise."""
     if trace.iterates is not None:
         return TRACE_COLUMNS
-    return tuple(col for col in TRACE_COLUMNS if col != "objective")
+    return ("n", "theta", "rho")
 
 
 def assert_same_run(a, b):
@@ -307,8 +332,7 @@ def assert_same_run(a, b):
     assert (ta.iterates is None) == (tb.iterates is None)
     if ta.iterates is not None:
         assert ta.iterates.tobytes() == tb.iterates.tobytes()
-    assert (ta.variant, ta.config_hash, ta.summability_flag) == (
-        tb.variant, tb.config_hash, tb.summability_flag)
+    assert ta.cfg == tb.cfg
 
 
 def serial_reference_run(cost, cfg, c, x0=None):

@@ -77,7 +77,7 @@ class TestSerVsIter:
     def test_flat_baseline_rows(self):
         cfg = iter_cfg(detectors=(D.LMMSE,), trials=3, max_iters=25)
         table = run_ser_vs_iter(cfg)
-        errs = [r.errors for r in table.sorted_rows()]
+        errs = [r.errors for r in table.rows]
         assert len(set(errs)) == 1  # replicated per iteration
 
     def test_plain_equals_l2_with_zero_beta_rows(self):
@@ -88,8 +88,8 @@ class TestSerVsIter:
             },
         )
         table = run_ser_vs_iter(cfg)
-        plain = [r.errors for r in table.sorted_rows() if r.detector == "apsm_plain"]
-        l2 = [r.errors for r in table.sorted_rows() if r.detector == "apsm_l2"]
+        plain = [r.errors for r in table.rows if r.detector == "apsm_plain"]
+        l2 = [r.errors for r in table.rows if r.detector == "apsm_l2"]
         assert plain == l2
 
     def test_doubling_trials_keeps_prefix(self, monkeypatch):
@@ -123,7 +123,7 @@ class TestSerVsSnr:
                                channel=ChannelModel("iid"),
                                detectors=(D.LMMSE,), snr_db=(0.0, 4.0, 8.0, 12.0),
                                trials=2000, max_iters=5, master_seed=5)
-        rows = run_ser_vs_snr(cfg).sorted_rows()
+        rows = run_ser_vs_snr(cfg).rows
         sers = [r.ser for r in rows]
         ses = [np.sqrt(max(r.ser * (1 - r.ser), 1e-12) / r.symbols) for r in rows]
         for i in range(len(sers) - 1):
@@ -172,7 +172,7 @@ class TestEmit:
         rows = json.loads(path.read_text())["rows"]
         back = [SerRow(r["detector"], r["x_kind"], r["x_value"], r["errors"],
                        r["symbols"]) for r in rows]
-        assert back == table.sorted_rows()
+        assert back == table.rows
         assert [r["ser"] for r in rows] == [r.ser for r in back]
 
     def test_unknown_format(self, tmp_path):
@@ -190,7 +190,7 @@ class TestEmit:
             SerRow("a", "iter", 1.0, 0, 10),
             SerRow("b", "iter", 1.0, 0, 10),
         ])
-        ordered = [(r.detector, r.x_value) for r in table.sorted_rows()]
+        ordered = [(r.detector, r.x_value) for r in table.rows]
         assert ordered == [("a", 1.0), ("b", 1.0), ("b", 2.0)]
 
 

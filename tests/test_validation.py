@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sapsm.validation as validation
 from sapsm.apsm import TRACE_COLUMNS, _row_groups
 from sapsm.cost import MU, QuadraticResidualCost, apsm_map
 from sapsm.errors import ConfigError
-from sapsm.geometry import BoxSet
+from sapsm.geometry import BoxSet, constellation
 from sapsm.validation import (
+    GRID_HI,
+    GRID_LO,
+    GRID_STEP,
+    PROX_ALPHABETS,
     SuiteResult,
+    _grid_min,
     _audited_runs,
     _RunSpec,
     attracting_run_suite,
@@ -66,6 +73,28 @@ def dimensions_drawn(draws, seed):
         rng.uniform(-1.0, 1.0, size=k2)
         dims.add(k2)
     return dims
+
+
+GRID = np.arange(GRID_LO, GRID_HI + GRID_STEP / 2, GRID_STEP)
+
+
+class TestProxGrid:
+    # x over the whole grid (the suite draws [-2, 2]), at and between grid
+    # points and at both ends; tau beyond the suite's [0, 0.5] widens the
+    # window up to the whole grid
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(PROX_ALPHABETS),
+           st.floats(GRID_LO, GRID_HI) | st.integers(0, GRID.size - 1).map(lambda i: GRID[i]),
+           st.floats(0.0, 0.5) | st.floats(0.0, 4.0))
+    @example("qpsk", GRID_LO, 0.0)
+    @example("16qam", GRID_HI, 0.0)
+    @example("16qam", GRID_HI, 4.0)
+    @example("qpsk", 0.0, 0.5)
+    def test_window_minimum_is_the_grid_minimum(self, name, x, tau):
+        c = constellation(name)
+        f1_grid = np.abs(GRID - c.nearest(GRID))
+        whole = np.square(np.subtract(x, GRID)) * 0.5 + tau * f1_grid
+        assert _grid_min(x, tau, GRID, f1_grid).hex() == float(whole.min()).hex()
 
 
 class TestAttractingStep:
