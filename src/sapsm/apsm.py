@@ -14,6 +14,7 @@ reference point.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -45,6 +46,8 @@ class IterateTrace:
     iterations) and is only populated when requested; the objective and
     norm columns are derived from it, bitwise what a serial loop computes
     (np.matvec and np.vecdot make per iterate the BLAS call a loop makes).
+    Each derived column is computed once per trace and shared read-only, so
+    the two audits of one trace make one whole-run perturbation call.
     """
 
     theta: np.ndarray
@@ -69,27 +72,27 @@ class IterateTrace:
             raise ConfigError(f"the {column} column needs a run with record_iterates=True")
         return self.iterates
 
-    @property
+    @functools.cached_property
     def objective(self) -> np.ndarray:
         """The residual ||H x_n - y||^2 at each unperturbed iterate x_n."""
         xs = self._recorded("objective")[:-1]
         gram, hty, yty = self.cost.gram, self.cost.hty, self.cost.yty
-        return residuals(hty, yty, xs, np.matvec(gram, xs))
+        return _read_only(residuals(hty, yty, xs, np.matvec(gram, xs)))
 
-    @property
+    @functools.cached_property
     def step_norm(self) -> np.ndarray:
         """||x_{n+1} - x_n|| of each iteration."""
         d = np.diff(self._recorded("step_norm"), axis=0)
-        return np.sqrt(np.vecdot(d, d))
+        return _read_only(np.sqrt(np.vecdot(d, d)))
 
-    @property
+    @functools.cached_property
     def pert_norm(self) -> np.ndarray:
         """beta_n ||v_n|| of each iteration; zero for the unperturbed run."""
         xs = self._recorded("pert_norm")[:-1]
         if self.cfg.variant == "plain":
-            return np.zeros(len(self))
+            return _read_only(np.zeros(len(self)))
         v = _perturbation(self.cfg, xs, self.c)
-        return np.sqrt(np.vecdot(v, v)) * schedule_table(self.cfg.beta, len(self))
+        return _read_only(np.sqrt(np.vecdot(v, v)) * schedule_table(self.cfg.beta, len(self)))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -97,6 +100,11 @@ class IterateTrace:
             writer.writerow(TRACE_COLUMNS)
             for n, *values in zip(*(getattr(self, col) for col in TRACE_COLUMNS)):
                 writer.writerow([int(n)] + [format(v, ".17g") for v in values])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _perturbation(cfg: ApsmConfig, x: np.ndarray, c: Constellation) -> np.ndarray:
@@ -174,7 +182,7 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
                 np.copyto(z, x)
             np.add(x[a:b], beta_n * v, out=z[a:b])
 
-        x, _, thetas[n] = sublevel_step(gram, hty, yty, z, rho[n], mu, box)
+        x, thetas[n] = sublevel_step(gram, hty, yty, z, rho[n], mu, box)
         if record_iterates:
             iterates[:, n + 1] = x
 

@@ -86,19 +86,18 @@ def residuals(hty: np.ndarray, yty: np.ndarray, x: np.ndarray,
 
 def sublevel_step(gram: np.ndarray, hty: np.ndarray, yty: np.ndarray,
                   z: np.ndarray, rho: float | np.ndarray, mu: float | np.ndarray,
-                  box: BoxSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  box: BoxSet) -> tuple[np.ndarray, np.ndarray]:
     """One relaxed subgradient projection of each row of z toward its
     rho-sublevel set, clamped to the box.
 
     Takes the stacks of ``stack_costs`` and z as (B, d); ``rho`` and ``mu``
-    are scalars or one value per row. Returns (next
-    iterates, residuals ||H_i z_i - y_i||^2, theta) with theta = (residual -
-    rho)_+ the cost value at z, one per row. A row keeps z when its theta is
-    zero or its subgradient 2H'(Hz - y) vanishes.
+    are scalars or one value per row. Returns (next iterates, theta) with
+    theta = (||H_i z_i - y_i||^2 - rho)_+ the cost value at z, one per row.
+    A row keeps z when its theta is zero or its subgradient 2H'(Hz - y)
+    vanishes.
     """
     gz = np.matvec(gram, z)
-    resid = residuals(hty, yty, z, gz)
-    theta = np.maximum(resid - rho, 0.0)
+    theta = np.maximum(residuals(hty, yty, z, gz) - rho, 0.0)
     take = theta > 0.0
     if np.count_nonzero(take):
         # the gradient 2(Gz - H'y), formed in the matvec's buffer
@@ -114,7 +113,7 @@ def sublevel_step(gram: np.ndarray, hty: np.ndarray, yty: np.ndarray,
         elif stepping:
             grad *= (mu * theta / np.where(take, gn2, 1.0))[:, None]
             z = np.subtract(z, grad, out=z.copy(), where=take[:, None])
-    return project_box(z, box), resid, theta
+    return project_box(z, box), theta
 
 
 def apsm_map(cost: QuadraticResidualCost, x: np.ndarray, rho: float,

@@ -26,9 +26,7 @@ class Constellation:
     means ``2 * mean(levels**2) == 1``.
     """
 
-    name: str
     levels: np.ndarray
-    bits_per_real_dim: int
     midpoints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -83,20 +81,20 @@ class BoxSet:
 
 
 _FACTORIES = {
-    "qpsk": (np.array([-1.0, 1.0]), 1),
-    "16qam": (np.array([-3.0, -1.0, 1.0, 3.0]), 2),
-    "64qam": (np.array([-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0]), 3),
+    "qpsk": np.array([-1.0, 1.0]),
+    "16qam": np.array([-3.0, -1.0, 1.0, 3.0]),
+    "64qam": np.array([-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0]),
 }
 
 
 def constellation(name: str) -> Constellation:
     """Build a named constellation, scaled to unit average symbol energy."""
     try:
-        raw, bits = _FACTORIES[name.lower()]
+        raw = _FACTORIES[name.lower()]
     except KeyError:
         raise ConfigError(f"unknown modulation {name!r}") from None
     scale = np.sqrt(2.0 * np.mean(raw**2))
-    return Constellation(name.lower(), raw / scale, bits)
+    return Constellation(raw / scale)
 
 
 def project_box(x: np.ndarray, box: BoxSet) -> np.ndarray:

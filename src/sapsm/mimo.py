@@ -3,12 +3,12 @@
 Complex N x K systems are lifted to real 2N x 2K ones; real coordinate k
 pairs with k+K as one complex symbol. Channels come column-normalized
 (perfect power allocation), either i.i.d. Gaussian or Kronecker-correlated
-with exponential correlation profiles.
+with exponential correlation profiles. A realization carries the received
+y = Hs + w, not the noise w itself.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,10 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
 from .geometry import Constellation
-
-log = logging.getLogger(__name__)
-
-_COLUMN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,14 +37,13 @@ class ChannelModel:
 
 @dataclass
 class ChannelInstance:
-    """One realization (H, s, w, y, sigma2) of the real-valued model y = Hs + w."""
+    """One realization (H, s, y, sigma2) of the real-valued model y = Hs + w,
+    with complex noise variance sigma2."""
 
     H: np.ndarray
     s: np.ndarray
-    w: np.ndarray
     y: np.ndarray
     sigma2: float
-    seed: int
 
 
 def realify(Hc: np.ndarray) -> np.ndarray:
@@ -90,23 +85,15 @@ def _corr_sqrt(rho: float, n: int) -> np.ndarray:
 
 def gen_channel(model: ChannelModel, N: int, K: int,
                 rng: np.random.Generator) -> np.ndarray:
-    """Draw a complex N x K channel and normalize its columns to unit 2-norm."""
+    """Draw a complex N x K channel and normalize its columns to unit 2-norm
+    (continuous entries and full-rank correlation roots for rho < 1: a zero
+    column has probability zero)."""
     if not N >= K >= 1:
         raise ConfigError(f"need N >= K >= 1, got N={N}, K={K}")
     G = (rng.standard_normal((N, K)) + 1j * rng.standard_normal((N, K))) / np.sqrt(2.0)
     if model.kind == "kronecker" and (model.rho_tx > 0 or model.rho_rx > 0):
         G = _corr_sqrt(model.rho_rx, N) @ G @ _corr_sqrt(model.rho_tx, K)
-    norms = np.linalg.norm(G, axis=0)
-    resampled = 0
-    while np.any(norms < _COLUMN_TOL):
-        # probability-zero event, but a zero column cannot be normalized
-        for j in np.nonzero(norms < _COLUMN_TOL)[0]:
-            G[:, j] = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / np.sqrt(2.0)
-            resampled += 1
-        norms = np.linalg.norm(G, axis=0)
-    if resampled:
-        log.warning("resampled %d degenerate channel columns", resampled)
-    return G / norms
+    return G / np.linalg.norm(G, axis=0)
 
 
 def transmit(c: Constellation, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -114,20 +101,14 @@ def transmit(c: Constellation, K: int, rng: np.random.Generator) -> np.ndarray:
     return c.levels[rng.integers(0, c.size, size=2 * K)]
 
 
-def add_noise(hs: np.ndarray, sigma2: float,
-              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Add real Gaussian noise of per-coordinate variance sigma2/2.
-
-    Returns (w, y) with y = hs + w holding exactly: w is recomputed as
-    y - hs after rounding so the identity is bitwise true.
-    """
+def add_noise(hs: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
+    """Return y = hs + w for real Gaussian noise w of per-coordinate
+    variance sigma2/2; a copy of hs, drawing nothing, when sigma2 is 0."""
     if sigma2 < 0:
         raise ConfigError("sigma2 must be nonnegative")
     if sigma2 == 0:
-        return np.zeros_like(hs), np.asarray(hs, dtype=float).copy()
-    w = rng.normal(0.0, np.sqrt(sigma2 / 2.0), size=hs.shape)
-    y = hs + w
-    return y - hs, y
+        return np.asarray(hs, dtype=float).copy()
+    return hs + rng.normal(0.0, np.sqrt(sigma2 / 2.0), size=hs.shape)
 
 
 def snr_to_sigma2(snr_db: float, N: int, K: int) -> float:
@@ -151,8 +132,7 @@ def make_instance(model: ChannelModel, c: Constellation, K: int, N: int,
     H = realify(gen_channel(model, N, K, rng))
     s = transmit(c, K, rng)
     sigma2 = snr_to_sigma2(snr_db, N, K)
-    w, y = add_noise(H @ s, sigma2, rng)
-    return ChannelInstance(H=H, s=s, w=w, y=y, sigma2=sigma2, seed=seed)
+    return ChannelInstance(H=H, s=s, y=add_noise(H @ s, sigma2, rng), sigma2=sigma2)
 
 
 def symbol_errors(x_hat: np.ndarray, s: np.ndarray,

@@ -155,8 +155,8 @@ def test_criterion_5_ml_dominance(capsys):
 
 
 def test_criterion_6_closed_form_baselines(capsys):
-    ident = ChannelInstance(H=realify(np.eye(1)), s=np.zeros(2), w=np.zeros(2),
-                            y=np.array([1.0, -1.0]), sigma2=1.0, seed=0)
+    ident = ChannelInstance(H=realify(np.eye(1)), s=np.zeros(2),
+                            y=np.array([1.0, -1.0]), sigma2=1.0)
     lm = detect_lmmse(ident)
     cl = detect_constrained_lmmse(ident)
     exact = (np.max(np.abs(lm - [0.5, -0.5])) <= 1e-12

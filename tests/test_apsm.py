@@ -189,10 +189,10 @@ class TestRun:
 
         def poisoned(*args):
             calls.append(None)
-            x, resid, theta = step(*args)
+            x, theta = step(*args)
             if len(calls) == cfgs[0].max_iters:
                 x[1] = np.nan
-            return x, resid, theta
+            return x, theta
 
         monkeypatch.setattr(sapsm.apsm, "sublevel_step", poisoned)
         with warnings.catch_warnings():
@@ -250,6 +250,29 @@ class TestAudits:
             audit = check_attracting(trace, trace.iterates, inst.s, cost, cfg)
             assert audit.checked > 0
             assert audit.violations == 0
+
+    @pytest.mark.parametrize("variant", ["l2", "l1"])
+    def test_both_audits_make_one_perturbation_call(self, monkeypatch, variant):
+        inst, cost = small_instance(seed=10)
+        cfg = standard_config(variant, max_iters=260)
+        _, trace = apsm_run(cost, cfg, QPSK, record_iterates=True)
+        alone = [check(IterateTrace(trace.theta, cfg, cost, QPSK, trace.iterates),
+                       trace.iterates, inst.s, cost, cfg)
+                 for check in (check_quasi_fejer, check_attracting)]
+        calls = []
+
+        def counted(perturbation):
+            def call(*args):
+                calls.append(len(args[0]))
+                return perturbation(*args)
+            return call
+
+        monkeypatch.setattr(sapsm.apsm, "perturbation_l2", counted(perturbation_l2))
+        monkeypatch.setattr(sapsm.apsm, "perturbation_l1", counted(perturbation_l1))
+        shared = [check(trace, trace.iterates, inst.s, cost, cfg)
+                  for check in (check_quasi_fejer, check_attracting)]
+        assert calls == [cfg.max_iters]
+        assert shared == alone and all(audit.checked > 0 for audit in shared)
 
     def test_telescoped_step_energy_is_bounded(self):
         # kappa * sum of squared steps <= ||x_a - z||^2 + sum gamma_n

@@ -22,14 +22,14 @@ WIDE = BoxSet(1e9)
 
 
 def step(cost, x, rho):
-    """The engine's step on a stack of one: (next iterate, residual, theta)."""
+    """The engine's step on a stack of one: (next iterate, theta)."""
     x = np.asarray(x, dtype=float)[None]
     return tuple(a[0] for a in sublevel_step(*stack_costs([cost]), x, rho, 1.0, WIDE))
 
 
 def theta(cost, x, rho):
     """Cost value (||Hx - y||^2 - rho)_+ as the engine's step computes it."""
-    return step(cost, x, rho)[2]
+    return step(cost, x, rho)[1]
 
 
 def subgradient(cost, x):
@@ -49,8 +49,9 @@ class TestTheta:
 
     def test_direct_value(self):
         cost = QuadraticResidualCost(I2, np.zeros(2))
-        _, resid, theta_val = step(cost, np.array([3.0, 4.0]), 5.0)
-        assert resid == pytest.approx(25.0, abs=1e-12)
+        x = np.array([3.0, 4.0])
+        _, theta_val = step(cost, x, 5.0)
+        assert cost.residual_sq(x) == pytest.approx(25.0, abs=1e-12)
         assert theta_val == pytest.approx(20.0, abs=1e-12)
 
     def test_clips_to_zero_below_rho(self):

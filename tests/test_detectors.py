@@ -35,7 +35,7 @@ def manual_instance(H, y, sigma2=0.0, s=None):
     H = np.asarray(H, dtype=float)
     y = np.asarray(y, dtype=float)
     s = np.zeros(H.shape[1]) if s is None else np.asarray(s, dtype=float)
-    return ChannelInstance(H=H, s=s, w=y - H @ s, y=y, sigma2=sigma2, seed=0)
+    return ChannelInstance(H=H, s=s, y=y, sigma2=sigma2)
 
 
 def rand_instance(seed, k=4, n=8, snr=10.0, c=QPSK):

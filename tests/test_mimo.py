@@ -119,14 +119,13 @@ class TestTransmit:
 class TestNoise:
     def test_noiseless_path(self):
         hs = np.array([1.0, -2.0])
-        w, y = add_noise(hs, 0.0, np.random.default_rng(5))
-        np.testing.assert_array_equal(w, np.zeros(2))
+        y = add_noise(hs, 0.0, np.random.default_rng(5))
         np.testing.assert_array_equal(y, hs)
 
     def test_moments(self):
         rng = np.random.default_rng(6)
         sigma2 = 0.37
-        w, _ = add_noise(np.zeros(1_000_000), sigma2, rng)
+        w = add_noise(np.zeros(1_000_000), sigma2, rng)
         var = sigma2 / 2.0
         # sample variance concentrates within 3 sigma
         assert abs(w.var() - var) <= 3 * var * np.sqrt(2 / w.size)
@@ -136,7 +135,7 @@ class TestNoise:
         # E||w||^2 = N sigma2 over 2N coordinates
         rng = np.random.default_rng(7)
         n2, sigma2, runs = 64, 0.2, 2000
-        total = sum(float(w @ w) for w, _ in
+        total = sum(float(w @ w) for w in
                     (add_noise(np.zeros(n2), sigma2, rng) for _ in range(runs)))
         expected = (n2 / 2) * sigma2
         assert abs(total / runs - expected) <= 0.05 * expected
@@ -159,7 +158,8 @@ class TestSnr:
             rng = np.random.default_rng(trial_seed(13, t))
             H = realify(gen_channel(ChannelModel("iid"), n, k, rng))
             s = transmit(QAM16, k, rng)
-            w, _ = add_noise(H @ s, snr_to_sigma2(snr_db, n, k), rng)
+            hs = H @ s
+            w = add_noise(hs, snr_to_sigma2(snr_db, n, k), rng) - hs
             sig_pow += float(s @ (H.T @ (H @ s)))
             noise_pow += float(w @ w)
         measured = sig_pow / noise_pow
@@ -220,9 +220,15 @@ class TestSymbolErrors:
 
 class TestInstance:
     def test_construction_identity_is_exact(self):
-        inst = make_instance(ChannelModel("iid"), QAM16, 4, 8, 9.0, trial_seed(21, 0))
-        residual = inst.y - inst.H @ inst.s - inst.w
-        assert np.all(residual == 0.0)
+        seed = trial_seed(21, 0)
+        inst = make_instance(ChannelModel("iid"), QAM16, 4, 8, 9.0, seed)
+        # replay the draws: y is Hs plus the noise drawn after H and s
+        rng = np.random.default_rng(seed)
+        H = realify(gen_channel(ChannelModel("iid"), 8, 4, rng))
+        s = transmit(QAM16, 4, rng)
+        w = rng.normal(0.0, np.sqrt(inst.sigma2 / 2.0), size=16)
+        assert np.all(inst.H == H) and np.all(inst.s == s)
+        assert np.all(inst.y == H @ s + w)
         assert np.all(np.isin(inst.s, QAM16.levels))
         np.testing.assert_allclose(
             np.linalg.norm(complexify(inst.H), axis=0), 1.0, atol=1e-12)
