@@ -28,7 +28,6 @@ from .mimo import ChannelModel, make_instance, symbol_errors
 from .sim import (
     ExperimentConfig,
     emit,
-    resolve_apsm_config,
     run_ser_vs_iter,
     run_ser_vs_snr,
     table_text,
@@ -137,16 +136,15 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _apsm_overrides(vals: dict, kinds: tuple[DetectorKind, ...]) -> dict:
-    """Standard run parameters of each iterative detector, with each schedule
-    flag applied to the variants that read it."""
+    """Standard run parameters of each iterative detector of ``kinds``, with
+    each schedule flag applied to the variants that read it (the experiment
+    sets the budget)."""
     if vals["beta"] is not None and vals["beta_geom"] is not None:
         raise ConfigError("--beta and --beta-geom are mutually exclusive")
     overrides = {}
     for kind in kinds:
-        if kind not in _APSM_VARIANT:
-            continue
         variant = _APSM_VARIANT[kind]
-        base = standard_config(variant, max_iters=vals["iters"])
+        base = standard_config(variant)
         rho = RhoSchedule(
             vals["rho0"] if vals["rho0"] is not None else base.rho.rho0,
             vals["growth"] if vals["growth"] is not None else base.rho.growth,
@@ -178,7 +176,7 @@ def _experiment_config(vals: dict) -> ExperimentConfig:
         max_iters=vals["iters"],
         master_seed=vals["seed"],
     )
-    return replace(cfg, apsm_overrides=_apsm_overrides(vals, cfg.detectors))
+    return replace(cfg, apsm_overrides=_apsm_overrides(vals, tuple(cfg.apsm_overrides)))
 
 
 def _workers(vals: dict) -> int:
@@ -216,13 +214,12 @@ def _single_instance(vals: dict):
 def _cmd_detect(args) -> int:
     vals = _resolve(args)
     cfg, c, inst = _single_instance(vals)
-    apsm_kinds = [k for k in cfg.detectors if k in _APSM_VARIANT]
-    if vals["dump_trace"] and len(apsm_kinds) != 1:
+    if vals["dump_trace"] and len(cfg.apsm_overrides) != 1:
         raise ConfigError("--dump-trace needs exactly one iterative detector")
     cost = QuadraticResidualCost(inst.H, inst.y)
     for kind in cfg.detectors:
         # the trace derives its objective and norm columns from the iterates
-        x_hat, trace = detect(kind, inst, c, resolve_apsm_config(cfg, kind),
+        x_hat, trace = detect(kind, inst, c, cfg.apsm_overrides.get(kind),
                               record_iterates=bool(vals["dump_trace"]))
         if vals["dump_trace"] and trace is not None:
             trace.to_csv(vals["dump_trace"])
@@ -234,13 +231,11 @@ def _cmd_detect(args) -> int:
 def _cmd_diagnose(args) -> int:
     vals = _resolve(args)
     cfg, c, inst = _single_instance(vals)
-    apsm_kinds = [k for k in cfg.detectors if k in _APSM_VARIANT]
-    if not apsm_kinds:
+    if not cfg.apsm_overrides:
         raise ConfigError("diagnose needs at least one iterative detector")
     cost = QuadraticResidualCost(inst.H, inst.y)
     ok = True
-    for kind in apsm_kinds:
-        acfg = resolve_apsm_config(cfg, kind)
+    for kind, acfg in cfg.apsm_overrides.items():
         report = diagnose(cost, acfg, c, inst.s)
         print(f"detector={kind.value} summable_beta={acfg.beta.summable}")
         print(report.to_json())

@@ -146,17 +146,16 @@ class RhoSchedule:
         if self.rho0 > RHO_MAX:
             raise ConfigError(f"rho0 must be <= {RHO_MAX:g}")
 
-
-def rho_at(schedule: RhoSchedule, n: int) -> float:
-    if n < 0:
-        raise ConfigError("iteration index must be nonnegative")
-    if schedule.growth == 1.0:
-        return schedule.rho0
-    # cap the exponent before exponentiating so long runs cannot overflow
-    n_sat = math.log(RHO_MAX / schedule.rho0) / math.log(schedule.growth)
-    if n >= n_sat:
-        return RHO_MAX
-    return schedule.rho0 * schedule.growth**n
+    def at(self, n: int) -> float:
+        if n < 0:
+            raise ConfigError("iteration index must be nonnegative")
+        if self.growth == 1.0:
+            return self.rho0
+        # cap the exponent before exponentiating so long runs cannot overflow
+        n_sat = math.log(RHO_MAX / self.rho0) / math.log(self.growth)
+        if n >= n_sat:
+            return RHO_MAX
+        return self.rho0 * self.growth**n
 
 
 @dataclass(frozen=True)
@@ -209,11 +208,9 @@ class BetaSchedule:
 
 @functools.lru_cache(maxsize=256)
 def schedule_table(schedule: RhoSchedule | BetaSchedule, n_terms: int) -> np.ndarray:
-    """The values of a schedule at n = 0 .. n_terms - 1: ``rho_at`` for a
-    radius schedule, ``BetaSchedule.at`` for a perturbation one. Tabulated
-    once per (schedule, length) and shared, so the array is read-only."""
-    at = functools.partial(rho_at, schedule) if isinstance(schedule, RhoSchedule) else schedule.at
-    table = np.array([at(n) for n in range(n_terms)], dtype=float)
+    """The values ``schedule.at(n)`` at n = 0 .. n_terms - 1. Tabulated once
+    per (schedule, length) and shared, so the array is read-only."""
+    table = np.array([schedule.at(n) for n in range(n_terms)], dtype=float)
     table.flags.writeable = False
     return table
 

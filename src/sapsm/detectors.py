@@ -20,7 +20,7 @@ import scipy.linalg
 from .apsm import IterateTrace, apsm_run
 from .cost import ApsmConfig, QuadraticResidualCost, standard_config
 from .errors import CandidateBudget, ConfigError, SolverFailure
-from .geometry import BoxSet, Constellation, project_box
+from .geometry import BoxSet, Constellation
 from .mimo import ChannelInstance
 
 ML_CANDIDATE_LIMIT = 10**6
@@ -90,14 +90,6 @@ class BoxOracleResult(NamedTuple):
     x: np.ndarray
     converged: bool
     iterations: int
-
-
-def first_order_residual(cost: QuadraticResidualCost, x: np.ndarray,
-                         box: BoxSet) -> float:
-    """Fixed-point residual ||x - P_B(x - grad/L)|| of the projected step,
-    with L = 2 * lambda_max(H'H) the gradient's Lipschitz constant."""
-    lipschitz = 2.0 * float(np.linalg.eigvalsh(cost.gram)[-1])
-    return float(np.linalg.norm(x - project_box(x - cost.gradient(x) / lipschitz, box)))
 
 
 def _kkt_excess(cost: QuadraticResidualCost, abs_gram: np.ndarray,

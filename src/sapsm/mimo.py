@@ -1,4 +1,4 @@
-"""Real-valued MIMO signal model: stacking, channels, noise and error counts.
+"""Real-valued MIMO signal model: real lifting, channels, noise, error counts.
 
 Complex N x K systems are lifted to real 2N x 2K ones; real coordinate k
 pairs with k+K as one complex symbol. Channels come column-normalized
@@ -52,23 +52,6 @@ def realify(Hc: np.ndarray) -> np.ndarray:
     Hc = np.asarray(Hc)
     re, im = Hc.real, Hc.imag
     return np.block([[re, -im], [im, re]])
-
-
-def complexify(H: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`realify` (top blocks only)."""
-    n2, k2 = H.shape
-    if n2 % 2 or k2 % 2:
-        raise DimensionMismatch("realified matrix must have even dimensions")
-    n, k = n2 // 2, k2 // 2
-    return H[:n, :k] + 1j * H[n:, :k]
-
-
-def complexify_vector(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    if v.size % 2:
-        raise DimensionMismatch("realified vector must have even length")
-    k = v.size // 2
-    return v[:k] + 1j * v[k:]
 
 
 @lru_cache(maxsize=16)

@@ -36,6 +36,13 @@ BATCH_TRIALS = 64
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One Monte-Carlo experiment. Once built, ``apsm_overrides`` holds one
+    full run config per iterative detector of ``detectors``, in list order:
+    its override, else ``standard_config`` of its variant, with the
+    experiment's ``max_iters`` so per-iteration curves stay aligned. An
+    override for any other detector, or of another variant, is a ConfigError.
+    """
+
     k: int
     n: int
     modulation: str = "16qam"
@@ -53,11 +60,7 @@ class ExperimentConfig:
             overrides = {DetectorKind(k): v for k, v in self.apsm_overrides.items()}
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        for kind, acfg in overrides.items():
-            if _APSM_VARIANT.get(kind) != acfg.variant:
-                raise ConfigError(f"{kind.value} cannot run a {acfg.variant!r} config")
         object.__setattr__(self, "detectors", kinds)
-        object.__setattr__(self, "apsm_overrides", overrides)
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
@@ -71,20 +74,23 @@ class ExperimentConfig:
             raise ConfigError(f"need 1 <= K <= N, got K={self.k}, N={self.n}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
+        variants = {kind: _APSM_VARIANT[kind] for kind in kinds if kind in _APSM_VARIANT}
+        if not overrides.keys() <= variants.keys():
+            raise ConfigError("overrides apply only to the iterative detectors of the list")
+        resolved = {}
+        for kind, variant in variants.items():
+            acfg = overrides.get(kind) or standard_config(variant)
+            if acfg.variant != variant:
+                raise ConfigError(f"{kind.value} cannot run a {acfg.variant!r} config")
+            resolved[kind] = replace(acfg, max_iters=self.max_iters)
+        object.__setattr__(self, "apsm_overrides", resolved)
 
 
 def resolve_apsm_config(cfg: ExperimentConfig,
                         kind: DetectorKind) -> ApsmConfig | None:
-    """Per-detector run parameters: override if given, defaults otherwise,
-    and None for the non-iterative baselines.
-
-    The iteration budget always follows the experiment so per-iteration
-    curves stay aligned across detectors.
-    """
-    if kind not in _APSM_VARIANT:
-        return None
-    base = cfg.apsm_overrides.get(kind) or standard_config(_APSM_VARIANT[kind])
-    return replace(base, max_iters=cfg.max_iters)
+    """The run parameters ``cfg`` resolved for an iterative detector of its
+    list, and None for any other detector."""
+    return cfg.apsm_overrides.get(kind)
 
 
 @dataclass(frozen=True)
@@ -128,11 +134,9 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
              for si, seed in tasks]
     sent = np.stack([inst.s for inst in insts])
     errors = {}
-    iterative = []
+    iterative = cfg.apsm_overrides
     for kind in cfg.detectors:
-        acfg = resolve_apsm_config(cfg, kind)
-        if acfg is not None:
-            iterative.append((kind, acfg))
+        if kind in iterative:
             continue
         x_hat = np.stack([detect(kind, inst, c)[0] for inst in insts])
         errors[kind] = symbol_errors(x_hat, sent, c)
@@ -140,9 +144,9 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
             errors[kind] = np.repeat(errors[kind][:, None], cfg.max_iters, axis=1)
     if iterative:
         costs = [QuadraticResidualCost(inst.H, inst.y) for _ in iterative for inst in insts]
-        cfgs = [acfg for _, acfg in iterative for _ in insts]
+        cfgs = [acfg for acfg in iterative.values() for _ in insts]
         x_hat, traces = apsm_run_batch(costs, cfgs, c, record_iterates=per_iteration)
-        for j, (kind, _) in enumerate(iterative):
+        for j, kind in enumerate(iterative):
             rows = slice(j * len(insts), (j + 1) * len(insts))
             if per_iteration:
                 errors[kind] = [symbol_errors(trace.iterates[1:], s, c)

@@ -17,12 +17,13 @@ from sapsm.detectors import (
     detect_box_oracle,
     detect_constrained_lmmse,
     detect_lmmse,
-    first_order_residual,
 )
 from sapsm.geometry import constellation
 from sapsm.mimo import ChannelInstance, ChannelModel, make_instance, realify, trial_seed
 from sapsm.sim import ExperimentConfig, run_ser_vs_snr, table_text
 from sapsm.validation import attracting_step_suite, prox_grid_suite
+
+from helpers import first_order_residual
 
 QAM16 = constellation("16qam")
 QPSK = constellation("qpsk")

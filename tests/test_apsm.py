@@ -24,7 +24,6 @@ from sapsm.cost import (
     QuadraticResidualCost,
     RhoSchedule,
     apsm_map,
-    rho_at,
     standard_config,
 )
 from sapsm.errors import ConfigError, DimensionMismatch, NonFiniteIterate
@@ -66,7 +65,7 @@ class TestRun:
         inst, cost = small_instance(seed=1)
         cfg = standard_config("l1", max_iters=300)
         x, trace = apsm_run(cost, cfg, QPSK)
-        rho_final = rho_at(cfg.rho, int(trace.n[-1]))
+        rho_final = cfg.rho.at(int(trace.n[-1]))
         assert cost.residual_sq(x) <= rho_final + 1e-9
 
     def test_iterates_stay_in_box(self):
@@ -124,7 +123,7 @@ class TestRun:
                         x = x + beta_n * perturbation_l2(x, qam16)
                     elif variant == "l1":
                         x = x + beta_n * perturbation_l1(x, cfg.tau, qam16)
-                    step = apsm_map(cost, x, rho_at(cfg.rho, n), cfg.mu, box)
+                    step = apsm_map(cost, x, cfg.rho.at(n), cfg.mu, box)
                     np.testing.assert_array_equal(step, trace.iterates[n + 1])
 
     def test_dimension_mismatch(self):
@@ -381,7 +380,7 @@ def serial_reference_run(cost, cfg, c, x0=None):
                 v = perturbation_l1(x, cfg.tau, c)
             pert_norm = beta_n * math.sqrt(float(v @ v))
             z = x + beta_n * v
-        rho_n = rho_at(cfg.rho, n)
+        rho_n = cfg.rho.at(n)
         gz = cost.gram @ z
         resid_z = residual(z, gz)
         theta_n = max(resid_z - rho_n, 0.0)

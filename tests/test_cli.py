@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -224,6 +225,42 @@ class TestDiagnoseAndValidate:
         assert "suites passed" in out
         assert "FAIL" not in out
 
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenOutputs:
+    """Pinned digests of outputs whose run parameters come from the schedule
+    flags and the experiment budget through the CLI. The digests are those of
+    numpy 2.4 with its bundled OpenBLAS on x86-64."""
+
+    SCHEDULE_FLAGS = ["--rho0", "1e-4", "--growth", "1.05", "--mu", "0.9",
+                      "--beta-geom", "0.8", "--tau", "0.01"]
+
+    def test_iteration_sweep_with_schedule_flags(self, capsys):
+        assert run(["ser-iter", "--k", "4", "--n", "16", "--snr", "12", "--trials", "6",
+                    "--iters", "80", "--seed", "4", "--workers", "1",
+                    "--detectors", "apsm_plain,apsm_l2,apsm_l1,lmmse",
+                    *self.SCHEDULE_FLAGS]) == 0
+        assert sha256(capsys.readouterr().out) == (
+            "22ce06ef46579b4239525fc352c3680fcf99c18c6908cd20315bf94c848039ed")
+
+    def test_detect_with_trace(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        assert run(["detect", "--k", "4", "--n", "8", "--snr", "14", "--seed", "6",
+                    "--iters", "120", "--detectors", "lmmse,apsm_l1,box_oracle",
+                    "--dump-trace", str(trace)]) == 0
+        assert sha256(capsys.readouterr().out + trace.read_text()) == (
+            "6e436822310c5dce8c7c706f992231d88208980396f42a6d3262ea54e2dc38c4")
+
+    def test_diagnose_every_variant(self, capsys):
+        assert run(["diagnose", "--k", "4", "--n", "8", "--mod", "qpsk", "--snr", "8",
+                    "--seed", "5", "--iters", "260",
+                    "--detectors", "apsm_plain,apsm_l2,apsm_l1"]) == 0
+        assert sha256(capsys.readouterr().out) == (
+            "ff744a0d7c274aa23736fba16491f196a08cf9beccc1bc3b24d61fb259f2326d")
 
 # a value of the right type for every flag, so that only the subcommand can
 # make a flag wrong

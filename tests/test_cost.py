@@ -8,7 +8,6 @@ from sapsm.cost import (
     QuadraticResidualCost,
     RhoSchedule,
     apsm_map,
-    rho_at,
     schedule_table,
     stack_costs,
     standard_config,
@@ -176,21 +175,21 @@ class TestApsmMap:
 class TestRhoSchedule:
     def test_reference_values(self):
         sched = RhoSchedule(5e-5, 1.06)
-        assert rho_at(sched, 0) == 5e-5
-        assert rho_at(sched, 2) == pytest.approx(5.618e-5, rel=1e-12)
+        assert sched.at(0) == 5e-5
+        assert sched.at(2) == pytest.approx(5.618e-5, rel=1e-12)
 
     def test_constant_growth(self):
-        assert rho_at(RhoSchedule(5e-5, 1.0), 17) == 5e-5
+        assert RhoSchedule(5e-5, 1.0).at(17) == 5e-5
 
     def test_nondecreasing(self):
         sched = RhoSchedule(1e-4, 1.06)
-        vals = [rho_at(sched, n) for n in range(0, 2000, 50)]
+        vals = [sched.at(n) for n in range(0, 2000, 50)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_saturates_without_overflow(self):
         sched = RhoSchedule(5e-5, 1.06)
-        assert rho_at(sched, 10**6) == RHO_MAX
-        assert np.isfinite(rho_at(sched, 10**9))
+        assert sched.at(10**6) == RHO_MAX
+        assert np.isfinite(sched.at(10**9))
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -198,7 +197,7 @@ class TestRhoSchedule:
         with pytest.raises(ConfigError):
             RhoSchedule(1e-4, 0.99)
         with pytest.raises(ConfigError):
-            rho_at(RhoSchedule(1e-4), -1)
+            RhoSchedule(1e-4).at(-1)
         with pytest.raises(ConfigError):
             RhoSchedule(2 * RHO_MAX, 1.06)
 
@@ -220,10 +219,9 @@ class TestSchedulesAndConfig:
         BetaSchedule.geometric(0.9), BetaSchedule.geometric(1e-160),
         BetaSchedule.constant(0.9999), BetaSchedule.none()])
     def test_table_is_the_schedule(self, schedule):
-        at = (lambda n: rho_at(schedule, n)) if isinstance(schedule, RhoSchedule) else schedule.at
         table = schedule_table(schedule, 300)
         assert table.dtype == np.float64 and table.shape == (300,)
-        assert table.tobytes() == np.array([at(n) for n in range(300)]).tobytes()
+        assert table.tobytes() == np.array([schedule.at(n) for n in range(300)]).tobytes()
         # runs share the table, so it cannot be written
         assert not table.flags.writeable
         assert schedule_table(schedule, 300) is table

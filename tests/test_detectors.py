@@ -19,11 +19,12 @@ from sapsm.detectors import (
     detect_constrained_lmmse,
     detect_lmmse,
     detect_ml_bruteforce,
-    first_order_residual,
 )
 from sapsm.errors import CandidateBudget, ConfigError, SolverFailure
 from sapsm.geometry import BoxSet, constellation, project_box
 from sapsm.mimo import ChannelInstance, ChannelModel, make_instance, realify, trial_seed
+
+from helpers import first_order_residual
 
 QPSK = constellation("qpsk")
 QAM16 = constellation("16qam")

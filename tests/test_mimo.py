@@ -6,8 +6,6 @@ from sapsm.geometry import constellation
 from sapsm.mimo import (
     ChannelModel,
     add_noise,
-    complexify,
-    complexify_vector,
     gen_channel,
     make_instance,
     realify,
@@ -16,6 +14,8 @@ from sapsm.mimo import (
     transmit,
     trial_seed,
 )
+
+from helpers import complexify, complexify_vector
 
 QPSK = constellation("qpsk")
 QAM16 = constellation("16qam")

@@ -58,8 +58,34 @@ class TestValidation:
             iter_cfg(apsm_overrides={D.APSM_PLAIN: standard_config("l2")})
         with pytest.raises(ConfigError):
             iter_cfg(apsm_overrides={"turbo": standard_config("plain")})
-        cfg = iter_cfg(apsm_overrides={"apsm_l1": standard_config("l1")})
-        assert list(cfg.apsm_overrides) == [D.APSM_L1]
+        cfg = iter_cfg(detectors=(D.APSM_L1,),
+                       apsm_overrides={"apsm_l1": standard_config("l1")})
+        assert cfg.apsm_overrides == {D.APSM_L1: standard_config("l1", max_iters=60)}
+
+    def test_rejects_an_override_for_an_unlisted_iterative_detector(self):
+        with pytest.raises(ConfigError):
+            iter_cfg(apsm_overrides={D.APSM_L2: standard_config("l2")})
+
+    def test_resolves_each_listed_iterative_detector_in_list_order(self):
+        l2 = replace(standard_config("l2"), mu=1.2)
+        cfg = iter_cfg(detectors=(D.APSM_L1, D.LMMSE, D.APSM_PLAIN, D.APSM_L2),
+                       apsm_overrides={D.APSM_L2: l2})
+        assert list(cfg.apsm_overrides.items()) == [
+            (D.APSM_L1, standard_config("l1", max_iters=60)),
+            (D.APSM_PLAIN, standard_config("plain", max_iters=60)),
+            (D.APSM_L2, replace(l2, max_iters=60))]
+        assert sapsm.sim.resolve_apsm_config(cfg, D.APSM_L2) == replace(l2, max_iters=60)
+        assert sapsm.sim.resolve_apsm_config(cfg, D.LMMSE) is None
+
+    def test_resolved_map_follows_a_replaced_budget(self):
+        l2 = replace(standard_config("l2"), mu=1.2)
+        cfg = iter_cfg(detectors=(D.APSM_PLAIN, D.APSM_L2),
+                       apsm_overrides={D.APSM_L2: l2})
+        longer = replace(cfg, max_iters=90)
+        assert longer.apsm_overrides == {
+            D.APSM_PLAIN: standard_config("plain", max_iters=90),
+            D.APSM_L2: replace(l2, max_iters=90)}
+        assert replace(longer, max_iters=60) == cfg
 
     def test_iter_sweep_needs_single_snr(self):
         with pytest.raises(ConfigError):
