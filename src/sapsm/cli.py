@@ -21,7 +21,7 @@ from functools import partial
 
 from .apsm import diagnose
 from .cost import BetaSchedule, QuadraticResidualCost, RhoSchedule, standard_config
-from .detectors import _APSM_VARIANT, DetectorKind, detect
+from .detectors import _APSM_VARIANT, detect
 from .errors import ConfigError
 from .geometry import constellation
 from .mimo import ChannelModel, make_instance, symbol_errors
@@ -135,15 +135,15 @@ def _resolve(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _apsm_overrides(vals: dict, kinds: tuple[DetectorKind, ...]) -> dict:
-    """Standard run parameters of each iterative detector of ``kinds``, with
-    each schedule flag applied to the variants that read it (the experiment
-    sets the budget)."""
+def _apsm_overrides(vals: dict, names: list[str]) -> dict:
+    """Standard run parameters of each iterative detector among ``names``,
+    with each schedule flag applied to the variants that read it (the
+    experiment sets the budget, and rejects any name it does not know)."""
     if vals["beta"] is not None and vals["beta_geom"] is not None:
         raise ConfigError("--beta and --beta-geom are mutually exclusive")
     overrides = {}
-    for kind in kinds:
-        variant = _APSM_VARIANT[kind]
+    for name in filter(_APSM_VARIANT.__contains__, names):
+        variant = _APSM_VARIANT[name]
         base = standard_config(variant)
         rho = RhoSchedule(
             vals["rho0"] if vals["rho0"] is not None else base.rho.rho0,
@@ -155,7 +155,7 @@ def _apsm_overrides(vals: dict, kinds: tuple[DetectorKind, ...]) -> dict:
         elif variant != "plain" and vals["beta_geom"] is not None:
             beta = BetaSchedule.geometric(vals["beta_geom"])
         tau = vals["tau"] if vals["tau"] is not None and variant == "l1" else base.tau
-        overrides[kind] = replace(base, rho=rho, beta=beta, tau=tau,
+        overrides[name] = replace(base, rho=rho, beta=beta, tau=tau,
                                   mu=vals["mu"] if vals["mu"] is not None else base.mu)
     return overrides
 
@@ -164,19 +164,18 @@ def _experiment_config(vals: dict) -> ExperimentConfig:
     names = vals["detectors"]
     if isinstance(names, str):
         names = [s.strip() for s in names.split(",") if s.strip()]
-    channel = ChannelModel(vals["channel"], vals["rho_tx"], vals["rho_rx"])
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         k=vals["k"],
         n=vals["n"],
         modulation=vals["mod"],
-        channel=channel,
+        channel=ChannelModel(vals["channel"], vals["rho_tx"], vals["rho_rx"]),
         detectors=tuple(names),
         snr_db=tuple(vals["snr"]),
         trials=vals["trials"],
         max_iters=vals["iters"],
         master_seed=vals["seed"],
+        apsm_overrides=_apsm_overrides(vals, names),
     )
-    return replace(cfg, apsm_overrides=_apsm_overrides(vals, tuple(cfg.apsm_overrides)))
 
 
 def _workers(vals: dict) -> int:

@@ -28,6 +28,8 @@ class Constellation:
 
     levels: np.ndarray
     midpoints: np.ndarray = field(init=False, repr=False)
+    # level i slices from the interval (edges[i], edges[i + 1]]
+    edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         levels = np.asarray(self.levels, dtype=float)
@@ -43,7 +45,9 @@ class Constellation:
                 f"average complex-symbol energy is {energy!r}, expected 1"
             )
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "midpoints", (levels[:-1] + levels[1:]) / 2.0)
+        edges = np.r_[-np.inf, (levels[:-1] + levels[1:]) / 2.0, np.finfo(float).max]
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "midpoints", edges[1:-1])
 
     @property
     def a_max(self) -> float:

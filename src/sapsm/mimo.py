@@ -122,10 +122,10 @@ def symbol_errors(x_hat: np.ndarray, s: np.ndarray,
                   c: Constellation) -> int | np.ndarray:
     """Count wrong complex symbols after hard slicing.
 
-    Coordinates k and k+K form one symbol; the symbol is wrong when either
-    real component slices to a different level than the reference. A stack
-    of estimates (one per row) gives one count per row, against one
-    reference or against a stack of references of the same shape.
+    Coordinates k and k+K form one symbol; it is wrong when either real
+    component lies outside the slicing interval of the reference's level (a
+    non-finite one always does). A stack of estimates (one per row) gives one
+    count per row, against one reference or a stack of references of its shape.
     """
     x_hat = np.asarray(x_hat, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -134,6 +134,7 @@ def symbol_errors(x_hat: np.ndarray, s: np.ndarray,
     if s.shape[-1] % 2:
         raise DimensionMismatch("vectors must have even length")
     k = s.shape[-1] // 2
-    wrong = c.nearest_indices(x_hat) != c.nearest_indices(s)
-    errors = np.count_nonzero(wrong[..., :k] | wrong[..., k:], axis=-1)
+    i = c.nearest_indices(s)
+    right = (x_hat > c.edges[i]) & (x_hat <= c.edges[i + 1])
+    errors = k - np.count_nonzero(right[..., :k] & right[..., k:], axis=-1)
     return errors if x_hat.ndim == 2 else int(errors)

@@ -10,8 +10,6 @@ identical for any worker count.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -127,8 +125,8 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
     run per realization, in task order; the iterative detectors run the
     whole batch as one engine stack, rows ordered detector by realization,
     and a row does not depend on the stack it sits in. Per-iteration counts
-    are arrays of length ``max_iters``; non-iterative baselines repeat their
-    single count.
+    of an iterative detector are arrays of length ``max_iters``, counted from
+    each row's recorded iterates; a baseline keeps its single count.
     """
     insts = [make_instance(cfg.channel, c, cfg.k, cfg.n, cfg.snr_db[si], seed)
              for si, seed in tasks]
@@ -140,8 +138,6 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
             continue
         x_hat = np.stack([detect(kind, inst, c)[0] for inst in insts])
         errors[kind] = symbol_errors(x_hat, sent, c)
-        if per_iteration:
-            errors[kind] = np.repeat(errors[kind][:, None], cfg.max_iters, axis=1)
     if iterative:
         costs = [QuadraticResidualCost(inst.H, inst.y) for _ in iterative for inst in insts]
         cfgs = [acfg for acfg in iterative.values() for _ in insts]
@@ -212,9 +208,9 @@ def run_ser_vs_iter(cfg: ExperimentConfig, workers: int = 1) -> SerTable:
     symbols = cfg.k * cfg.trials
     rows = []
     for kind in cfg.detectors:
-        name = kind.value
-        rows += [SerRow(name, "iter", float(it), errors, symbols)
-                 for it, errors in enumerate(totals[(kind, 0)].tolist(), 1)]
+        counts = np.broadcast_to(totals[(kind, 0)], cfg.max_iters).tolist()
+        rows += [SerRow(kind.value, "iter", float(it), errors, symbols)
+                 for it, errors in enumerate(counts, 1)]
     return SerTable(rows)
 
 
@@ -233,23 +229,23 @@ def run_ser_vs_snr(cfg: ExperimentConfig, workers: int = 1) -> SerTable:
 
 def table_text(table: SerTable, fmt: str = "csv") -> str:
     """Render a table in its row order with byte-stable formatting."""
-    rows = table.rows
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow([
-                r.detector, r.x_kind,
-                format(r.x_value, ".17g"),
-                r.errors, r.symbols,
-                format(r.ser, ".17g"),
-            ])
-        return buf.getvalue()
+        # unquoted fields: no name holds a comma, quote or line break. Each
+        # distinct float is formatted once; its sign keeps -0.0 apart from 0.0
+        texts = {}
+
+        def text(v: float) -> str:
+            key = (v, math.copysign(1.0, v))
+            if key not in texts:
+                texts[key] = format(v, ".17g")
+            return texts[key]
+
+        return "\n".join([",".join(CSV_HEADER)] + [
+            f"{r.detector},{r.x_kind},{text(r.x_value)},{r.errors},{r.symbols},{text(r.ser)}"
+            for r in table.rows]) + "\n"
     if fmt == "json":
-        body = json.dumps({"rows": [r.to_dict() for r in rows]}, sort_keys=True,
-                          separators=(",", ":"))
-        return body + "\n"
+        return json.dumps({"rows": [r.to_dict() for r in table.rows]}, sort_keys=True,
+                          separators=(",", ":")) + "\n"
     raise ConfigError(f"unknown output format {fmt!r}")
 
 

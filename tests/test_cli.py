@@ -36,6 +36,19 @@ class TestSerSnr:
         assert run(["ser-snr", "--k", "2", "--n", "4", "--trials", "2",
                     "--detectors", "sphere"]) == 2
 
+    def test_experiment_config_is_built_once(self, monkeypatch, capsys):
+        calls = []
+        post_init = sapsm.sim.ExperimentConfig.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(sapsm.sim.ExperimentConfig, "__post_init__", counting)
+        assert run(["detect", "--k", "2", "--n", "4", "--mod", "qpsk", "--iters", "20",
+                    "--detectors", "apsm_l1,lmmse"]) == 0
+        assert len(calls) == 1
+
     def test_stdout_when_no_out(self, capsys):
         code = run(["ser-snr", "--k", "2", "--n", "4", "--mod", "qpsk",
                     "--snr", "8", "--trials", "3", "--iters", "20",

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sapsm.errors import ConfigError, DimensionMismatch
 from sapsm.geometry import constellation
@@ -15,10 +18,40 @@ from sapsm.mimo import (
     trial_seed,
 )
 
-from helpers import complexify, complexify_vector
+from helpers import complexify, complexify_vector, symbol_errors_by_slicing
 
 QPSK = constellation("qpsk")
 QAM16 = constellation("16qam")
+MODULATIONS = ("qpsk", "16qam", "64qam")
+FLOAT_MAX = np.finfo(float).max
+
+
+def edge_values(c):
+    """Finite values where slicing can go wrong: the levels, +-a_max, signed
+    zeros, each midpoint and its neighbours one ulp away, and huge values."""
+    mids = c.midpoints
+    values = [*c.levels, *mids, *np.nextafter(mids, -np.inf),
+              *np.nextafter(mids, np.inf), c.a_max, -c.a_max, 0.0, -0.0,
+              1e300, -1e300, FLOAT_MAX, -FLOAT_MAX]
+    return [float(v) for v in values]
+
+
+@st.composite
+def counting_cases(draw):
+    """(constellation, estimate, reference) of a 1-D estimate, a stack of
+    estimates against one reference, or a stack against per-row references."""
+    c = constellation(draw(st.sampled_from(MODULATIONS)))
+    values = st.one_of(st.sampled_from(edge_values(c)),
+                       st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(-2.0 * c.a_max, 2.0 * c.a_max))
+    dim = 2 * draw(st.integers(1, 4))
+    form = draw(st.sampled_from(("1d", "2d", "per_row")))
+    x_shape = (dim,) if form == "1d" else (draw(st.integers(1, 5)), dim)
+    s_shape = (dim,) if form == "2d" else x_shape
+    x = draw(arrays(float, x_shape, elements=values))
+    s = draw(arrays(float, s_shape,
+                    elements=st.one_of(st.sampled_from(list(c.levels)), values)))
+    return c, x, s
 
 
 class TestStacking:
@@ -216,6 +249,38 @@ class TestSymbolErrors:
             symbol_errors(rows, refs[:3], QPSK)
         with pytest.raises(DimensionMismatch):
             symbol_errors(rows[0], refs, QPSK)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("level", [0, 1, -1], ids=["bottom", "inner", "top"])
+    def test_non_finite_coordinate_is_a_wrong_symbol(self, value, level):
+        # slicing alone would map nan and +inf to the top level and -inf to
+        # the bottom one, and count them right against that level
+        s = np.full(4, QAM16.levels[level])
+        assert symbol_errors(np.full(4, value), s, QAM16) == 2
+        x = s.copy()
+        x[3] = value
+        assert symbol_errors(x, s, QAM16) == 1
+        assert symbol_errors(np.stack([s, x]), s, QAM16).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("name", MODULATIONS)
+    def test_edge_values_match_slicing_against_every_level(self, name):
+        c = constellation(name)
+        values = np.array(edge_values(c))
+        x = np.stack([values, values[::-1]], axis=1).ravel()
+        for level in c.levels:
+            s = np.full(x.shape, level)
+            assert symbol_errors(x, s, c) == symbol_errors_by_slicing(x, s, c)
+            pairs = x.reshape(-1, 2)
+            np.testing.assert_array_equal(
+                symbol_errors(pairs, s[:2], c),
+                symbol_errors_by_slicing(pairs, s[:2], c))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(counting_cases())
+    def test_counts_match_slicing_on_finite_values(self, case):
+        c, x, s = case
+        np.testing.assert_array_equal(symbol_errors(x, s, c),
+                                      symbol_errors_by_slicing(x, s, c))
 
 
 class TestInstance:

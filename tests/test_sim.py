@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import sapsm.sim
-from sapsm.cost import BetaSchedule, standard_config
+from sapsm.apsm import apsm_run_batch
+from sapsm.cost import BetaSchedule, QuadraticResidualCost, standard_config
 from sapsm.detectors import DetectorKind as D
 from sapsm.detectors import detect
 from sapsm.errors import ConfigError
@@ -23,6 +24,8 @@ from sapsm.sim import (
     table_text,
 )
 from sapsm.validation import run_all_suites
+
+from helpers import table_text_csv_writer
 
 ALL_SIX = (D.APSM_PLAIN, D.APSM_L2, D.APSM_L1, D.LMMSE, D.CONSTRAINED_LMMSE,
            D.BOX_ORACLE)
@@ -134,6 +137,25 @@ class TestSerVsIter:
         assert seeds[:4] == small
         assert len(set(seeds)) == 8
 
+    def test_per_iteration_counts_equal_one_count_per_iterate(self):
+        cfg = iter_cfg(detectors=(D.APSM_L1, D.LMMSE, D.APSM_PLAIN, D.APSM_L2),
+                       trials=5, max_iters=40)
+        c = constellation(cfg.modulation)
+        tasks = [(0, trial_seed(cfg.master_seed, t)) for t in range(cfg.trials)]
+        totals = sapsm.sim._batch_errors(cfg, c, True, tasks)
+        insts = [make_instance(cfg.channel, c, cfg.k, cfg.n, cfg.snr_db[0], seed)
+                 for _, seed in tasks]
+        iterative = list(cfg.apsm_overrides.items())
+        _, traces = apsm_run_batch(
+            [QuadraticResidualCost(inst.H, inst.y) for _ in iterative for inst in insts],
+            [acfg for _, acfg in iterative for _ in insts], c, record_iterates=True)
+        for j, (kind, _) in enumerate(iterative):
+            expected = np.zeros(cfg.max_iters, dtype=int)
+            for trace, inst in zip(traces[j * len(insts):], insts):
+                expected += [symbol_errors(x, inst.s, c) for x in trace.iterates[1:]]
+            np.testing.assert_array_equal(totals[(kind, 0)], expected)
+        assert totals[(D.APSM_L1, 0)].max() > 0
+
     def test_row_shape_and_bounds(self):
         cfg = iter_cfg(trials=3, max_iters=20)
         table = run_ser_vs_iter(cfg)
@@ -209,6 +231,32 @@ class TestEmit:
         target = tmp_path / "missing_dir" / "t.csv"
         with pytest.raises(OSError, match="missing_dir"):
             emit(self.one_row_table(), target)
+
+    def test_csv_matches_csv_writer_on_one_row(self):
+        table = self.one_row_table()
+        assert table_text(table) == table_text_csv_writer(table)
+
+    def test_csv_matches_csv_writer_on_an_iteration_table(self):
+        cfg = iter_cfg(detectors=(D.APSM_PLAIN, D.APSM_L2, D.APSM_L1, D.LMMSE),
+                       trials=3, max_iters=300)
+        table = run_ser_vs_iter(cfg)
+        assert len(table.rows) == 1200
+        assert table_text(table) == table_text_csv_writer(table)
+
+    def test_csv_matches_csv_writer_at_infinite_snr(self):
+        table = run_ser_vs_snr(iter_cfg(snr_db=(np.inf, 8.0), trials=2, max_iters=10))
+        text = table_text(table)
+        assert text == table_text_csv_writer(table)
+        assert "apsm_plain,snr_db,inf," in text
+
+    def test_csv_keeps_the_sign_of_a_zero_snr(self):
+        # 0.0 and -0.0 are equal as keys: the rows must still print apart
+        table = run_ser_vs_snr(iter_cfg(snr_db=(0.0, -0.0), trials=2, max_iters=10,
+                                        detectors=(D.LMMSE,)))
+        lines = table_text(table).splitlines()
+        assert lines[1].startswith("lmmse,snr_db,0,")
+        assert lines[2].startswith("lmmse,snr_db,-0,")
+        assert table_text(table) == table_text_csv_writer(table)
 
     def test_row_order_stable(self):
         table = SerTable([
