@@ -230,19 +230,13 @@ def run_ser_vs_snr(cfg: ExperimentConfig, workers: int = 1) -> SerTable:
 def table_text(table: SerTable, fmt: str = "csv") -> str:
     """Render a table in its row order with byte-stable formatting."""
     if fmt == "csv":
-        # unquoted fields: no name holds a comma, quote or line break. Each
-        # distinct float is formatted once; its sign keeps -0.0 apart from 0.0
-        texts = {}
-
-        def text(v: float) -> str:
-            key = (v, math.copysign(1.0, v))
-            if key not in texts:
-                texts[key] = format(v, ".17g")
-            return texts[key]
-
+        # fields go unquoted, so a name that would need quoting is refused
+        names = {r.detector for r in table.rows} | {r.x_kind for r in table.rows}
+        if any(c in n for n in names for c in ',"\n\r'):
+            raise ConfigError("CSV names may not hold a comma, quote or line break")
         return "\n".join([",".join(CSV_HEADER)] + [
-            f"{r.detector},{r.x_kind},{text(r.x_value)},{r.errors},{r.symbols},{text(r.ser)}"
-            for r in table.rows]) + "\n"
+            f"{r.detector},{r.x_kind},{format(r.x_value, '.17g')},{r.errors},"
+            f"{r.symbols},{format(r.ser, '.17g')}" for r in table.rows]) + "\n"
     if fmt == "json":
         return json.dumps({"rows": [r.to_dict() for r in table.rows]}, sort_keys=True,
                           separators=(",", ":")) + "\n"

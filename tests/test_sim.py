@@ -232,31 +232,27 @@ class TestEmit:
         with pytest.raises(OSError, match="missing_dir"):
             emit(self.one_row_table(), target)
 
-    def test_csv_matches_csv_writer_on_one_row(self):
-        table = self.one_row_table()
+    @pytest.mark.parametrize("build", [
+        lambda: SerTable([SerRow("lmmse", "snr_db", 9.0, 3, 40)]),
+        lambda: run_ser_vs_iter(iter_cfg(
+            detectors=(D.APSM_PLAIN, D.APSM_L2, D.APSM_L1, D.LMMSE),
+            trials=3, max_iters=300)),
+        lambda: run_ser_vs_snr(iter_cfg(snr_db=(np.inf, 8.0), trials=2, max_iters=10)),
+        # 0.0 and -0.0 are equal floats; the second row must still print -0
+        lambda: run_ser_vs_snr(iter_cfg(snr_db=(0.0, -0.0), trials=2, max_iters=10,
+                                        detectors=(D.LMMSE,))),
+    ], ids=["one_row", "iteration_1200_rows", "infinite_snr", "signed_zero_snr"])
+    def test_csv_matches_csv_writer(self, build):
+        table = build()
         assert table_text(table) == table_text_csv_writer(table)
 
-    def test_csv_matches_csv_writer_on_an_iteration_table(self):
-        cfg = iter_cfg(detectors=(D.APSM_PLAIN, D.APSM_L2, D.APSM_L1, D.LMMSE),
-                       trials=3, max_iters=300)
-        table = run_ser_vs_iter(cfg)
-        assert len(table.rows) == 1200
-        assert table_text(table) == table_text_csv_writer(table)
-
-    def test_csv_matches_csv_writer_at_infinite_snr(self):
-        table = run_ser_vs_snr(iter_cfg(snr_db=(np.inf, 8.0), trials=2, max_iters=10))
-        text = table_text(table)
-        assert text == table_text_csv_writer(table)
-        assert "apsm_plain,snr_db,inf," in text
-
-    def test_csv_keeps_the_sign_of_a_zero_snr(self):
-        # 0.0 and -0.0 are equal as keys: the rows must still print apart
-        table = run_ser_vs_snr(iter_cfg(snr_db=(0.0, -0.0), trials=2, max_iters=10,
-                                        detectors=(D.LMMSE,)))
-        lines = table_text(table).splitlines()
-        assert lines[1].startswith("lmmse,snr_db,0,")
-        assert lines[2].startswith("lmmse,snr_db,-0,")
-        assert table_text(table) == table_text_csv_writer(table)
+    @pytest.mark.parametrize("row", [SerRow("a,b", "iter", 1.0, 0, 10),
+                                     SerRow("lmmse", 'it"er', 1.0, 0, 10),
+                                     SerRow("lm\nmse", "iter", 1.0, 0, 10)])
+    def test_csv_refuses_a_name_that_needs_quoting(self, row):
+        with pytest.raises(ConfigError, match="comma"):
+            table_text(SerTable([row]))
+        assert json.loads(table_text(SerTable([row]), fmt="json"))["rows"]
 
     def test_row_order_stable(self):
         table = SerTable([

@@ -5,8 +5,8 @@
 
 Each side runs ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` from the root of its own source checkout, one run at a time; T
-is the change's ``BENCHMARK.json`` ``run_seconds`` unless ``--seconds`` is
-given.
+is always the change's ``BENCHMARK.json`` ``run_seconds``, so both sides run
+as long as the benchmark itself does.
 
 Pair p uses seed S + p and both sides run it; the parent goes first on the
 1st, 3rd, ... pair of the whole sequence (all workloads in the order given)
@@ -40,8 +40,6 @@ def parse_args(argv):
     p.add_argument("--pairs", required=True, type=int)
     p.add_argument("--seed", required=True, type=int,
                    help="seed of the first pair; pair p uses seed + p")
-    p.add_argument("--seconds", type=float,
-                   help="run length (default: BENCHMARK.json's run_seconds)")
     p.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
     p.add_argument("--out-dir", type=Path, default=ROOT)
     p.add_argument("--parent-label", help="commit or name of the parent side")
@@ -128,8 +126,7 @@ def main(argv=None) -> int:
     with open(args.change / "BENCHMARK.json") as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    if args.seconds is None:
-        args.seconds = float(bench["run_seconds"])
+    seconds = float(bench["run_seconds"])
     runs, manifest, k = [], {}, 0
     for w in args.workload:
         for p in range(args.pairs):
@@ -137,8 +134,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             k += 1
             for side in order:
-                result, manifest = run_once(getattr(args, side), w, seed,
-                                            args.seconds)
+                result, manifest = run_once(getattr(args, side), w, seed, seconds)
                 runs.append({"side": side, "workload": w, "seed": seed,
                              "pair_order": f"{order[0]}_first", "result": result})
                 rate = result["metrics"]["trials_per_s_at_ref_speed"]["value"]
@@ -149,7 +145,7 @@ def main(argv=None) -> int:
         "change": args.change_label or args.change.resolve().name,
         "claim": args.claim,
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "protocol": f"each side runs from its own source checkout; "
                     f"{args.pairs} pairs per workload, seeds {args.seed}-"
                     f"{args.seed + args.pairs - 1}; pairs alternate which side "
