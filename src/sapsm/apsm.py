@@ -280,30 +280,26 @@ def check_quasi_fejer(trace: IterateTrace, x_seq: np.ndarray,
 def check_attracting(trace: IterateTrace, x_seq: np.ndarray,
                      z_ref: np.ndarray, cost: QuadraticResidualCost,
                      cfg: ApsmConfig) -> AuditResult:
-    """Audit the kappa-attracting decrease with the perturbation slack.
+    """Audit the kappa-attracting decrease, each step charged its own
+    perturbation.
 
-    With kappa = 1 - mu/2, checks, up to AUDIT_TOL,
-    ||x_{n+1} - z||^2 <= ||x_n - z||^2 - kappa ||x_{n+1} - x_n||^2 + gamma_n,
-    where gamma_n = beta_n * r^2 * (2 + b) is the summable slack implied by
-    bounded perturbations; r and b are reconstructed from the trace's norms.
+    With kappa = 1 - mu/2, d_n = ||x_n - z||, p_n = beta_n ||v_n|| and
+    s_n = ||x_{n+1} - x_n||, checks, up to AUDIT_TOL, over the same window
+    as the quasi-Fejér audit,
+    d_{n+1}^2 <= (d_n + p_n)^2 - kappa max(s_n - p_n, 0)^2.
+    The perturbed point z_n = x_n + beta_n v_n lies within d_n + p_n of z
+    and within p_n of x_n, so ||x_{n+1} - z_n|| >= s_n - p_n, and the step
+    x_{n+1} = T(z_n) is kappa-attracting toward z. Unperturbed steps
+    (p_n = 0) get no slack, whatever the beta schedule.
     """
     start, d = _audit_window(trace, x_seq, z_ref, cost)
     if start is None:
         return AuditResult()
     kappa = 1.0 - cfg.mu / 2.0
-    steps = trace.step_norm[start:]
-    betas = schedule_table(cfg.beta, len(trace))[start:]
-    v_norms = np.zeros_like(betas)
-    pos = betas > 0
-    v_norms[pos] = trace.pert_norm[start:][pos] / betas[pos]
-    r = max(
-        float((d[start:-1] + kappa * steps).max(initial=0.0)),
-        float(v_norms.max(initial=0.0)),
-    )
-    b = cfg.beta.series_sum(cfg.max_iters)
-    gamma = betas * r**2 * (2.0 + b)
+    pert = trace.pert_norm[start:]
+    gap = np.maximum(trace.step_norm[start:] - pert, 0.0)
     lhs = d[start + 1:] ** 2
-    rhs = d[start:-1] ** 2 - kappa * steps**2 + gamma + AUDIT_TOL
+    rhs = (d[start:-1] + pert) ** 2 - kappa * gap**2 + AUDIT_TOL
     return AuditResult.from_excess(lhs - rhs)
 
 

@@ -213,12 +213,12 @@ def _single_instance(vals: dict):
 def _cmd_detect(args) -> int:
     vals = _resolve(args)
     cfg, c, inst = _single_instance(vals)
-    if vals["dump_trace"] and len(cfg.apsm_overrides) != 1:
+    if vals["dump_trace"] and len(cfg.run_configs) != 1:
         raise ConfigError("--dump-trace needs exactly one iterative detector")
     cost = QuadraticResidualCost(inst.H, inst.y)
     for kind in cfg.detectors:
         # the trace derives its objective and norm columns from the iterates
-        x_hat, trace = detect(kind, inst, c, cfg.apsm_overrides.get(kind),
+        x_hat, trace = detect(kind, inst, c, cfg.run_configs.get(kind),
                               record_iterates=bool(vals["dump_trace"]))
         if vals["dump_trace"] and trace is not None:
             trace.to_csv(vals["dump_trace"])
@@ -230,11 +230,11 @@ def _cmd_detect(args) -> int:
 def _cmd_diagnose(args) -> int:
     vals = _resolve(args)
     cfg, c, inst = _single_instance(vals)
-    if not cfg.apsm_overrides:
+    if not cfg.run_configs:
         raise ConfigError("diagnose needs at least one iterative detector")
     cost = QuadraticResidualCost(inst.H, inst.y)
     ok = True
-    for kind, acfg in cfg.apsm_overrides.items():
+    for kind, acfg in cfg.run_configs.items():
         report = diagnose(cost, acfg, c, inst.s)
         print(f"detector={kind.value} summable_beta={acfg.beta.summable}")
         print(report.to_json())

@@ -197,14 +197,6 @@ class BetaSchedule:
         """Whether the full series converges (the resilience hypothesis)."""
         return self.kind != "constant" or self.value == 0.0
 
-    def series_sum(self, n_terms: int) -> float:
-        """Sum of the full series when summable, else of the finite run."""
-        if self.kind == "geometric":
-            return 1.0 / (1.0 - self.value)
-        if self.kind == "constant":
-            return self.value * n_terms
-        return 0.0
-
 
 @functools.lru_cache(maxsize=256)
 def schedule_table(schedule: RhoSchedule | BetaSchedule, n_terms: int) -> np.ndarray:

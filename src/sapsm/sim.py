@@ -34,11 +34,12 @@ BATCH_TRIALS = 64
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte-Carlo experiment. Once built, ``apsm_overrides`` holds one
+    """One Monte-Carlo experiment. Once built, ``run_configs`` holds one
     full run config per iterative detector of ``detectors``, in list order:
-    its override, else ``standard_config`` of its variant, with the
-    experiment's ``max_iters`` so per-iteration curves stay aligned. An
-    override for any other detector, or of another variant, is a ConfigError.
+    its entry in ``apsm_overrides``, else ``standard_config`` of its
+    variant, with the experiment's ``max_iters`` so per-iteration curves
+    stay aligned. An override for any other detector, or of another variant,
+    is a ConfigError.
     """
 
     k: int
@@ -51,6 +52,7 @@ class ExperimentConfig:
     max_iters: int = 300
     master_seed: int = 0
     apsm_overrides: dict = field(default_factory=dict)
+    run_configs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -59,6 +61,7 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         object.__setattr__(self, "detectors", kinds)
+        object.__setattr__(self, "apsm_overrides", overrides)
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
@@ -81,14 +84,14 @@ class ExperimentConfig:
             if acfg.variant != variant:
                 raise ConfigError(f"{kind.value} cannot run a {acfg.variant!r} config")
             resolved[kind] = replace(acfg, max_iters=self.max_iters)
-        object.__setattr__(self, "apsm_overrides", resolved)
+        object.__setattr__(self, "run_configs", resolved)
 
 
 def resolve_apsm_config(cfg: ExperimentConfig,
                         kind: DetectorKind) -> ApsmConfig | None:
     """The run parameters ``cfg`` resolved for an iterative detector of its
     list, and None for any other detector."""
-    return cfg.apsm_overrides.get(kind)
+    return cfg.run_configs.get(kind)
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,7 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
              for si, seed in tasks]
     sent = np.stack([inst.s for inst in insts])
     errors = {}
-    iterative = cfg.apsm_overrides
+    iterative = cfg.run_configs
     for kind in cfg.detectors:
         if kind in iterative:
             continue

@@ -1,14 +1,16 @@
 """Reference functions that only the tests call: the inverse of the real
 lifting, the first-order optimality residual of a box-constrained
-least-squares point, symbol errors counted by slicing both sides, and CSV
-tables rendered through ``csv.writer``."""
+least-squares point, symbol errors counted by slicing both sides, CSV
+tables rendered through ``csv.writer``, and the attracting audit under a
+whole-window perturbation slack."""
 
 import csv
 import io
 
 import numpy as np
 
-from sapsm.cost import QuadraticResidualCost
+from sapsm.apsm import AUDIT_TOL, IterateTrace, _audit_window
+from sapsm.cost import ApsmConfig, BetaSchedule, QuadraticResidualCost, schedule_table
 from sapsm.errors import DimensionMismatch
 from sapsm.geometry import BoxSet, Constellation, project_box
 from sapsm.sim import CSV_HEADER, SerTable
@@ -60,3 +62,39 @@ def table_text_csv_writer(table: SerTable) -> str:
         writer.writerow([r.detector, r.x_kind, format(r.x_value, ".17g"),
                          r.errors, r.symbols, format(r.ser, ".17g")])
     return buf.getvalue()
+
+
+def beta_series_sum(beta: BetaSchedule, n_terms: int) -> float:
+    """Sum of the full beta series when summable, else of the finite run."""
+    if beta.kind == "geometric":
+        return 1.0 / (1.0 - beta.value)
+    if beta.kind == "constant":
+        return beta.value * n_terms
+    return 0.0
+
+
+def attracting_whole_window(trace: IterateTrace, x_seq: np.ndarray, z_ref: np.ndarray,
+                            cost: QuadraticResidualCost,
+                            cfg: ApsmConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step excess lhs - rhs of the attracting audit that charges every
+    step the slack gamma_n = beta_n r^2 (2 + b), and gamma_n itself, over
+    the audited window (both empty when the reference is never feasible).
+    Here r bounds d_n + kappa s_n and ||v_n|| over the whole window and b
+    is the sum of the whole beta series."""
+    start, d = _audit_window(trace, x_seq, z_ref, cost)
+    if start is None:
+        return np.empty(0), np.empty(0)
+    kappa = 1.0 - cfg.mu / 2.0
+    steps = trace.step_norm[start:]
+    betas = schedule_table(cfg.beta, len(trace))[start:]
+    v_norms = np.zeros_like(betas)
+    pos = betas > 0
+    v_norms[pos] = trace.pert_norm[start:][pos] / betas[pos]
+    r = max(
+        float((d[start:-1] + kappa * steps).max(initial=0.0)),
+        float(v_norms.max(initial=0.0)),
+    )
+    gamma = betas * r**2 * (2.0 + beta_series_sum(cfg.beta, cfg.max_iters))
+    lhs = d[start + 1:] ** 2
+    rhs = d[start:-1] ** 2 - kappa * steps**2 + gamma + AUDIT_TOL
+    return lhs - rhs, gamma

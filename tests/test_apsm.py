@@ -1,6 +1,7 @@
 import csv
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import sapsm.apsm
 from sapsm.apsm import (
     TRACE_COLUMNS,
+    AuditResult,
     IterateTrace,
     activation_index,
     apsm_run,
@@ -30,6 +32,8 @@ from sapsm.errors import ConfigError, DimensionMismatch, NonFiniteIterate
 from sapsm.geometry import constellation, perturbation_l1, perturbation_l2
 from sapsm.mimo import ChannelModel, make_instance, trial_seed
 from sapsm.validation import quasi_fejer_suite
+
+from helpers import attracting_whole_window
 
 QPSK = constellation("qpsk")
 QAM16 = constellation("16qam")
@@ -274,7 +278,8 @@ class TestAudits:
         assert shared == alone and all(audit.checked > 0 for audit in shared)
 
     def test_telescoped_step_energy_is_bounded(self):
-        # kappa * sum of squared steps <= ||x_a - z||^2 + sum gamma_n
+        # the per-step bound summed over the audited window:
+        # kappa sum max(s - p, 0)^2 <= ||x_a - z||^2 + sum (2 p d + p^2)
         inst, cost = small_instance(seed=12)
         cfg = standard_config("l2", max_iters=260)
         _, trace = apsm_run(cost, cfg, QPSK, record_iterates=True)
@@ -282,13 +287,61 @@ class TestAudits:
         assert start is not None
         kappa = 1.0 - cfg.mu / 2.0
         steps = trace.step_norm[start:]
-        d0 = np.linalg.norm(trace.iterates[start] - inst.s)
-        betas = np.array([cfg.beta.at(int(k)) for k in trace.n[start:]])
+        perts = trace.pert_norm[start:]
+        assert perts.max() > 0
         dists = np.linalg.norm(trace.iterates[start:-1] - inst.s, axis=1)
-        v_norms = np.where(betas > 0, trace.pert_norm[start:] / np.maximum(betas, 1e-300), 0.0)
-        r = max(float(np.max(dists + kappa * steps)), float(np.max(v_norms)))
-        gamma_total = float(np.sum(betas)) * r**2 * (2.0 + cfg.beta.series_sum(cfg.max_iters))
-        assert kappa * float(np.sum(steps**2)) <= d0**2 + gamma_total + 1e-9
+        energy = kappa * float(np.sum(np.maximum(steps - perts, 0.0) ** 2))
+        slack = float(np.sum(2.0 * perts * dists + perts**2))
+        assert energy <= dists[0] ** 2 + slack + 1e-9 * steps.size
+
+    def test_per_step_slack_never_exceeds_the_whole_window_slack(self, monkeypatch):
+        # every config of a mixed stack, including a non-summable and a
+        # slowly decaying beta: sigma_n <= gamma_n on every audited step,
+        # and the unperturbed run's excess is the reference's, bitwise
+        cfgs = [standard_config("l1", max_iters=260),
+                replace(standard_config("l1", max_iters=260),
+                        beta=BetaSchedule.geometric(0.999)),
+                standard_config("l2", max_iters=260),
+                standard_config("plain", max_iters=260)]
+        insts = [small_instance(seed)[0] for seed in range(8)]
+        costs = [QuadraticResidualCost(inst.H, inst.y) for _ in cfgs for inst in insts]
+        _, traces = apsm_run_batch(costs, [cfg for cfg in cfgs for _ in insts], QPSK,
+                                   record_iterates=True)
+        excesses = []
+        from_excess = AuditResult.from_excess
+        monkeypatch.setattr(AuditResult, "from_excess",
+                            lambda excess: excesses.append(excess) or from_excess(excess))
+        audited = {cfg: 0 for cfg in cfgs}
+        for trace, inst in zip(traces, insts * len(cfgs)):
+            args = (trace, trace.iterates, inst.s, trace.cost, trace.cfg)
+            excesses.clear()
+            check_attracting(*args)
+            reference, gamma = attracting_whole_window(*args)
+            if not gamma.size:
+                continue
+            (excess,) = excesses
+            audited[trace.cfg] += excess.size
+            # reference - excess = sigma_n - gamma_n, up to the rounding of
+            # the terms of either right-hand side
+            d = np.linalg.norm(trace.iterates - inst.s, axis=1)
+            scale = 1.0 + d.max() ** 2 + gamma
+            assert np.all(reference - excess <= 1e-12 * scale)
+            if trace.cfg.variant == "plain":
+                assert np.array_equal(excess, reference)
+        assert all(count >= 300 for count in audited.values()), audited
+
+    def test_attracting_audit_charges_an_unperturbed_l1_step_no_slack(self):
+        # an l1 run that jumps from s to -s on the lattice, where the
+        # perturbation vanishes: the jump moves away from z = s, which no
+        # kappa-attracting step can do
+        s = QPSK.levels[[0, 1, 1, 0]]
+        cost = QuadraticResidualCost(np.eye(s.size), s)
+        cfg = standard_config("l1", max_iters=2)
+        trace = IterateTrace(np.zeros(2), cfg, cost, QPSK, np.stack([s, -s, -s]))
+        assert np.array_equal(trace.pert_norm, np.zeros(2))
+        audit = check_attracting(trace, trace.iterates, s, cost, cfg)
+        assert (audit.checked, audit.violations) == (2, 1)
+        assert audit.max_excess == pytest.approx(4.0 * (2.0 - cfg.mu / 2.0) * s @ s)
 
     def test_steps_decay_on_converging_runs(self):
         inst, cost = small_instance(seed=13)

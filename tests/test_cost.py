@@ -234,11 +234,6 @@ class TestSchedulesAndConfig:
         with pytest.raises(ConfigError):
             BetaSchedule("weird", 1.0)
 
-    def test_series_sum(self):
-        assert BetaSchedule.geometric(0.9).series_sum(10) == pytest.approx(10.0)
-        assert BetaSchedule.constant(0.5).series_sum(10) == pytest.approx(5.0)
-        assert BetaSchedule.none().series_sum(10) == 0.0
-
     def test_mu_window(self):
         rho = RhoSchedule(5e-5, 1.06)
         ApsmConfig(rho=rho, mu=0.7)

@@ -63,7 +63,8 @@ class TestValidation:
             iter_cfg(apsm_overrides={"turbo": standard_config("plain")})
         cfg = iter_cfg(detectors=(D.APSM_L1,),
                        apsm_overrides={"apsm_l1": standard_config("l1")})
-        assert cfg.apsm_overrides == {D.APSM_L1: standard_config("l1", max_iters=60)}
+        assert cfg.apsm_overrides == {D.APSM_L1: standard_config("l1")}
+        assert cfg.run_configs == {D.APSM_L1: standard_config("l1", max_iters=60)}
 
     def test_rejects_an_override_for_an_unlisted_iterative_detector(self):
         with pytest.raises(ConfigError):
@@ -73,7 +74,7 @@ class TestValidation:
         l2 = replace(standard_config("l2"), mu=1.2)
         cfg = iter_cfg(detectors=(D.APSM_L1, D.LMMSE, D.APSM_PLAIN, D.APSM_L2),
                        apsm_overrides={D.APSM_L2: l2})
-        assert list(cfg.apsm_overrides.items()) == [
+        assert list(cfg.run_configs.items()) == [
             (D.APSM_L1, standard_config("l1", max_iters=60)),
             (D.APSM_PLAIN, standard_config("plain", max_iters=60)),
             (D.APSM_L2, replace(l2, max_iters=60))]
@@ -85,10 +86,19 @@ class TestValidation:
         cfg = iter_cfg(detectors=(D.APSM_PLAIN, D.APSM_L2),
                        apsm_overrides={D.APSM_L2: l2})
         longer = replace(cfg, max_iters=90)
-        assert longer.apsm_overrides == {
+        assert longer.run_configs == {
             D.APSM_PLAIN: standard_config("plain", max_iters=90),
             D.APSM_L2: replace(l2, max_iters=90)}
+        assert longer.apsm_overrides == {D.APSM_L2: l2}
         assert replace(longer, max_iters=60) == cfg
+
+    def test_replace_can_drop_an_iterative_detector(self):
+        # the caller's overrides survive resolution, so a replaced list
+        # resolves afresh instead of meeting the old list's run configs
+        cfg = ExperimentConfig(k=2, n=4, detectors=(D.APSM_PLAIN, D.LMMSE))
+        fewer = replace(cfg, detectors=(D.LMMSE,))
+        assert fewer.apsm_overrides == {} and fewer.run_configs == {}
+        assert replace(fewer, detectors=(D.APSM_PLAIN, D.LMMSE)).run_configs == cfg.run_configs
 
     def test_iter_sweep_needs_single_snr(self):
         with pytest.raises(ConfigError):
@@ -145,7 +155,7 @@ class TestSerVsIter:
         totals = sapsm.sim._batch_errors(cfg, c, True, tasks)
         insts = [make_instance(cfg.channel, c, cfg.k, cfg.n, cfg.snr_db[0], seed)
                  for _, seed in tasks]
-        iterative = list(cfg.apsm_overrides.items())
+        iterative = list(cfg.run_configs.items())
         _, traces = apsm_run_batch(
             [QuadraticResidualCost(inst.H, inst.y) for _ in iterative for inst in insts],
             [acfg for _, acfg in iterative for _ in insts], c, record_iterates=True)
