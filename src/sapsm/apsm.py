@@ -29,7 +29,7 @@ from .cost import (
     stack_costs,
     sublevel_step,
 )
-from .errors import ConfigError, DimensionMismatch, NonFiniteIterate
+from .errors import ConfigError, NonFiniteIterate
 from .geometry import Constellation, perturbation_l1, perturbation_l2
 
 TRACE_COLUMNS = ("n", "theta", "objective", "rho", "step_norm", "pert_norm")
@@ -130,8 +130,8 @@ def _row_groups(cfgs: list[ApsmConfig]) -> list[tuple[int, int, ApsmConfig]]:
 # as a numpy warning
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
-                   c: Constellation, x0: np.ndarray | None = None,
-                   record_iterates: bool = False) -> tuple[np.ndarray, list[IterateTrace]]:
+                   c: Constellation, record_iterates: bool = False
+                   ) -> tuple[np.ndarray, list[IterateTrace]]:
     """Run the perturbed iteration on B problems at once, row i under
     ``cfgs[i]``; return (final iterates as (B, d), one trace per row).
 
@@ -141,8 +141,8 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     Consecutive rows with an equal config form a group, which perturbs as
     one call on its slice of the stack; all rows take one step together.
     Every row runs the full ``max_iters`` iterations, which all configs of a
-    stack must share, and is bitwise the run it would be alone. Every
-    iterate after the first projection lies in the box. The loop records
+    stack must share, and is bitwise the run it would be alone. Every row
+    starts at x_0 = 0, and every iterate lies in the box. The loop records
     theta alone, in one table of which each trace holds a column.
     """
     if len(cfgs) != len(costs):
@@ -153,12 +153,7 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     (steps,) = budgets
     gram, hty, yty = stack_costs(costs)
     size, dim = hty.shape
-    if x0 is None:
-        x = np.zeros((size, dim))
-    else:
-        x = np.array(x0, dtype=float)
-        if x.shape != (size, dim):
-            raise DimensionMismatch(f"x0 has shape {x.shape}, expected {(size, dim)}")
+    x = np.zeros((size, dim))
     box = c.box()
     rho = np.stack([schedule_table(cfg.rho, steps) for cfg in cfgs], axis=1)
     mu = np.array([cfg.mu for cfg in cfgs])
@@ -200,13 +195,10 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
 
 
 def apsm_run(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,
-             x0: np.ndarray | None = None,
              record_iterates: bool = False) -> tuple[np.ndarray, IterateTrace]:
     """Run the perturbed iteration on one problem and return (final iterate,
     trace): ``apsm_run_batch`` on a stack of one."""
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)[None]
-    final, (trace,) = apsm_run_batch([cost], [cfg], c, x0, record_iterates)
+    final, (trace,) = apsm_run_batch([cost], [cfg], c, record_iterates)
     return final[0], trace
 
 

@@ -121,6 +121,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config file {args.config}: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}")
+        if not isinstance(file_vals, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_vals) - set(keys)
         if unknown:
             raise ConfigError(f"config keys not read by {args.command}: "

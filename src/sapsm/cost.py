@@ -141,8 +141,8 @@ class RhoSchedule:
     def __post_init__(self):
         if not self.rho0 > 0:
             raise ConfigError("rho0 must be positive")
-        if self.growth < 1.0:
-            raise ConfigError("growth must be >= 1 (radii must not shrink)")
+        if not 1.0 <= self.growth < math.inf:
+            raise ConfigError("growth must be finite and >= 1 (radii must not shrink)")
         if self.rho0 > RHO_MAX:
             raise ConfigError(f"rho0 must be <= {RHO_MAX:g}")
 
@@ -170,8 +170,8 @@ class BetaSchedule:
             raise ConfigError(f"unknown beta schedule kind {self.kind!r}")
         if self.kind == "geometric" and not 0.0 < self.value < 1.0:
             raise ConfigError("geometric beta needs b in (0, 1)")
-        if self.kind == "constant" and self.value < 0.0:
-            raise ConfigError("constant beta must be nonnegative")
+        if self.kind == "constant" and not 0.0 <= self.value < math.inf:
+            raise ConfigError("constant beta must be finite and nonnegative")
 
     @classmethod
     def none(cls) -> "BetaSchedule":
@@ -233,8 +233,8 @@ class ApsmConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if not EPS1 <= self.mu <= 2.0 - EPS2:
             raise ConfigError(f"mu={self.mu} outside [{EPS1}, {2.0 - EPS2}]")
-        if self.tau < 0:
-            raise ConfigError("tau must be nonnegative")
+        if not 0.0 <= self.tau < math.inf:
+            raise ConfigError("tau must be finite and nonnegative")
         if self.variant == "plain" and self.beta != BetaSchedule.none():
             raise ConfigError("the plain variant takes no perturbation schedule")
         if self.variant != "l1" and self.tau != 0.0:

@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be at least 1")
         if not self.snr_db:
             raise ConfigError("snr grid must be nonempty")
+        if not all(s > -math.inf for s in self.snr_db):
+            raise ConfigError(f"snr must be finite or +inf dB, got {self.snr_db}")
         if not self.detectors:
             raise ConfigError("detector list must be nonempty")
         if len(set(self.detectors)) != len(self.detectors):

@@ -148,6 +148,13 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path):
         assert run(["ser-snr", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("text", ["5", "null", '[{"a": 1}]', '"seed"'])
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys, no_trials, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run(["validate", "--config", str(cfg)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
 
 class TestDetect:
     def test_prints_per_detector_lines(self, capsys):
@@ -341,6 +348,20 @@ class TestFlagsPerSubcommand:
         cfg.write_text(json.dumps({"seed": 1, key: typ(FLAG_VALUES[key])}))
         assert run([cmd, "--config", str(cfg)]) == 2
         assert f"config keys not read by {cmd}: [{key!r}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, key", [
+        (["--growth", "nan"], "growth"), (["--beta", "nan"], "beta"),
+        (["--beta", "inf"], "beta"), (["--tau", "nan"], "tau"),
+        (["--snr=-inf"], "snr"), ({"snr": float("nan")}, "snr")])
+    def test_non_finite_setting_exits_2_before_any_trial(self, tmp_path, capsys, no_trials,
+                                                         extra, key):
+        argv = ["detect", "--k", "2", "--n", "4", "--mod", "qpsk", "--detectors", "apsm_l1"]
+        if isinstance(extra, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(extra))
+            extra = ["--config", str(cfg)]
+        assert run(argv + extra) == 2
+        assert key in capsys.readouterr().err
 
     def test_correlated_iid_channel_exits_2(self, capsys, no_trials):
         argv = ["detect", "--k", "2", "--n", "4", "--mod", "qpsk", "--snr", "10",

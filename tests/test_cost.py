@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapsm.cost import (
     RHO_MAX,
@@ -14,7 +16,7 @@ from sapsm.cost import (
     sublevel_step,
 )
 from sapsm.errors import ConfigError, DimensionMismatch
-from sapsm.geometry import BoxSet
+from sapsm.geometry import BoxSet, project_box
 
 I2 = np.eye(2)
 WIDE = BoxSet(1e9)
@@ -172,6 +174,66 @@ class TestApsmMap:
             assert np.linalg.norm(tx - z) <= np.linalg.norm(x - z) + 1e-9
 
 
+# row kinds of a stacked step, by which rows step: a "step" row has theta > 0
+# and a gradient, a "feasible" row theta = 0, a "flat" row (H = 0) theta > 0
+# and a vanishing gradient
+STEPPING = {"none": ("feasible", "flat"), "all": ("step",),
+            "some": ("step", "feasible", "flat")}
+
+
+@st.composite
+def step_stacks(draw):
+    """A (B, d) stack for ``sublevel_step`` whose rows step as ``STEPPING``
+    says: start points with entries outside the box and -0.0 entries, rho
+    and mu each a scalar or one value per row. Returns (costs, z, rho, mu,
+    box, row kinds)."""
+    stepping = draw(st.sampled_from(sorted(STEPPING)))
+    kinds = STEPPING[stepping]
+    size = draw(st.integers(len(kinds), 9))
+    dim = draw(st.sampled_from([2, 4, 8, 32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [kinds[i] for i in rng.permutation(np.arange(size) % len(kinds))]
+    box = BoxSet(draw(st.sampled_from([1.0, 3.0])))
+    z = rng.uniform(-3.0, 3.0, (size, dim)) * box.a_max
+    z[rng.random(z.shape) < 0.3] = -0.0
+    rho = rng.uniform(0.5, 2.0, size)
+    mu = rng.uniform(0.05, 1.95, size)
+    if draw(st.booleans()):
+        rho = float(rho[0])
+    if draw(st.booleans()):
+        mu = float(mu[0])
+    costs = []
+    for kind, zi, rho_i in zip(rows, z, np.broadcast_to(rho, size)):
+        H = rng.standard_normal((2 * dim, dim))
+        if kind == "flat":
+            H[:] = 0.0
+        y = rng.standard_normal(2 * dim)
+        # scale (H, y) so that the residual at z is a set multiple of rho
+        ratio = rng.uniform(0.1, 0.9) if kind == "feasible" else rng.uniform(1.1, 10.0)
+        target = rho_i * ratio
+        scale = np.sqrt(target / np.sum((H @ zi - y) ** 2))
+        costs.append(QuadraticResidualCost(scale * H, scale * y))
+    return costs, z, rho, mu, box, rows
+
+
+class TestStackedStep:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(step_stacks())
+    def test_each_row_is_apsm_map_of_that_row_alone(self, stack):
+        costs, z, rho, mu, box, rows = stack
+        start = z.copy()
+        out, theta = sublevel_step(*stack_costs(costs), z, rho, mu, box)
+        assert z.tobytes() == start.tobytes()
+        size = len(costs)
+        for i, (cost, rho_i, mu_i) in enumerate(zip(costs, np.broadcast_to(rho, size),
+                                                     np.broadcast_to(mu, size))):
+            alone = apsm_map(cost, z[i], float(rho_i), float(mu_i), box)
+            assert out[i].tobytes() == alone.tobytes()
+            assert (theta[i] > 0.0) == (rows[i] != "feasible")
+            if rows[i] != "step":
+                assert out[i].tobytes() == project_box(z[i], box).tobytes()
+
+
 class TestRhoSchedule:
     def test_reference_values(self):
         sched = RhoSchedule(5e-5, 1.06)
@@ -200,6 +262,10 @@ class TestRhoSchedule:
             RhoSchedule(1e-4).at(-1)
         with pytest.raises(ConfigError):
             RhoSchedule(2 * RHO_MAX, 1.06)
+        # an infinite growth would saturate at once, a nan one never
+        for growth in (np.inf, np.nan):
+            with pytest.raises(ConfigError, match="growth"):
+                RhoSchedule(5e-5, growth)
 
 
 class TestSchedulesAndConfig:
@@ -233,6 +299,11 @@ class TestSchedulesAndConfig:
             BetaSchedule.constant(-0.1)
         with pytest.raises(ConfigError):
             BetaSchedule("weird", 1.0)
+        for value in (np.inf, np.nan):
+            with pytest.raises(ConfigError):
+                BetaSchedule.constant(value)
+            with pytest.raises(ConfigError):
+                BetaSchedule.geometric(value)
 
     def test_mu_window(self):
         rho = RhoSchedule(5e-5, 1.06)
@@ -256,6 +327,9 @@ class TestSchedulesAndConfig:
             ApsmConfig(rho=rho, variant="l2", tau=0.1)
         ApsmConfig(rho=rho, variant="l2", beta=BetaSchedule.none())
         ApsmConfig(rho=rho, variant="l1", tau=0.1)
+        for tau in (-0.1, np.inf, np.nan):
+            with pytest.raises(ConfigError, match="tau"):
+                ApsmConfig(rho=rho, variant="l1", tau=tau)
 
     def test_standard_configs(self):
         plain = standard_config("plain")

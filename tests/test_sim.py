@@ -53,6 +53,11 @@ class TestValidation:
             iter_cfg(detectors=("apsm_plain", "apsm_plain"))
         with pytest.raises(ConfigError):
             iter_cfg(detectors=("turbo",))
+        # +inf dB is the noiseless point; nan and -inf dB name no noise level
+        for snr in ((np.nan,), (-np.inf,), (8.0, np.nan)):
+            with pytest.raises(ConfigError, match="snr"):
+                iter_cfg(snr_db=snr)
+        assert iter_cfg(snr_db=(np.inf,)).snr_db == (np.inf,)
 
     def test_rejects_overrides_a_detector_cannot_take(self):
         with pytest.raises(ConfigError):

@@ -155,13 +155,13 @@ class TestAuditedRuns:
             assert a.checked > 0
 
     def test_each_spec_keeps_its_own_tally(self):
-        spec = _RunSpec("quasi-fejer-run", check_quasi_fejer, 2, 3, 40, ("plain", "l2"))
-        other = _RunSpec("attracting-run", check_attracting, 3, 1, 40, ("l1",))
+        spec = _RunSpec("quasi-fejer-run", check_quasi_fejer, 2, 3, 40)
+        other = _RunSpec("attracting-run", check_attracting, 3, 1, 40)
         twice = _audited_runs([spec, other, spec])
         alone = [_audited_runs([s])[0] for s in (spec, other, spec)]
         for a, b in zip(twice, alone):
             assert_same_result(a, b)
-        assert_same_result(alone[0], quasi_fejer_suite(2, 3, 40, ("plain", "l2")))
+        assert_same_result(alone[0], quasi_fejer_suite(2, 3, 40))
 
     def test_specs_need_one_budget(self):
         specs = [_RunSpec("quasi-fejer-run", check_quasi_fejer, 1, 0, 30),

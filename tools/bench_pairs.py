@@ -15,8 +15,11 @@ stdout) goes into ``runs``, and ``summary`` gives, per workload and
 end-to-end metric, both sides' quartiles, the ratio of medians, how many
 pairs the change won (by the metric's direction in ``BENCHMARK.json``),
 the change-minus-parent median gain in that direction and the parent's
-interquartile range. The script reads ``perfbench/`` output only; it
-imports and writes nothing there.
+interquartile range. A run that fails is kept in ``runs`` with its exit
+code and the tail of its stderr, and the sequence goes on; the summary
+reads the runs that succeeded, counts the failed runs per side, and the
+script exits 1 once the file is written. The script reads ``perfbench/``
+output only; it imports and writes nothing there.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
 
 
 def parse_args(argv):
@@ -55,6 +59,14 @@ def parse_args(argv):
     return args
 
 
+class RunFailed(RuntimeError):
+    """A perfbench run that exited nonzero or printed no result."""
+
+    def __init__(self, exit_code: int, stderr_tail: str):
+        super().__init__(f"exited {exit_code}")
+        self.exit_code, self.stderr_tail = exit_code, stderr_tail
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float):
     """The JSON result and the manifest of one perfbench run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -62,8 +74,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float):
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited "
-                           f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+        raise RunFailed(proc.returncode, proc.stderr[-2000:])
     manifest = next((json.loads(line[len("manifest "):]) for line in lines
                      if line.startswith("manifest ")), {})
     return json.loads(lines[-1]), manifest
@@ -76,32 +87,45 @@ def quartiles(xs: list[float]) -> list[float]:
     return [q25, q50, q75]
 
 
+def compare(par: dict, chg: dict, sign: float) -> dict:
+    """One metric of one workload; ``par`` and ``chg`` map seed -> value of
+    each side's runs that succeeded, and a pair counts toward the wins only
+    when both its runs did. ``sign`` is +1 where higher is better."""
+    pq, cq = quartiles(list(par.values())), quartiles(list(chg.values()))
+    paired = par.keys() & chg.keys()
+    wins = sum(sign * (chg[seed] - par[seed]) > 0 for seed in paired)
+    return {
+        "parent_q25_median_q75": [round(v, 4) for v in pq],
+        "change_q25_median_q75": [round(v, 4) for v in cq],
+        "change_over_parent_median": round(cq[1] / pq[1], 4),
+        "change_wins": f"{wins}/{len(paired)}",
+        "median_gain": round(sign * (cq[1] - pq[1]), 4),
+        "parent_iqr": round(pq[2] - pq[0], 4),
+    }
+
+
 def summarize(runs: list[dict], workloads: list[str], better: dict) -> dict:
     summary = {}
     for w in workloads:
-        side = {s: [r["result"] for r in runs if r["workload"] == w and r["side"] == s]
-                for s in ("parent", "change")}
+        mine = [r for r in runs if r["workload"] == w]
+        # side -> seed -> result, of the runs that succeeded
+        ok = {s: {r["seed"]: r["result"] for r in mine if r["side"] == s and "result" in r}
+              for s in SIDES}
         entry = {}
         for metric, direction in better.items():
-            par = [r["metrics"][metric]["value"] for r in side["parent"]]
-            chg = [r["metrics"][metric]["value"] for r in side["change"]]
-            sign = 1.0 if direction == "higher" else -1.0
-            pq, cq = quartiles(par), quartiles(chg)
-            entry[metric] = {
-                "parent_q25_median_q75": [round(v, 4) for v in pq],
-                "change_q25_median_q75": [round(v, 4) for v in cq],
-                "change_over_parent_median": round(cq[1] / pq[1], 4),
-                "change_wins": f"{sum(sign * (c - p) > 0 for p, c in zip(par, chg))}"
-                               f"/{len(par)}",
-                "median_gain": round(sign * (cq[1] - pq[1]), 4),
-                "parent_iqr": round(pq[2] - pq[0], 4),
-            }
+            par, chg = ({seed: r["metrics"][metric]["value"] for seed, r in ok[s].items()}
+                        for s in SIDES)
+            if par and chg:
+                entry[metric] = compare(par, chg, 1.0 if direction == "higher" else -1.0)
         failed = {}
-        for s, results in side.items():
+        for s in SIDES:
+            results = ok[s].values()
             failed[s] = (f"{sum(r['failed'] for r in results)}/"
                          f"{sum(r['attempted'] for r in results)}")
             failed[f"{s}_all_correct"] = all(r["correct"] for r in results)
         entry["failed_over_attempted"] = failed
+        entry["failed_runs"] = {s: sum(r["side"] == s and "result" not in r for r in mine)
+                                for s in SIDES}
         summary[w] = entry
     return summary
 
@@ -131,12 +155,20 @@ def main(argv=None) -> int:
     for w in args.workload:
         for p in range(args.pairs):
             seed = args.seed + p
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            order = SIDES if k % 2 == 0 else SIDES[::-1]
             k += 1
             for side in order:
-                result, manifest = run_once(getattr(args, side), w, seed, seconds)
-                runs.append({"side": side, "workload": w, "seed": seed,
-                             "pair_order": f"{order[0]}_first", "result": result})
+                run = {"side": side, "workload": w, "seed": seed,
+                       "pair_order": f"{order[0]}_first"}
+                try:
+                    result, manifest = run_once(getattr(args, side), w, seed, seconds)
+                except RunFailed as exc:
+                    runs.append(run | {"exit_code": exc.exit_code,
+                                       "stderr_tail": exc.stderr_tail})
+                    print(f"{w} seed {seed} {side}: failed, exit {exc.exit_code}",
+                          file=sys.stderr, flush=True)
+                    continue
+                runs.append(run | {"result": result})
                 rate = result["metrics"]["trials_per_s_at_ref_speed"]["value"]
                 print(f"{w} seed {seed} {side}: {rate:.4g} trials/s", flush=True)
     doc = {
@@ -161,7 +193,10 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     print(f"wrote {path}")
-    return 0
+    failures = sum("result" not in r for r in runs)
+    if failures:
+        print(f"{failures} of {len(runs)} runs failed", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
