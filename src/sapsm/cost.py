@@ -172,6 +172,10 @@ class BetaSchedule:
             raise ConfigError("geometric beta needs b in (0, 1)")
         if self.kind == "constant" and not 0.0 <= self.value < math.inf:
             raise ConfigError("constant beta must be finite and nonnegative")
+        # one zero schedule, so equal runs compare, hash and group alike
+        if self.kind == "none" and not (self.value == 0.0
+                                        and math.copysign(1.0, self.value) > 0):
+            raise ConfigError(f"beta kind 'none' holds value 0.0, not {self.value!r}")
 
     @classmethod
     def none(cls) -> "BetaSchedule":

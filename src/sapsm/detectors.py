@@ -1,21 +1,20 @@
 """End-to-end detectors: the iterative variants plus closed-form and
 exhaustive baselines.
 
-Linear baselines are solved by factorization (never an explicit inverse);
-the box-relaxation reference is solved exactly by an active-set method on
-the normal equations, and the exhaustive search refuses candidate sets past
-a fixed budget.
+Linear baselines are solved by factorization (never an explicit inverse),
+with numpy alone: a Cholesky factor certifies the normal equations before
+they are solved. The box-relaxation reference is solved exactly by an
+active-set method on the normal equations, and the exhaustive search refuses
+candidate sets past a fixed budget.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .apsm import IterateTrace, apsm_run
 from .cost import ApsmConfig, QuadraticResidualCost, standard_config
@@ -31,6 +30,11 @@ ACTIVE_SET_SOLVES = 1_000
 # KKT tolerance of the box oracle, relative to the rounding scale of each
 # gradient entry.
 _KKT_RTOL = 1e-12
+# Largest squared Cholesky pivot ratio at which _solve_spd refuses the
+# normal equations as singular to machine precision. On H'H with one column
+# of H repeated up to a perturbation of relative size 1e-8 or less, 8 eps
+# refuses every case, where eps alone misses about a quarter of them.
+_SINGULAR_RATIO = 8.0 * np.finfo(float).eps
 
 
 class DetectorKind(str, Enum):
@@ -51,21 +55,43 @@ _APSM_VARIANT = {
 
 
 def _solve_spd(A: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Cholesky solve that raises a structured error on (near-)singularity
-    instead of returning an inaccurate result with a warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-        try:
-            return scipy.linalg.solve(A, rhs, assume_a="pos")
-        except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
-            raise SolverFailure(f"{what} singular to machine precision: {exc}") from exc
+    """Solve A x = rhs for a symmetric positive definite A, raising a
+    structured error instead of returning an inaccurate result.
+
+    A non-finite entry of A or rhs raises ``ValueError``. ``SolverFailure``
+    is raised when A has no Cholesky factor L, when the squared pivot ratio
+    (min L_ii / max L_ii)^2 is at most ``_SINGULAR_RATIO``, or when the LU
+    solve meets an exactly zero pivot. Each squared pivot lies in
+    [lambda_min, lambda_max], so the ratio is at least 1 / cond_2(A): no A
+    with cond_2(A) < 1 / _SINGULAR_RATIO is refused. For a Gram matrix B'B,
+    L_kk is the distance of column k of B from the span of the columns
+    before it, so a (nearly) repeated column gives a pivot at rounding level.
+    """
+    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
+        raise ValueError(f"{what} hold a non-finite entry")
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(A))
+        ratio = (pivots.min() / pivots.max()) ** 2
+        if not ratio > _SINGULAR_RATIO:
+            raise np.linalg.LinAlgError(f"squared Cholesky pivot ratio {ratio:.3g}")
+        return np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"{what} singular to machine precision: {exc}") from exc
+
+
+def _normal_matrix(gram: np.ndarray, sigma2: float) -> np.ndarray:
+    """gram + sigma2 I, adding sigma2 to the diagonal alone, so an infinite
+    sigma2 leaves the off-diagonal entries finite."""
+    A = gram.copy()
+    A.flat[::A.shape[0] + 1] += sigma2
+    return A
 
 
 def detect_lmmse(instance: ChannelInstance) -> np.ndarray:
     """Regularized linear estimate solving (H'H + sigma2 I) x = H'y."""
-    H, y = instance.H, instance.y
-    A = H.T @ H + instance.sigma2 * np.eye(H.shape[1])
-    return _solve_spd(A, H.T @ y, "regularized normal equations")
+    H = instance.H
+    A = _normal_matrix(H.T @ H, instance.sigma2)
+    return _solve_spd(A, H.T @ instance.y, "regularized normal equations")
 
 
 def detect_constrained_lmmse(instance: ChannelInstance) -> np.ndarray:
@@ -80,7 +106,7 @@ def detect_constrained_lmmse(instance: ChannelInstance) -> np.ndarray:
     """
     H = instance.H
     gram = H.T @ H
-    A = gram + instance.sigma2 * np.eye(H.shape[1])
+    A = _normal_matrix(gram, instance.sigma2)
     sol = _solve_spd(A, np.column_stack([H.T @ instance.y, gram]),
                      "regularized normal equations")
     return sol[:, 0] / np.diagonal(sol[:, 1:])
@@ -109,8 +135,8 @@ def _kkt_excess(cost: QuadraticResidualCost, abs_gram: np.ndarray,
 def _solve_block(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """LU solve that raises a structured error on an exactly singular block;
     an inaccurate solve of a near-singular one fails the KKT check instead.
-    (``_solve_spd``'s condition estimate would triple the cost of these
-    small solves.)"""
+    (``_solve_spd``'s Cholesky certificate would add a factorization to
+    each of these small solves.)"""
     try:
         return np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,6 +306,18 @@ class TestSchedulesAndConfig:
                 BetaSchedule.constant(value)
             with pytest.raises(ConfigError):
                 BetaSchedule.geometric(value)
+
+    @pytest.mark.parametrize("value", [5.0, 1e-300, -0.0, -1.0, np.nan, np.inf])
+    def test_zero_schedule_holds_zero(self, value):
+        # a "none" holding any other value would hash apart from
+        # BetaSchedule.none() and run as a separate engine group
+        with pytest.raises(ConfigError, match="none"):
+            BetaSchedule("none", value)
+        assert BetaSchedule("none") == BetaSchedule("none", 0.0) == BetaSchedule.none()
+
+    def test_zero_schedule_config_hash_is_stable(self):
+        l2_zero = replace(standard_config("l2"), beta=BetaSchedule.none())
+        assert l2_zero.config_hash() == "1744b24bfd5a"
 
     def test_mu_window(self):
         rho = RhoSchedule(5e-5, 1.06)
