@@ -17,7 +17,7 @@ import csv
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -160,10 +160,7 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     perturbed = [(a, b, cfg, schedule_table(cfg.beta, steps).tolist())
                  for a, b, cfg in _row_groups(cfgs) if cfg.variant != "plain"]
     thetas = np.empty((steps, size))
-    iterates = np.empty((size, steps + 1, dim)) if record_iterates else None
-    if record_iterates:
-        iterates[:, 0] = x
-    z_buf = np.empty_like(x)
+    iterates = np.zeros((size, steps + 1, dim)) if record_iterates else None
 
     for n in range(steps):
         z = x
@@ -171,11 +168,9 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
             beta_n = betas[n]
             if beta_n == 0.0:
                 continue
-            v = _perturbation(cfg, x[a:b], c)
             if z is x:
-                z = z_buf
-                np.copyto(z, x)
-            np.add(x[a:b], beta_n * v, out=z[a:b])
+                z = x.copy()
+            z[a:b] += beta_n * _perturbation(cfg, x[a:b], c)
 
         x, thetas[n] = sublevel_step(gram, hty, yty, z, rho[n], mu, box)
         if record_iterates:
@@ -188,10 +183,8 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
         raise NonFiniteIterate(int(bad[0]))
     if not np.isfinite(x).all():
         raise NonFiniteIterate(steps - 1)
-    traces = [IterateTrace(thetas[:, i], cfgs[i], costs[i], c,
-                           iterates[i] if record_iterates else None)
-              for i in range(size)]
-    return x, traces
+    return x, [IterateTrace(thetas[:, i], cfgs[i], costs[i], c,
+                            iterates[i] if record_iterates else None) for i in range(size)]
 
 
 def apsm_run(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,
@@ -216,6 +209,24 @@ class AuditResult:
         return cls(int(excess.size), int(np.count_nonzero(excess > 0)),
                    float(excess.max(initial=0.0)))
 
+    def __add__(self, other: "AuditResult") -> "AuditResult":
+        """The tally of both audits' steps together."""
+        return AuditResult(self.checked + other.checked, self.violations + other.violations,
+                           max(self.max_excess, other.max_excess))
+
+    @property
+    def passed(self) -> bool:
+        # an audit that checked no step proves nothing, so it does not pass
+        return self.violations == 0 and self.checked > 0
+
+
+def attracting_audit(after_sq: np.ndarray, before_sq: np.ndarray, gap_sq: np.ndarray,
+                     mu: float) -> AuditResult:
+    """Tally the kappa-attracting inequality, kappa = 1 - mu/2, one entry per
+    step: after_sq <= before_sq - kappa gap_sq + AUDIT_TOL, on the squared
+    distances to the reference after and before the step and its squared gap."""
+    return AuditResult.from_excess(after_sq - (before_sq - (1.0 - mu / 2.0) * gap_sq + AUDIT_TOL))
+
 
 @dataclass
 class DiagnosticReport:
@@ -227,12 +238,7 @@ class DiagnosticReport:
     activation_index: int | None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "quasi_fejer": vars(self.quasi_fejer),
-            "attracting": vars(self.attracting),
-            "theta_tail": self.theta_tail,
-            "activation_index": self.activation_index,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def activation_index(trace: IterateTrace, residual_ref: float) -> int | None:
@@ -242,14 +248,13 @@ def activation_index(trace: IterateTrace, residual_ref: float) -> int | None:
 
 
 def _audit_window(trace: IterateTrace, x_seq: np.ndarray, z_ref: np.ndarray,
-                  cost: QuadraticResidualCost) -> tuple[int | None, np.ndarray | None]:
+                  cost: QuadraticResidualCost) -> tuple[int, np.ndarray]:
     """The activation index and the distances ||x_n - z|| of the iterates
-    x_0 .. x_N of a trace of N records, or (None, None) when the reference
-    never becomes feasible."""
+    x_0 .. x_N of a trace of N records; the audited window is empty
+    (start = N) when the reference never becomes feasible."""
     start = activation_index(trace, cost.residual_sq(z_ref))
-    if start is None:
-        return None, None
-    return start, np.linalg.norm(x_seq - z_ref[None, :], axis=1)
+    return (len(trace) if start is None else start,
+            np.linalg.norm(x_seq - z_ref[None, :], axis=1))
 
 
 def check_quasi_fejer(trace: IterateTrace, x_seq: np.ndarray,
@@ -262,11 +267,8 @@ def check_quasi_fejer(trace: IterateTrace, x_seq: np.ndarray,
     within the radius); earlier iterations are outside the guarantee.
     """
     start, d = _audit_window(trace, x_seq, z_ref, cost)
-    if start is None:
-        return AuditResult()
-    lhs = d[start + 1:]
     rhs = d[start:-1] + trace.pert_norm[start:] + AUDIT_TOL
-    return AuditResult.from_excess(lhs - rhs)
+    return AuditResult.from_excess(d[start + 1:] - rhs)
 
 
 def check_attracting(trace: IterateTrace, x_seq: np.ndarray,
@@ -285,14 +287,9 @@ def check_attracting(trace: IterateTrace, x_seq: np.ndarray,
     (p_n = 0) get no slack, whatever the beta schedule.
     """
     start, d = _audit_window(trace, x_seq, z_ref, cost)
-    if start is None:
-        return AuditResult()
-    kappa = 1.0 - cfg.mu / 2.0
     pert = trace.pert_norm[start:]
     gap = np.maximum(trace.step_norm[start:] - pert, 0.0)
-    lhs = d[start + 1:] ** 2
-    rhs = (d[start:-1] + pert) ** 2 - kappa * gap**2 + AUDIT_TOL
-    return AuditResult.from_excess(lhs - rhs)
+    return attracting_audit(d[start + 1:] ** 2, (d[start:-1] + pert) ** 2, gap**2, cfg.mu)
 
 
 def diagnose(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,

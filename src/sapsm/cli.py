@@ -240,7 +240,7 @@ def _cmd_diagnose(args) -> int:
         report = diagnose(cost, acfg, c, inst.s)
         print(f"detector={kind.value} summable_beta={acfg.beta.summable}")
         print(report.to_json())
-        ok &= report.quasi_fejer.violations == 0 and report.attracting.violations == 0
+        ok &= report.quasi_fejer.passed and report.attracting.passed
     return 0 if ok else 1
 
 

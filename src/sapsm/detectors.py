@@ -79,19 +79,21 @@ def _solve_spd(A: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         raise SolverFailure(f"{what} singular to machine precision: {exc}") from exc
 
 
-def _normal_matrix(gram: np.ndarray, sigma2: float) -> np.ndarray:
-    """gram + sigma2 I, adding sigma2 to the diagonal alone, so an infinite
-    sigma2 leaves the off-diagonal entries finite."""
+def _normal_equations(instance: ChannelInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H'H + sigma2 I, H'H, H'y) of one realization. sigma2 is added to
+    the diagonal alone, so an infinite sigma2 leaves the off-diagonal
+    entries finite."""
+    H = instance.H
+    gram = H.T @ H
     A = gram.copy()
-    A.flat[::A.shape[0] + 1] += sigma2
-    return A
+    A.flat[::A.shape[0] + 1] += instance.sigma2
+    return A, gram, H.T @ instance.y
 
 
 def detect_lmmse(instance: ChannelInstance) -> np.ndarray:
     """Regularized linear estimate solving (H'H + sigma2 I) x = H'y."""
-    H = instance.H
-    A = _normal_matrix(H.T @ H, instance.sigma2)
-    return _solve_spd(A, H.T @ instance.y, "regularized normal equations")
+    A, _, hty = _normal_equations(instance)
+    return _solve_spd(A, hty, "regularized normal equations")
 
 
 def detect_constrained_lmmse(instance: ChannelInstance) -> np.ndarray:
@@ -102,14 +104,15 @@ def detect_constrained_lmmse(instance: ChannelInstance) -> np.ndarray:
     By the push-through identity the denominator is the k-th diagonal entry
     of (H'H + sigma2 I)^-1 H'H, so one solve in the 2K-dimensional input
     space gives both the estimate and every alpha_k. With sigma2 = 0 and H
-    of full column rank, every alpha_k is 1: zero forcing.
+    of full column rank, every alpha_k is 1: zero forcing. An all-zero
+    column has no alpha_k (a zero denominator) and raises ``SolverFailure``.
     """
-    H = instance.H
-    gram = H.T @ H
-    A = _normal_matrix(gram, instance.sigma2)
-    sol = _solve_spd(A, np.column_stack([H.T @ instance.y, gram]),
-                     "regularized normal equations")
-    return sol[:, 0] / np.diagonal(sol[:, 1:])
+    A, gram, hty = _normal_equations(instance)
+    sol = _solve_spd(A, np.column_stack([hty, gram]), "regularized normal equations")
+    denom = np.diagonal(sol[:, 1:])
+    if not denom.all():
+        raise SolverFailure(f"column {np.flatnonzero(denom == 0)[0]} of H carries no energy")
+    return sol[:, 0] / denom
 
 
 class BoxOracleResult(NamedTuple):
@@ -157,6 +160,10 @@ def detect_box_oracle(instance: ChannelInstance, box: BoxSet) -> BoxOracleResult
     ``converged`` means the returned x passes the KKT check of
     ``_kkt_excess``; ``iterations`` counts the linear solves, at most
     ACTIVE_SET_SOLVES.
+
+    H must have full column rank, as every ``make_instance`` channel has: a
+    repeated column makes H'H singular, which raises ``SolverFailure`` or,
+    where rounding hides the zero pivot, leaves ``converged`` to tell.
     """
     cost = QuadraticResidualCost(instance.H, instance.y)
     G, h, a = cost.gram, cost.hty, box.a_max
@@ -244,8 +251,7 @@ def detect(kind: DetectorKind, instance: ChannelInstance, c: Constellation,
             raise ConfigError(f"{kind.value} needs a {variant!r} config, "
                               f"got {cfg.variant!r}")
         cost = QuadraticResidualCost(instance.H, instance.y)
-        x, trace = apsm_run(cost, cfg, c, record_iterates=record_iterates)
-        return x, trace
+        return apsm_run(cost, cfg, c, record_iterates=record_iterates)
     if kind is DetectorKind.LMMSE:
         return detect_lmmse(instance), None
     if kind is DetectorKind.CONSTRAINED_LMMSE:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,9 +20,10 @@ import numpy as np
 # apsm_run and apsm_map are not called here, but the benchmark harness
 # (perfbench/) patches this module's names for them, so the imports stay
 from .apsm import (  # noqa: F401
-    AUDIT_TOL,
+    AuditResult,
     apsm_run,
     apsm_run_batch,
+    attracting_audit,
     check_attracting,
     check_quasi_fejer,
 )
@@ -55,8 +56,7 @@ class SuiteResult:
 
     @property
     def passed(self) -> bool:
-        # an empty audit window means the suite was misconfigured, not clean
-        return self.violations == 0 and self.checked > 0
+        return AuditResult(self.checked, self.violations, self.worst).passed
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -84,8 +84,7 @@ def prox_grid_suite(cases: int = 10_000, seed: int = 0) -> SuiteResult:
     """
     rng = np.random.default_rng(seed)
     grid = np.arange(GRID_LO, GRID_HI + GRID_STEP / 2, GRID_STEP)
-    violations = 0
-    worst = 0.0
+    gaps = []
     per_alpha = cases // len(PROX_ALPHABETS)
     for name in PROX_ALPHABETS:
         c = constellation(name)
@@ -96,19 +95,17 @@ def prox_grid_suite(cases: int = 10_000, seed: int = 0) -> SuiteResult:
             best = _grid_min(xi, ti, grid, f1_grid)
             p = float(prox_l1_levels(np.array([xi]), ti, c)[0])
             ours = ti * abs(p - c.nearest(p)) + 0.5 * (xi - p) ** 2
-            gap = ours - best
-            if gap > GAP_TOL:
-                violations += 1
-            worst = max(worst, gap)
-    return SuiteResult("prox-grid-oracle", per_alpha * len(PROX_ALPHABETS),
-                       violations, worst)
+            gaps.append(ours - best)
+    gaps = np.array(gaps)
+    return SuiteResult("prox-grid-oracle", gaps.size, int(np.count_nonzero(gaps > GAP_TOL)),
+                       float(gaps.max(initial=0.0)))
 
 
 def attracting_step_suite(draws: int = 10_000, seed: int = 0) -> SuiteResult:
     """Single-step attracting inequality on random feasible geometry.
 
-    Draws random (H, y, x in B, feasible z) and checks, with kappa = 1 - MU/2,
-    that one iteration map application satisfies
+    Draws random (H, y, x in B, feasible z) and checks, by ``attracting_audit``
+    with kappa = 1 - MU/2, that one iteration map application satisfies
     ||T(x) - z||^2 <= ||x - z||^2 - kappa ||x - T(x)||^2 + AUDIT_TOL.
     Every case is drawn first; the cases of each dimension then take their
     step as one stack, each row bitwise the map applied to it alone.
@@ -125,21 +122,16 @@ def attracting_step_suite(draws: int = 10_000, seed: int = 0) -> SuiteResult:
         grow = 1.0 + rng.uniform(0.0, 1.0)
         x = rng.uniform(-1.0, 1.0, size=k2)
         cases.setdefault(k2, []).append((QuadraticResidualCost(H, y), z, grow, x))
-    kappa = 1.0 - MU / 2.0
-    violations = 0
-    worst = 0.0
+    total = AuditResult()
     for group in cases.values():
         costs, z, grow, x = zip(*group)
         gram, hty, yty = stack_costs(costs)
         z, grow, x = np.array(z), np.array(grow), np.array(x)
         rho = residuals(hty, yty, z, np.matvec(gram, z)) * grow
         tx = sublevel_step(gram, hty, yty, x, rho, MU, BoxSet(1.0))[0]
-        lhs = np.sum((tx - z) ** 2, axis=1)
-        rhs = np.sum((x - z) ** 2, axis=1) - kappa * np.sum((x - tx) ** 2, axis=1) + AUDIT_TOL
-        excess = (lhs - rhs)[lhs > rhs]
-        violations += excess.size
-        worst = max(worst, float(excess.max(initial=0.0)))
-    return SuiteResult("attracting-step", draws, violations, worst)
+        total += attracting_audit(np.sum((tx - z) ** 2, axis=1), np.sum((x - z) ** 2, axis=1),
+                                  np.sum((x - tx) ** 2, axis=1), MU)
+    return SuiteResult("attracting-step", *astuple(total))
 
 
 class _RunSpec(NamedTuple):
@@ -158,48 +150,36 @@ def _audited_runs(specs: list[_RunSpec]) -> list[SuiteResult]:
     """The result of each spec, from one recorded engine stack that holds
     the runs of every spec; all specs must share one ``max_iters``.
 
-    The stack orders its rows variant by spec by trial, so that the runs of
-    one variant perturb as one group whatever spec they serve; the audits
-    run in spec by variant by trial order, as separate calls would.
+    The stack holds its rows variant by spec by trial, so that the runs of
+    one variant perturb as one group whatever spec they serve; each audit
+    runs in that order, and a spec's tally does not depend on it.
     """
     c = constellation(RUN_MODULATION)
     model = ChannelModel("iid")
-    rows = []
-    for i, spec in enumerate(specs):
-        insts = [make_instance(model, c, RUN_K, RUN_N, RUN_SNR_DB, trial_seed(spec.seed, t))
-                 for t in range(spec.trials)]
-        costs = [QuadraticResidualCost(inst.H, inst.y) for inst in insts]
-        rows += [(i, inst, cost, standard_config(variant, max_iters=spec.max_iters))
-                 for variant in VARIANTS for inst, cost in zip(insts, costs)]
-    order = sorted(range(len(rows)), key=lambda j: VARIANTS.index(rows[j][3].variant))
-    _, traces = apsm_run_batch([rows[j][2] for j in order], [rows[j][3] for j in order],
+    runs = [(i, make_instance(model, c, RUN_K, RUN_N, RUN_SNR_DB, trial_seed(spec.seed, t)))
+            for i, spec in enumerate(specs) for t in range(spec.trials)]
+    costs = [QuadraticResidualCost(inst.H, inst.y) for _, inst in runs]
+    rows = [(i, inst, cost, standard_config(variant, max_iters=specs[i].max_iters))
+            for variant in VARIANTS for (i, inst), cost in zip(runs, costs)]
+    _, traces = apsm_run_batch([row[2] for row in rows], [row[3] for row in rows],
                                c, record_iterates=True)
-    trace_of = dict(zip(order, traces))
-    # checked, violations, worst excess of each spec
-    tallies = [[0, 0, 0.0] for _ in specs]
-    for j, (i, inst, cost, cfg) in enumerate(rows):
-        trace = trace_of[j]
-        result = specs[i].audit(trace, trace.iterates, inst.s, cost, cfg)
-        tally = tallies[i]
-        tally[0] += result.checked
-        tally[1] += result.violations
-        tally[2] = max(tally[2], result.max_excess)
-    return [SuiteResult(spec.name, *tally) for spec, tally in zip(specs, tallies)]
+    tallies = [AuditResult() for _ in specs]
+    for (i, inst, cost, cfg), trace in zip(rows, traces):
+        tallies[i] += specs[i].audit(trace, trace.iterates, inst.s, cost, cfg)
+    return [SuiteResult(spec.name, *astuple(tally)) for spec, tally in zip(specs, tallies)]
 
 
 def quasi_fejer_suite(trials: int = 60, seed: int = 0,
                       max_iters: int = RUN_ITERS) -> SuiteResult:
     """Full-run Type-I quasi-Fejér audits of all variants against the true
     transmit vector."""
-    (result,) = _audited_runs([_RunSpec("quasi-fejer-run", check_quasi_fejer, trials,
-                                        seed, max_iters)])
-    return result
+    return _audited_runs([_RunSpec("quasi-fejer-run", check_quasi_fejer, trials, seed,
+                                   max_iters)])[0]
 
 
 def attracting_run_suite(trials: int = 20, seed: int = 0) -> SuiteResult:
     """Full-run attracting audits (with perturbation slack) for all variants."""
-    (result,) = _audited_runs([_RunSpec("attracting-run", check_attracting, trials, seed)])
-    return result
+    return _audited_runs([_RunSpec("attracting-run", check_attracting, trials, seed)])[0]
 
 
 def run_all_suites(seed: int = 0, prox_cases: int = 2000,

@@ -82,8 +82,6 @@ def attracting_whole_window(trace: IterateTrace, x_seq: np.ndarray, z_ref: np.nd
     Here r bounds d_n + kappa s_n and ||v_n|| over the whole window and b
     is the sum of the whole beta series."""
     start, d = _audit_window(trace, x_seq, z_ref, cost)
-    if start is None:
-        return np.empty(0), np.empty(0)
     kappa = 1.0 - cfg.mu / 2.0
     steps = trace.step_norm[start:]
     betas = schedule_table(cfg.beta, len(trace))[start:]

@@ -244,6 +244,23 @@ class TestAudits:
         audit = check_quasi_fejer(trace, trace.iterates, inst.s, cost, cfg)
         assert audit.checked == 0 and audit.violations == 0
 
+    def test_infeasible_reference_empties_both_audits(self):
+        # the window is empty, not missing: both checks tally no step, and
+        # an audit that checked nothing does not pass
+        inst, cost = small_instance(seed=8)
+        cfg = standard_config("l1", max_iters=40)
+        _, trace = apsm_run(cost, cfg, QPSK, record_iterates=True)
+        assert activation_index(trace, cost.residual_sq(inst.s)) is None
+        for check in (check_quasi_fejer, check_attracting):
+            audit = check(trace, trace.iterates, inst.s, cost, cfg)
+            assert audit == AuditResult() and not audit.passed
+
+    def test_tallies_add(self):
+        a, b = AuditResult(3, 1, 0.5), AuditResult(4, 0, 0.0)
+        assert a + b == b + a == AuditResult(7, 1, 0.5)
+        assert AuditResult() + a == a
+        assert not a.passed and b.passed and not AuditResult().passed
+
     def test_attracting_unperturbed(self):
         inst, cost = small_instance(seed=9)
         cfg = standard_config("plain", max_iters=260)

@@ -193,12 +193,14 @@ class TestDiagnoseAndValidate:
 
     def test_diagnose_audits_each_iterative_detector_in_order(self, capsys):
         argv = ["diagnose", "--k", "4", "--n", "8", "--mod", "qpsk", "--snr", "8",
-                "--iters", "50"]
+                "--iters", "260"]
         assert run(argv + ["--detectors", "apsm_l1,lmmse,apsm_plain,apsm_l2"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines[::2]] == [
             "detector=apsm_l1", "detector=apsm_plain", "detector=apsm_l2"]
         reports = [json.loads(line) for line in lines[1::2]]
+        assert all(report[audit]["checked"] > 0 for report in reports
+                   for audit in ("quasi_fejer", "attracting"))
         for kind, report in zip(("apsm_l1", "apsm_plain", "apsm_l2"), reports):
             assert run(argv + ["--detectors", kind]) == 0
             assert json.loads(capsys.readouterr().out.splitlines()[1]) == report
@@ -214,9 +216,23 @@ class TestDiagnoseAndValidate:
 
         monkeypatch.setattr(sapsm.cli, "diagnose", plain_violates)
         code = run(["diagnose", "--k", "4", "--n", "8", "--mod", "qpsk", "--snr", "8",
-                    "--iters", "50", "--detectors", "apsm_plain,apsm_l2"])
+                    "--iters", "260", "--detectors", "apsm_plain,apsm_l2"])
         assert code == 1
-        assert len(capsys.readouterr().out.splitlines()) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        # the violation is injected into an audit that checked steps
+        assert json.loads(lines[1])["attracting"]["checked"] > 0
+
+    def test_diagnose_fails_when_an_audit_checked_nothing(self, capsys):
+        # five iterations end before the reference becomes feasible: every
+        # audit window is empty, which proves nothing
+        assert run(["diagnose", "--iters", "5", "--detectors", "apsm_plain,apsm_l1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        reports = [json.loads(line) for line in lines[1::2]]
+        assert len(reports) == 2
+        assert all(report["activation_index"] is None for report in reports)
+        assert all(report[audit] == {"checked": 0, "violations": 0, "max_excess": 0.0}
+                   for report in reports for audit in ("quasi_fejer", "attracting"))
 
     def test_diagnose_without_iterative_detector_rejected(self, capsys):
         code = run(["diagnose", "--k", "4", "--n", "8", "--mod", "qpsk", "--snr", "8",

@@ -129,6 +129,18 @@ class TestLinearBaselineContract:
     def test_separated_or_regularized_columns_solve(self, detector, delta, sigma2):
         assert np.all(np.isfinite(detector(duplicated_column_instance(delta, sigma2))))
 
+    def test_zero_column_has_no_bias_correction(self):
+        # with sigma2 > 0 the normal equations are positive definite, but the
+        # zero column's alpha_k divides by zero: a structured error, before
+        # any divide (a warning would fail the test), never a NaN
+        rng = np.random.default_rng(3)
+        H = rng.standard_normal((8, 4))
+        H[:, 2] = 0.0
+        inst = manual_instance(H, rng.standard_normal(8), sigma2=0.1)
+        with pytest.raises(SolverFailure, match="column 2 of H"):
+            detect_constrained_lmmse(inst)
+        assert np.all(np.isfinite(detect_lmmse(inst)))
+
 
 class TestConstrainedLmmse:
     def test_identity_channel_bias_removal(self):
@@ -284,6 +296,15 @@ class TestBoxOracle:
         inst = manual_instance(np.zeros((4, 2)), np.ones(4))
         with pytest.raises(SolverFailure, match="no energy"):
             detect_box_oracle(inst, QPSK.box())
+
+    def test_repeated_column_breaks_the_full_rank_precondition(self):
+        # an 8 x 4 channel whose last column repeats the first: the warm
+        # start's normal equations are exactly singular
+        H = np.zeros((8, 4))
+        H[[0, 2, 5], [0, 1, 2]] = [1.5, -0.5, 2.0]
+        H[:, 3] = H[:, 0]
+        with pytest.raises(SolverFailure, match="singular"):
+            detect_box_oracle(manual_instance(H, np.ones(8)), QPSK.box())
 
     def test_duplicated_columns_raise_or_certify(self):
         # H'H is singular; an answer flagged converged must still be optimal
