@@ -205,8 +205,9 @@ class AuditResult:
 
     @classmethod
     def from_excess(cls, excess: np.ndarray) -> "AuditResult":
-        """Tally lhs - rhs of the audited inequality, one entry per step."""
-        return cls(int(excess.size), int(np.count_nonzero(excess > 0)),
+        """Tally lhs - rhs of the audited inequality, one entry per step; an
+        excess that is not a number counts as a violation."""
+        return cls(int(excess.size), int(np.count_nonzero(~(excess <= 0))),
                    float(excess.max(initial=0.0)))
 
     def __add__(self, other: "AuditResult") -> "AuditResult":

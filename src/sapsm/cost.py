@@ -30,9 +30,8 @@ class QuadraticResidualCost:
             raise DimensionMismatch(
                 f"H has shape {H.shape}, y has shape {y.shape}"
             )
-        self.gram = H.T @ H
-        self.hty = H.T @ y
-        self.yty = float(y @ y)
+        self.gram, self.hty, yty = normal_equations(H, y)
+        self.yty = float(yty)
 
     @property
     def dim_in(self) -> int:
@@ -53,6 +52,14 @@ class QuadraticResidualCost:
     def residual_sq(self, x: np.ndarray) -> float:
         x = self._check(x)
         return float(residuals(self.hty, self.yty, x, self.gram @ x))
+
+
+def normal_equations(H: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H'H, H'y, y'y) of one problem, or of each row of a stack of problems
+    H (B, m, d) and y (B, m). Each row is bitwise the problem alone: matmul
+    makes one BLAS call per row (syrk, as for ``H.T @ H``), and np.matvec
+    and np.vecdot too (see ``residuals``)."""
+    return np.matmul(H.mT, H), np.matvec(H.mT, y), np.vecdot(y, y)
 
 
 def stack_costs(costs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .apsm import IterateTrace, apsm_run
-from .cost import ApsmConfig, QuadraticResidualCost, standard_config
+from .cost import ApsmConfig, QuadraticResidualCost, normal_equations, standard_config
 from .errors import CandidateBudget, ConfigError, SolverFailure
 from .geometry import BoxSet, Constellation
 from .mimo import ChannelInstance
@@ -83,11 +83,10 @@ def _normal_equations(instance: ChannelInstance) -> tuple[np.ndarray, np.ndarray
     """(H'H + sigma2 I, H'H, H'y) of one realization. sigma2 is added to
     the diagonal alone, so an infinite sigma2 leaves the off-diagonal
     entries finite."""
-    H = instance.H
-    gram = H.T @ H
+    gram, hty, _ = normal_equations(instance.H, instance.y)
     A = gram.copy()
     A.flat[::A.shape[0] + 1] += instance.sigma2
-    return A, gram, H.T @ instance.y
+    return A, gram, hty
 
 
 def detect_lmmse(instance: ChannelInstance) -> np.ndarray:

@@ -107,30 +107,39 @@ def project_box(x: np.ndarray, box: BoxSet) -> np.ndarray:
     return np.minimum(out, box.a_max, out=out)
 
 
-def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
+def soft_threshold(x: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
     """Shrinkage sign(x) * max(|x| - tau, 0), the prox of tau * l1-norm.
 
-    The result carries the sign of x, also when it is zero, so that
-    soft_threshold(-x) is -soft_threshold(x) bit for bit; -0.0 maps to -0.0.
+    ``tau`` is a scalar or an array broadcast against x. The result carries
+    the sign of x, also when it is zero, so that soft_threshold(-x) is
+    -soft_threshold(x) bit for bit; -0.0 maps to -0.0.
     """
-    if tau < 0:
+    # a Python-level type test keeps the scalar path free of numpy calls
+    negative = np.any(tau < 0) if isinstance(tau, np.ndarray) else tau < 0
+    if negative:
         raise ConfigError("tau must be nonnegative")
     return np.copysign(np.maximum(np.abs(x) - tau, 0.0), x)
 
 
-def prox_l1_levels(x: np.ndarray, tau: float, c: Constellation) -> np.ndarray:
+def prox_l1_levels(x: np.ndarray, tau: float | np.ndarray, c: Constellation) -> np.ndarray:
     """Soft-thresholded slicing: shrink the residual to the lattice.
 
     This is the proximal mapping of the nonconvex distance-to-lattice
     objective tau * ||x - P_S(x)||_1; it reduces to P_S(x) when every
-    residual magnitude is at most tau, and to x when tau is zero.
+    residual magnitude is at most tau, and to x when tau is zero. ``tau``
+    is a scalar or an array broadcast against x, each element bitwise the
+    scalar call on it; an element with tau = 0 keeps its x.
     """
     x = np.asarray(x, dtype=float)
-    if tau == 0:
+    per_element = isinstance(tau, np.ndarray)
+    if not per_element and tau == 0:
         # identity, kept exact (adding and subtracting the slice would round)
         return x.copy()
     sliced = c.nearest(x)
-    return soft_threshold(x - sliced, tau) + sliced
+    out = soft_threshold(x - sliced, tau) + sliced
+    if per_element:
+        np.copyto(out, x, where=tau == 0)
+    return out
 
 
 def perturbation_l2(x: np.ndarray, c: Constellation) -> np.ndarray:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from sapsm.apsm import apsm_run, check_quasi_fejer
+from sapsm.apsm import AuditResult, apsm_run, check_quasi_fejer
 from sapsm.cost import QuadraticResidualCost, standard_config
 from sapsm.detectors import (
     DetectorKind as D,
@@ -51,7 +51,7 @@ def reference_runs():
     trials, iters = 500, 300
     configs = {v: standard_config(v, max_iters=iters) for v in VARIANTS}
     feasible = {v: 0 for v in VARIANTS}
-    audits = {v: [0, 0, 0.0] for v in VARIANTS}  # checked, violations, worst
+    audits = AuditResult()
     run_time = 0.0
     for t in range(trials):
         inst = make_instance(ChannelModel("iid"), QAM16, 16, 64, 9.0,
@@ -63,11 +63,8 @@ def reference_runs():
             run_time += time.perf_counter() - t0
             if trace.theta[-1] == 0.0:
                 feasible[v] += 1
-            audit = check_quasi_fejer(trace, trace.iterates, inst.s, cost,
-                                      configs[v])
-            audits[v][0] += audit.checked
-            audits[v][1] += audit.violations
-            audits[v][2] = max(audits[v][2], audit.max_excess)
+            audits += check_quasi_fejer(trace, trace.iterates, inst.s, cost,
+                                        configs[v])
     return {"trials": trials, "feasible": feasible, "audits": audits,
             "run_time": run_time}
 
@@ -96,13 +93,9 @@ def test_criterion_1_feasibility(reference_runs, capsys):
 
 def test_criterion_2_quasi_fejer(reference_runs, capsys):
     audits = reference_runs["audits"]
-    total_checked = sum(a[0] for a in audits.values())
-    total_viol = sum(a[1] for a in audits.values())
-    worst = max(a[2] for a in audits.values())
-    ok = total_viol == 0 and total_checked > 0
-    report(capsys, 2, ok,
-           f"{total_viol} violations / {total_checked} audited steps "
-           f"(worst excess {worst:.2e}, tol 1e-9)")
+    report(capsys, 2, audits.passed,
+           f"{audits.violations} violations / {audits.checked} audited steps "
+           f"(worst excess {audits.max_excess:.2e}, tol 1e-9)")
 
 
 def test_criterion_3_attracting_steps(capsys):

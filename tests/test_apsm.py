@@ -261,6 +261,11 @@ class TestAudits:
         assert AuditResult() + a == a
         assert not a.passed and b.passed and not AuditResult().passed
 
+    def test_an_excess_that_is_not_a_number_violates(self):
+        audit = AuditResult.from_excess(np.array([np.nan, -1.0]))
+        assert (audit.checked, audit.violations) == (2, 1) and not audit.passed
+        assert AuditResult.from_excess(np.array([-1.0, 0.0])) == AuditResult(2, 0, 0.0)
+
     def test_attracting_unperturbed(self):
         inst, cost = small_instance(seed=9)
         cfg = standard_config("plain", max_iters=260)

@@ -12,6 +12,7 @@ from sapsm.cost import (
     QuadraticResidualCost,
     RhoSchedule,
     apsm_map,
+    normal_equations,
     schedule_table,
     stack_costs,
     standard_config,
@@ -234,6 +235,20 @@ class TestStackedStep:
             assert (theta[i] > 0.0) == (rows[i] != "feasible")
             if rows[i] != "step":
                 assert out[i].tobytes() == project_box(z[i], box).tobytes()
+
+
+class TestNormalEquations:
+    @pytest.mark.parametrize("size,m,d", [(1, 4, 2), (7, 8, 4), (5, 64, 32)])
+    def test_each_row_of_a_stack_is_the_problem_alone(self, size, m, d):
+        rng = np.random.default_rng(size + d)
+        H = rng.standard_normal((size, m, d))
+        y = rng.standard_normal((size, m))
+        gram, hty, yty = normal_equations(H, y)
+        for i in range(size):
+            cost = QuadraticResidualCost(H[i], y[i])
+            assert gram[i].tobytes() == (H[i].T @ H[i]).tobytes() == cost.gram.tobytes()
+            assert hty[i].tobytes() == (H[i].T @ y[i]).tobytes() == cost.hty.tobytes()
+            assert yty[i] == y[i] @ y[i] == cost.yty
 
 
 class TestRhoSchedule:

@@ -32,6 +32,9 @@ SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan)
 any_points = arrays(np.float64, st.integers(1, 16),
                     elements=st.sampled_from(SPECIALS) | st.floats())
 taus = st.just(0.0) | st.floats(0.0, 4.0)
+# any points with one tau each, signed zeros drawn often
+paired_taus = any_points.flatmap(lambda x: st.tuples(st.just(x), arrays(
+    np.float64, x.shape, elements=st.sampled_from([0.0, -0.0]) | taus)))
 
 
 def sign_product_threshold(x, tau):
@@ -213,6 +216,24 @@ class TestProx:
     def test_negative_tau_rejected(self):
         with pytest.raises(ConfigError):
             prox_l1_levels(np.array([0.3]), -0.1, QPSK)
+        for tau in (np.array([0.1, -0.1]), np.array(-0.1)):
+            with pytest.raises(ConfigError):
+                prox_l1_levels(np.array([0.3, 0.4]), tau, QPSK)
+            with pytest.raises(ConfigError):
+                soft_threshold(np.array([0.3, 0.4]), tau)
+
+    @properties
+    @given(c=alphabets, x_tau=paired_taus)
+    @example(c=QPSK, x_tau=(np.array(SPECIALS + (A1, 1.05 * A1, -0.3)),
+                            np.array([0.1, 0.0, -0.0, 0.2, 0.0, 0.3, 0.0, 0.1 * A1, -0.0])))
+    def test_array_tau_is_the_scalar_call_per_element(self, c, x_tau):
+        # tau = +-0.0 elements keep their x, as the scalar identity branch
+        # does, nan payloads and signed zeros included
+        x, tau = x_tau
+        ref = [prox_l1_levels(x[i:i + 1], float(t), c) for i, t in enumerate(tau)]
+        assert prox_l1_levels(x, tau, c).tobytes() == np.concatenate(ref).tobytes()
+        ref = [soft_threshold(x[i:i + 1], float(t)) for i, t in enumerate(tau)]
+        assert soft_threshold(x, tau).tobytes() == np.concatenate(ref).tobytes()
 
     def test_matches_grid_search_argmin(self):
         # objective u -> tau*|u - P_S(u)| + (x-u)^2/2 over a dense grid

@@ -10,13 +10,14 @@ import sapsm.validation as validation
 from sapsm.apsm import TRACE_COLUMNS, _row_groups
 from sapsm.cost import MU, QuadraticResidualCost, apsm_map
 from sapsm.errors import ConfigError
-from sapsm.geometry import BoxSet, constellation
+from sapsm.geometry import BoxSet, constellation, prox_l1_levels
 from sapsm.validation import (
     GRID_HI,
     GRID_LO,
     GRID_STEP,
     PROX_ALPHABETS,
     SuiteResult,
+    _grid_bound,
     _grid_min,
     _audited_runs,
     _RunSpec,
@@ -24,9 +25,34 @@ from sapsm.validation import (
     attracting_step_suite,
     check_attracting,
     check_quasi_fejer,
+    prox_grid_suite,
     quasi_fejer_suite,
     run_all_suites,
 )
+
+GRID = np.arange(GRID_LO, GRID_HI + GRID_STEP / 2, GRID_STEP)
+
+
+def serial_prox_grid_suite(cases, seed):
+    """The prox suite as one one-element prox call and one whole-grid
+    minimum per case: the reference the suite must reproduce bit for bit.
+    Reads the tolerance from ``validation`` at call time, as the suite
+    does."""
+    rng = np.random.default_rng(seed)
+    gaps = []
+    for i, name in enumerate(PROX_ALPHABETS):
+        c = constellation(name)
+        f1_grid = np.abs(GRID - c.nearest(GRID))
+        n = cases // len(PROX_ALPHABETS) + (cases % len(PROX_ALPHABETS) if i == 0 else 0)
+        xs = rng.uniform(-2.0, 2.0, size=n)
+        taus = rng.uniform(0.0, 0.5, size=n)
+        for x, tau in zip(xs, taus):
+            p = float(prox_l1_levels(np.array([x]), tau, c)[0])
+            ours = tau * abs(p - c.nearest(p)) + 0.5 * (x - p) ** 2
+            best = float((np.square(x - GRID) * 0.5 + tau * f1_grid).min())
+            gaps.append(float(ours - best))
+    violations = sum(not gap <= validation.GAP_TOL for gap in gaps)
+    return SuiteResult("prox-grid-oracle", len(gaps), violations, max([0.0, *gaps]))
 
 
 def serial_attracting_step_suite(draws, seed):
@@ -78,26 +104,51 @@ def dimensions_drawn(draws, seed):
     return dims
 
 
-GRID = np.arange(GRID_LO, GRID_HI + GRID_STEP / 2, GRID_STEP)
-
-
 class TestProxGrid:
     # x over the whole grid (the suite draws [-2, 2]), at and between grid
     # points and at both ends; tau beyond the suite's [0, 0.5] widens the
-    # window up to the whole grid
+    # window up to the whole grid; the point p that tightens the bound lies
+    # anywhere on the grid, beyond it, or is not a number
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.sampled_from(PROX_ALPHABETS),
            st.floats(GRID_LO, GRID_HI) | st.integers(0, GRID.size - 1).map(lambda i: GRID[i]),
-           st.floats(0.0, 0.5) | st.floats(0.0, 4.0))
-    @example("qpsk", GRID_LO, 0.0)
-    @example("16qam", GRID_HI, 0.0)
-    @example("16qam", GRID_HI, 4.0)
-    @example("qpsk", 0.0, 0.5)
-    def test_window_minimum_is_the_grid_minimum(self, name, x, tau):
+           st.floats(0.0, 0.5) | st.floats(0.0, 4.0),
+           st.floats(GRID_LO, GRID_HI) | st.floats(-1e300, 1e300)
+           | st.sampled_from([np.nan, np.inf, -np.inf]))
+    @example("qpsk", GRID_LO, 0.0, GRID_HI)
+    @example("16qam", GRID_HI, 0.0, np.nan)
+    @example("16qam", GRID_HI, 4.0, -np.inf)
+    @example("qpsk", 0.0, 0.5, 0.0)
+    def test_window_minimum_is_the_grid_minimum(self, name, x, tau, p):
         c = constellation(name)
         f1_grid = np.abs(GRID - c.nearest(GRID))
         whole = np.square(np.subtract(x, GRID)) * 0.5 + tau * f1_grid
-        assert _grid_min(x, tau, GRID, f1_grid).hex() == float(whole.min()).hex()
+        # warnings are errors here, so a cast of a non-finite p would fail
+        ub = float(_grid_bound(np.array([x]), np.array([p]), np.array([tau]), GRID, f1_grid)[0])
+        assert _grid_min(x, tau, ub, GRID, f1_grid).hex() == float(whole.min()).hex()
+
+    # the gaps lie below zero, about half of them within 1e-9 of it; a
+    # negative tolerance makes some cases "violate", so the counts depend on
+    # every bit of the gaps
+    @pytest.mark.parametrize("tol", [validation.GAP_TOL, -1e-10, -5e-10, -1e-9])
+    @pytest.mark.parametrize("cases,seed", [(1, 0), (2, 3), (7, 1), (120, 2), (301, 5)])
+    def test_suite_is_the_serial_loop(self, monkeypatch, tol, cases, seed):
+        monkeypatch.setattr(validation, "GAP_TOL", tol)
+        suite = prox_grid_suite(cases=cases, seed=seed)
+        assert suite.checked == cases
+        assert_same_result(suite, serial_prox_grid_suite(cases, seed))
+
+    def test_tolerances_exercise_violations(self, monkeypatch):
+        monkeypatch.setattr(validation, "GAP_TOL", -5e-10)
+        result = prox_grid_suite(cases=120, seed=2)
+        assert 0 < result.violations < result.checked
+
+    def test_a_gap_that_is_not_a_number_fails(self, monkeypatch):
+        monkeypatch.setattr(validation, "prox_l1_levels",
+                            lambda x, tau, c: np.full_like(x, np.nan))
+        result = prox_grid_suite(cases=20, seed=1)
+        assert (result.checked, result.violations) == (20, 20)
+        assert not result.passed and "FAIL" in result.line()
 
 
 class TestAttractingStep:
