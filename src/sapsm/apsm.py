@@ -63,8 +63,9 @@ class IterateTrace:
     def n(self) -> np.ndarray:
         return np.arange(len(self))
 
-    @property
+    @functools.cached_property
     def rho(self) -> np.ndarray:
+        """The radius rho_n of each iteration."""
         return schedule_table(self.cfg.rho, len(self))
 
     def _recorded(self, column: str) -> np.ndarray:

@@ -20,8 +20,8 @@ from dataclasses import replace
 from functools import partial
 
 from .apsm import diagnose
-from .cost import BetaSchedule, QuadraticResidualCost, RhoSchedule, standard_config
-from .detectors import _APSM_VARIANT, detect
+from .cost import BetaSchedule, QuadraticResidualCost, RhoSchedule
+from .detectors import _APSM_VARIANT, DetectorKind, detect, run_config
 from .errors import ConfigError
 from .geometry import constellation
 from .mimo import ChannelModel, make_instance, symbol_errors
@@ -134,6 +134,9 @@ def _resolve(args: argparse.Namespace) -> dict:
             merged[key] = val
     if isinstance(merged["snr"], float):
         merged["snr"] = [merged["snr"]]
+    # every subcommand reads the seed; numpy refuses a negative one mid-run
+    if merged["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {merged['seed']}")
     return merged
 
 
@@ -145,8 +148,8 @@ def _apsm_overrides(vals: dict, names: list[str]) -> dict:
         raise ConfigError("--beta and --beta-geom are mutually exclusive")
     overrides = {}
     for name in filter(_APSM_VARIANT.__contains__, names):
-        variant = _APSM_VARIANT[name]
-        base = standard_config(variant)
+        base = run_config(DetectorKind(name))
+        variant = base.variant
         rho = RhoSchedule(
             vals["rho0"] if vals["rho0"] is not None else base.rho.rho0,
             vals["growth"] if vals["growth"] is not None else base.rho.growth,

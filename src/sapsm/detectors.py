@@ -19,7 +19,7 @@ import numpy as np
 from .apsm import IterateTrace, apsm_run
 from .cost import ApsmConfig, QuadraticResidualCost, normal_equations, standard_config
 from .errors import CandidateBudget, ConfigError, SolverFailure
-from .geometry import BoxSet, Constellation
+from .geometry import BoxSet, Constellation, project_box
 from .mimo import ChannelInstance
 
 ML_CANDIDATE_LIMIT = 10**6
@@ -52,6 +52,17 @@ _APSM_VARIANT = {
     DetectorKind.APSM_L2: "l2",
     DetectorKind.APSM_L1: "l1",
 }
+
+
+def run_config(kind: DetectorKind, cfg: ApsmConfig | None = None) -> ApsmConfig:
+    """The run config of an iterative detector: ``cfg``, which must be of the
+    kind's variant, or by default ``standard_config`` of that variant."""
+    variant = _APSM_VARIANT[kind]
+    if cfg is None:
+        return standard_config(variant)
+    if cfg.variant != variant:
+        raise ConfigError(f"{kind.value} needs a {variant!r} config, got {cfg.variant!r}")
+    return cfg
 
 
 def _solve_spd(A: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -171,7 +182,7 @@ def detect_box_oracle(instance: ChannelInstance, box: BoxSet) -> BoxOracleResult
     abs_gram = np.abs(G)
     x = _solve_block(G, h)
     free = np.abs(x) <= a
-    x = np.clip(x, -a, a)
+    x = project_box(x, box)
     settled = bool(free.all())
     for solves in range(1, ACTIVE_SET_SOLVES + 1):
         if settled:
@@ -243,14 +254,8 @@ def detect(kind: DetectorKind, instance: ChannelInstance, c: Constellation,
     """
     kind = DetectorKind(kind)
     if kind in _APSM_VARIANT:
-        variant = _APSM_VARIANT[kind]
-        if cfg is None:
-            cfg = standard_config(variant)
-        elif cfg.variant != variant:
-            raise ConfigError(f"{kind.value} needs a {variant!r} config, "
-                              f"got {cfg.variant!r}")
         cost = QuadraticResidualCost(instance.H, instance.y)
-        return apsm_run(cost, cfg, c, record_iterates=record_iterates)
+        return apsm_run(cost, run_config(kind, cfg), c, record_iterates=record_iterates)
     if kind is DetectorKind.LMMSE:
         return detect_lmmse(instance), None
     if kind is DetectorKind.CONSTRAINED_LMMSE:

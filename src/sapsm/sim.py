@@ -19,8 +19,8 @@ from functools import partial
 import numpy as np
 
 from .apsm import apsm_run_batch
-from .cost import ApsmConfig, QuadraticResidualCost, standard_config
-from .detectors import _APSM_VARIANT, DetectorKind, detect
+from .cost import ApsmConfig, QuadraticResidualCost
+from .detectors import _APSM_VARIANT, DetectorKind, detect, run_config
 from .errors import ConfigError
 from .geometry import Constellation, constellation
 from .mimo import ChannelModel, make_instance, symbol_errors, trial_seed
@@ -36,10 +36,9 @@ BATCH_TRIALS = 64
 class ExperimentConfig:
     """One Monte-Carlo experiment. Once built, ``run_configs`` holds one
     full run config per iterative detector of ``detectors``, in list order:
-    its entry in ``apsm_overrides``, else ``standard_config`` of its
-    variant, with the experiment's ``max_iters`` so per-iteration curves
-    stay aligned. An override for any other detector, or of another variant,
-    is a ConfigError.
+    ``run_config`` of its entry in ``apsm_overrides``, with the experiment's
+    ``max_iters`` so per-iteration curves stay aligned. An override for any
+    other detector, or of another variant, is a ConfigError.
     """
 
     k: int
@@ -77,15 +76,10 @@ class ExperimentConfig:
             raise ConfigError(f"need 1 <= K <= N, got K={self.k}, N={self.n}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
-        variants = {kind: _APSM_VARIANT[kind] for kind in kinds if kind in _APSM_VARIANT}
-        if not overrides.keys() <= variants.keys():
+        resolved = {kind: replace(run_config(kind, overrides.get(kind)), max_iters=self.max_iters)
+                    for kind in kinds if kind in _APSM_VARIANT}
+        if not overrides.keys() <= resolved.keys():
             raise ConfigError("overrides apply only to the iterative detectors of the list")
-        resolved = {}
-        for kind, variant in variants.items():
-            acfg = overrides.get(kind) or standard_config(variant)
-            if acfg.variant != variant:
-                raise ConfigError(f"{kind.value} cannot run a {acfg.variant!r} config")
-            resolved[kind] = replace(acfg, max_iters=self.max_iters)
         object.__setattr__(self, "run_configs", resolved)
 
 
@@ -250,8 +244,5 @@ def table_text(table: SerTable, fmt: str = "csv") -> str:
 
 def emit(table: SerTable, path, fmt: str = "csv") -> None:
     text = table_text(table, fmt)
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write table to {path}: {exc}") from exc
+    with open(path, "w", newline="") as fh:
+        fh.write(text)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,21 +47,20 @@ PROX_ALPHABETS, GAP_TOL = ("qpsk", "16qam"), 1e-6
 RUN_K, RUN_N, RUN_MODULATION, RUN_SNR_DB, RUN_ITERS = 4, 8, "qpsk", 8.0, 260
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
+    """A suite's name and the tally of every inequality it checked."""
+
     name: str
-    checked: int
-    violations: int
-    worst: float
+    audit: AuditResult
 
     @property
     def passed(self) -> bool:
-        return AuditResult(self.checked, self.violations, self.worst).passed
+        return self.audit.passed
 
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status} {self.name}: {self.violations} violations "
-                f"/ {self.checked} checks (worst excess {self.worst:.3e})")
+        a = self.audit
+        return (f"{'PASS' if a.passed else 'FAIL'} {self.name}: {a.violations} violations "
+                f"/ {a.checked} checks (worst excess {a.max_excess:.3e})")
 
 
 def _grid_bound(x: np.ndarray, p: np.ndarray, tau: np.ndarray, grid: np.ndarray,
@@ -104,7 +102,8 @@ def prox_grid_suite(cases: int = 10_000, seed: int = 0) -> SuiteResult:
     minimum of tau * |u - P_S(u)| + (x - u)^2 / 2 within ``GAP_TOL``. The
     cases split evenly over the alphabets, the first taking the remainder;
     the prox runs once per alphabet over all its cases, and only the
-    quadratic term and the oracle run per case. A gap that is not a number
+    quadratic term and the oracle run per case. Each case is tallied by its
+    excess over ``GAP_TOL``, as every audit is: a gap that is not a number
     counts as a violation.
     """
     rng = np.random.default_rng(seed)
@@ -125,9 +124,7 @@ def prox_grid_suite(cases: int = 10_000, seed: int = 0) -> SuiteResult:
         for x, tau, p, pen, ub in zip(xs.tolist(), taus.tolist(), ps.tolist(),
                                       penalty.tolist(), bounds.tolist()):
             gaps.append(pen + 0.5 * (x - p) ** 2 - _grid_min(x, tau, ub, grid, f1_grid))
-    gaps = np.array(gaps)
-    return SuiteResult("prox-grid-oracle", gaps.size, int(np.count_nonzero(~(gaps <= GAP_TOL))),
-                       float(gaps.max(initial=0.0)))
+    return SuiteResult("prox-grid-oracle", AuditResult.from_excess(np.array(gaps) - GAP_TOL))
 
 
 def attracting_step_suite(draws: int = 10_000, seed: int = 0) -> SuiteResult:
@@ -160,7 +157,7 @@ def attracting_step_suite(draws: int = 10_000, seed: int = 0) -> SuiteResult:
         tx = sublevel_step(gram, hty, yty, x, rho, MU, BoxSet(1.0))[0]
         total += attracting_audit(np.sum((tx - z) ** 2, axis=1), np.sum((x - z) ** 2, axis=1),
                                   np.sum((x - tx) ** 2, axis=1), MU)
-    return SuiteResult("attracting-step", *astuple(total))
+    return SuiteResult("attracting-step", total)
 
 
 class _RunSpec(NamedTuple):
@@ -195,7 +192,7 @@ def _audited_runs(specs: list[_RunSpec]) -> list[SuiteResult]:
     tallies = [AuditResult() for _ in specs]
     for (i, inst, cost, cfg), trace in zip(rows, traces):
         tallies[i] += specs[i].audit(trace, trace.iterates, inst.s, cost, cfg)
-    return [SuiteResult(spec.name, *astuple(tally)) for spec, tally in zip(specs, tallies)]
+    return [SuiteResult(spec.name, tally) for spec, tally in zip(specs, tallies)]
 
 
 def quasi_fejer_suite(trials: int = 60, seed: int = 0,

@@ -99,10 +99,10 @@ def test_criterion_2_quasi_fejer(reference_runs, capsys):
 
 
 def test_criterion_3_attracting_steps(capsys):
-    res = attracting_step_suite(draws=10_000, seed=20_240_903)
+    res = attracting_step_suite(draws=10_000, seed=20_240_903).audit
     report(capsys, 3, res.violations == 0 and res.checked == 10_000,
            f"{res.violations} violations / {res.checked} random single steps "
-           f"(kappa=0.65, tol 1e-9, worst excess {res.worst:.2e})")
+           f"(kappa=0.65, tol 1e-9, worst excess {res.max_excess:.2e})")
 
 
 def test_criterion_4_box_proximity(capsys):
@@ -174,10 +174,10 @@ def test_criterion_6_closed_form_baselines(capsys):
 
 
 def test_criterion_7_prox_oracle(capsys):
-    res = prox_grid_suite(cases=10_000, seed=20_240_907)
+    res = prox_grid_suite(cases=10_000, seed=20_240_907).audit
     report(capsys, 7, res.violations == 0 and res.checked == 10_000,
            f"{res.violations} objective gaps beyond 1e-6 over {res.checked} "
-           f"random (x, tau) draws (worst gap {res.worst:.2e})")
+           f"random (x, tau) draws (worst excess {res.max_excess:.2e})")
 
 
 def test_criterion_8_correlated_ordering(correlated_experiment, capsys):

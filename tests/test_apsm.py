@@ -232,7 +232,7 @@ class TestAudits:
         assert audit.violations == 0
 
     def test_500_seeded_trials_of_every_variant(self):
-        result = quasi_fejer_suite(trials=500, seed=11)
+        result = quasi_fejer_suite(trials=500, seed=11).audit
         assert result.checked > 0
         assert result.violations == 0
 

@@ -66,6 +66,18 @@ class TestSerSnr:
         payload = json.loads(out.read_text())
         assert payload["rows"][0]["detector"] == "lmmse"
 
+    def test_worker_error_is_the_serial_error(self, capsys):
+        # the ML budget refuses 16x64 16-QAM in a worker process, whose error
+        # reaches the CLI through a pickle round trip
+        argv = ["ser-snr", "--k", "16", "--n", "64", "--trials", "2", "--iters", "5",
+                "--detectors", "lmmse,ml_bruteforce"]
+        errs = []
+        for workers in ("1", "2"):
+            assert run(argv + ["--workers", workers]) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == (
+            f"error: CandidateBudget: {4 ** 32} candidates exceed budget of 1000000\n")
+
     def test_runtime_error_exits_one(self, tmp_path, capsys):
         out = tmp_path / "no_such_dir" / "o.csv"
         code = run(["ser-snr", "--k", "2", "--n", "4", "--mod", "qpsk",
@@ -384,3 +396,17 @@ class TestFlagsPerSubcommand:
                 "--detectors", "lmmse"]
         assert run(argv + ["--rho-tx", "0.9", "--rho-rx", "0.9"]) == 2
         assert "iid channel takes no correlation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given", ["flag", "file"])
+    @pytest.mark.parametrize("cmd", sorted(READS))
+    def test_negative_seed_exits_2_before_any_trial(self, tmp_path, capsys, no_trials,
+                                                    cmd, given):
+        argv = [cmd]
+        if given == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -1}))
+            argv += ["--config", str(cfg)]
+        assert run(argv) == 2
+        assert "seed" in capsys.readouterr().err

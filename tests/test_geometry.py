@@ -235,19 +235,6 @@ class TestProx:
         ref = [soft_threshold(x[i:i + 1], float(t)) for i, t in enumerate(tau)]
         assert soft_threshold(x, tau).tobytes() == np.concatenate(ref).tobytes()
 
-    def test_matches_grid_search_argmin(self):
-        # objective u -> tau*|u - P_S(u)| + (x-u)^2/2 over a dense grid
-        rng = np.random.default_rng(6)
-        grid = np.arange(-3.0, 3.0 + 5e-5, 1e-4)
-        f1 = np.abs(grid - QPSK.nearest(grid))
-        for _ in range(300):
-            x = rng.uniform(-2, 2)
-            tau = rng.uniform(0, 0.5)
-            p = prox_l1_levels(np.array([x]), tau, QPSK)[0]
-            ours = tau * abs(p - QPSK.nearest(p)) + 0.5 * (x - p) ** 2
-            best = np.min(tau * f1 + 0.5 * (x - grid) ** 2)
-            assert ours - best <= 1e-6
-
     @properties
     @given(c=alphabets, x=points, extra=st.floats(0.0, 1.0))
     def test_absorbs_to_slice_when_tau_dominates(self, c, x, extra):

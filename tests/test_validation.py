@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sapsm.apsm as apsm
 import sapsm.validation as validation
-from sapsm.apsm import TRACE_COLUMNS, _row_groups
+from sapsm.apsm import TRACE_COLUMNS, AuditResult, _row_groups
 from sapsm.cost import MU, QuadraticResidualCost, apsm_map
 from sapsm.errors import ConfigError
 from sapsm.geometry import BoxSet, constellation, prox_l1_levels
@@ -35,11 +35,11 @@ GRID = np.arange(GRID_LO, GRID_HI + GRID_STEP / 2, GRID_STEP)
 
 def serial_prox_grid_suite(cases, seed):
     """The prox suite as one one-element prox call and one whole-grid
-    minimum per case: the reference the suite must reproduce bit for bit.
-    Reads the tolerance from ``validation`` at call time, as the suite
-    does."""
+    minimum per case, each tallied by its gap's excess over the tolerance:
+    the reference the suite must reproduce bit for bit. Reads the tolerance
+    from ``validation`` at call time, as the suite does."""
     rng = np.random.default_rng(seed)
-    gaps = []
+    excess = []
     for i, name in enumerate(PROX_ALPHABETS):
         c = constellation(name)
         f1_grid = np.abs(GRID - c.nearest(GRID))
@@ -50,9 +50,10 @@ def serial_prox_grid_suite(cases, seed):
             p = float(prox_l1_levels(np.array([x]), tau, c)[0])
             ours = tau * abs(p - c.nearest(p)) + 0.5 * (x - p) ** 2
             best = float((np.square(x - GRID) * 0.5 + tau * f1_grid).min())
-            gaps.append(float(ours - best))
-    violations = sum(not gap <= validation.GAP_TOL for gap in gaps)
-    return SuiteResult("prox-grid-oracle", len(gaps), violations, max([0.0, *gaps]))
+            excess.append(float(ours - best) - validation.GAP_TOL)
+    violations = sum(not e <= 0 for e in excess)
+    return SuiteResult("prox-grid-oracle",
+                       AuditResult(len(excess), violations, max([0.0, *excess])))
 
 
 def serial_attracting_step_suite(draws, seed):
@@ -81,12 +82,13 @@ def serial_attracting_step_suite(draws, seed):
         if lhs > rhs:
             violations += 1
             worst = max(worst, lhs - rhs)
-    return SuiteResult("attracting-step", draws, violations, worst)
+    return SuiteResult("attracting-step", AuditResult(draws, violations, worst))
 
 
 def assert_same_result(a: SuiteResult, b: SuiteResult):
-    assert (a.name, a.checked, a.violations) == (b.name, b.checked, b.violations)
-    assert float(a.worst).hex() == float(b.worst).hex()
+    assert (a.name, a.audit.checked, a.audit.violations) == (b.name, b.audit.checked,
+                                                            b.audit.violations)
+    assert float(a.audit.max_excess).hex() == float(b.audit.max_excess).hex()
 
 
 def dimensions_drawn(draws, seed):
@@ -135,19 +137,19 @@ class TestProxGrid:
     def test_suite_is_the_serial_loop(self, monkeypatch, tol, cases, seed):
         monkeypatch.setattr(validation, "GAP_TOL", tol)
         suite = prox_grid_suite(cases=cases, seed=seed)
-        assert suite.checked == cases
+        assert suite.audit.checked == cases
         assert_same_result(suite, serial_prox_grid_suite(cases, seed))
 
     def test_tolerances_exercise_violations(self, monkeypatch):
         monkeypatch.setattr(validation, "GAP_TOL", -5e-10)
         result = prox_grid_suite(cases=120, seed=2)
-        assert 0 < result.violations < result.checked
+        assert 0 < result.audit.violations < result.audit.checked
 
     def test_a_gap_that_is_not_a_number_fails(self, monkeypatch):
         monkeypatch.setattr(validation, "prox_l1_levels",
                             lambda x, tau, c: np.full_like(x, np.nan))
         result = prox_grid_suite(cases=20, seed=1)
-        assert (result.checked, result.violations) == (20, 20)
+        assert (result.audit.checked, result.audit.violations) == (20, 20)
         assert not result.passed and "FAIL" in result.line()
 
 
@@ -172,7 +174,8 @@ class TestAttractingStep:
     def test_tolerances_exercise_violations(self, monkeypatch):
         monkeypatch.setattr(apsm, "AUDIT_TOL", -1.0)
         result = attracting_step_suite(draws=1500, seed=7)
-        assert 0 < result.violations < result.checked and result.worst > 0.0
+        audit = result.audit
+        assert 0 < audit.violations < audit.checked and audit.max_excess > 0.0
 
 
 class TestAuditedRuns:
@@ -206,7 +209,7 @@ class TestAuditedRuns:
         assert Counter(audited[27:]) == Counter(merged_runs)
         for a, b in zip(merged[2:], separate):
             assert_same_result(a, b)
-            assert a.checked > 0
+            assert a.audit.checked > 0
 
     def test_each_spec_keeps_its_own_tally(self):
         spec = _RunSpec("quasi-fejer-run", check_quasi_fejer, 2, 3, 40)
