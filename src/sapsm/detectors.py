@@ -2,10 +2,11 @@
 exhaustive baselines.
 
 Linear baselines are solved by factorization (never an explicit inverse),
-with numpy alone: a Cholesky factor certifies the normal equations before
-they are solved. The box-relaxation reference is solved exactly by an
-active-set method on the normal equations, and the exhaustive search refuses
-candidate sets past a fixed budget.
+with numpy alone, on a whole stack of realizations at once: a Cholesky
+factor certifies the normal equations before they are solved. The
+box-relaxation reference is solved exactly by an active-set method on the
+normal equations, and the exhaustive search refuses candidate sets past a
+fixed budget.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ ACTIVE_SET_SOLVES = 1_000
 # KKT tolerance of the box oracle, relative to the rounding scale of each
 # gradient entry.
 _KKT_RTOL = 1e-12
-# Largest squared Cholesky pivot ratio at which _solve_spd refuses the
+# Largest squared Cholesky pivot ratio at which _solve_stack refuses the
 # normal equations as singular to machine precision. On H'H with one column
 # of H repeated up to a perturbation of relative size 1e-8 or less, 8 eps
 # refuses every case, where eps alone misses about a quarter of them.
@@ -52,6 +53,8 @@ _APSM_VARIANT = {
     DetectorKind.APSM_L2: "l2",
     DetectorKind.APSM_L1: "l1",
 }
+# the kinds that detect_lmmse_batch solves
+_LMMSE_KINDS = (DetectorKind.LMMSE, DetectorKind.CONSTRAINED_LMMSE)
 
 
 def run_config(kind: DetectorKind, cfg: ApsmConfig | None = None) -> ApsmConfig:
@@ -65,64 +68,101 @@ def run_config(kind: DetectorKind, cfg: ApsmConfig | None = None) -> ApsmConfig:
     return cfg
 
 
-def _solve_spd(A: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve A x = rhs for a symmetric positive definite A, raising a
-    structured error instead of returning an inaccurate result.
+def _solve_stack(A: np.ndarray, gram: np.ndarray, hty: np.ndarray,
+                 kinds: tuple[DetectorKind, ...]) -> dict[DetectorKind, np.ndarray]:
+    """The linear baselines ``kinds`` of each row of the stack
+    A = H'H + sigma2 I (B, d, d), raising a structured error instead of
+    returning an inaccurate result.
 
-    A non-finite entry of A or rhs raises ``ValueError``. ``SolverFailure``
+    A non-finite entry of A or H'y raises ``ValueError``. ``SolverFailure``
     is raised when A has no Cholesky factor L, when the squared pivot ratio
-    (min L_ii / max L_ii)^2 is at most ``_SINGULAR_RATIO``, or when the LU
-    solve meets an exactly zero pivot. Each squared pivot lies in
-    [lambda_min, lambda_max], so the ratio is at least 1 / cond_2(A): no A
-    with cond_2(A) < 1 / _SINGULAR_RATIO is refused. For a Gram matrix B'B,
-    L_kk is the distance of column k of B from the span of the columns
-    before it, so a (nearly) repeated column gives a pivot at rounding level.
+    (min L_ii / max L_ii)^2 is at most ``_SINGULAR_RATIO``, when the LU
+    solve meets an exactly zero pivot, or when a bias denominator is zero.
+    Each squared pivot lies in [lambda_min, lambda_max], so the ratio is at
+    least 1 / cond_2(A): no A with cond_2(A) < 1 / _SINGULAR_RATIO is
+    refused. For a Gram matrix B'B, L_kk is the distance of column k of B
+    from the span of the columns before it, so a (nearly) repeated column
+    gives a pivot at rounding level. A stack raises the error of one of its
+    bad rows, not necessarily the first.
     """
-    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
-        raise ValueError(f"{what} hold a non-finite entry")
+    if not (np.isfinite(A).all() and np.isfinite(hty).all()):
+        raise ValueError("regularized normal equations hold a non-finite entry")
+    out = {}
     try:
-        pivots = np.diagonal(np.linalg.cholesky(A))
-        ratio = (pivots.min() / pivots.max()) ** 2
+        pivots = np.diagonal(np.linalg.cholesky(A), axis1=1, axis2=2)
+        ratio = (pivots.min(axis=1) / pivots.max(axis=1)).min() ** 2
         if not ratio > _SINGULAR_RATIO:
             raise np.linalg.LinAlgError(f"squared Cholesky pivot ratio {ratio:.3g}")
-        return np.linalg.solve(A, rhs)
+        if DetectorKind.LMMSE in kinds:
+            out[DetectorKind.LMMSE] = np.linalg.solve(A, hty[..., None])[..., 0]
+        if DetectorKind.CONSTRAINED_LMMSE in kinds:
+            sol = np.linalg.solve(A, np.concatenate([hty[..., None], gram], axis=2))
     except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"{what} singular to machine precision: {exc}") from exc
+        raise SolverFailure(f"regularized normal equations singular to machine "
+                            f"precision: {exc}") from exc
+    if DetectorKind.CONSTRAINED_LMMSE in kinds:
+        denom = np.diagonal(sol[..., 1:], axis1=1, axis2=2)
+        if not denom.all():
+            col = np.argwhere(denom == 0)[0, 1]
+            raise SolverFailure(f"column {col} of H carries no energy")
+        out[DetectorKind.CONSTRAINED_LMMSE] = sol[..., 0] / denom
+    return out
 
 
-def _normal_equations(instance: ChannelInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(H'H + sigma2 I, H'H, H'y) of one realization. sigma2 is added to
-    the diagonal alone, so an infinite sigma2 leaves the off-diagonal
-    entries finite."""
-    gram, hty, _ = normal_equations(instance.H, instance.y)
+def detect_lmmse_batch(H: np.ndarray, y: np.ndarray, sigma2: np.ndarray,
+                       kinds: tuple[DetectorKind, ...]) -> dict[DetectorKind, np.ndarray]:
+    """The linear baselines ``kinds`` (``lmmse`` and ``constrained_lmmse``)
+    of a stack of realizations H (B, 2N, 2K), y (B, 2N), sigma2 (B,), as
+    {kind: estimates (B, 2K)}; only the kinds asked for are solved.
+
+    ``lmmse`` solves (H'H + sigma2 I) x = H'y. ``constrained_lmmse`` scales
+    each coordinate of that estimate by alpha_k = 1 / (h_k' (HH' + sigma2
+    I)^-1 h_k), with h_k the k-th column. By the push-through identity the
+    denominator is the k-th diagonal entry of (H'H + sigma2 I)^-1 H'H, so
+    one solve against [H'y, H'H] in the 2K-dimensional input space gives
+    both the estimate and every alpha_k. With sigma2 = 0 and H of full
+    column rank, every alpha_k is 1: zero forcing. An all-zero column has
+    no alpha_k (a zero denominator) and raises ``SolverFailure``.
+
+    One normal-equation build, one Cholesky certificate and one solve per
+    kind serve the whole stack. Stacked matmul, cholesky and solve make one
+    BLAS/LAPACK call per row, so each row's estimate is bitwise the one it
+    gets alone. A stack with bad rows raises what its first bad row raises
+    alone: the stack is certified first, and only if that fails, row by
+    row. sigma2 is added to the diagonal alone, so an infinite sigma2
+    leaves the off-diagonal entries finite.
+    """
+    if not set(kinds) <= set(_LMMSE_KINDS):
+        raise ConfigError(f"a stacked linear solve takes lmmse kinds only, got {kinds}")
+    gram, hty, _ = normal_equations(np.asarray(H, dtype=float), np.asarray(y, dtype=float))
     A = gram.copy()
-    A.flat[::A.shape[0] + 1] += instance.sigma2
-    return A, gram, hty
+    A.reshape(len(A), -1)[:, ::A.shape[-1] + 1] += np.asarray(sigma2, dtype=float)[:, None]
+    try:
+        return _solve_stack(A, gram, hty, kinds)
+    except (ValueError, SolverFailure):
+        if len(A) == 1:
+            raise
+        for i in range(len(A)):
+            rows = slice(i, i + 1)
+            _solve_stack(A[rows], gram[rows], hty[rows], kinds)
+        raise
+
+
+def _detect_lmmse_one(kind: DetectorKind, instance: ChannelInstance) -> np.ndarray:
+    """``detect_lmmse_batch`` of ``kind`` on a stack of one realization."""
+    x = detect_lmmse_batch(np.asarray(instance.H)[None], np.asarray(instance.y)[None],
+                           np.array([instance.sigma2], dtype=float), (kind,))
+    return x[kind][0]
 
 
 def detect_lmmse(instance: ChannelInstance) -> np.ndarray:
     """Regularized linear estimate solving (H'H + sigma2 I) x = H'y."""
-    A, _, hty = _normal_equations(instance)
-    return _solve_spd(A, hty, "regularized normal equations")
+    return _detect_lmmse_one(DetectorKind.LMMSE, instance)
 
 
 def detect_constrained_lmmse(instance: ChannelInstance) -> np.ndarray:
-    """Per-column bias-corrected linear estimate.
-
-    Scales each coordinate of the regularized estimate by
-    alpha_k = 1 / (h_k' (HH' + sigma2 I)^-1 h_k), with h_k the k-th column.
-    By the push-through identity the denominator is the k-th diagonal entry
-    of (H'H + sigma2 I)^-1 H'H, so one solve in the 2K-dimensional input
-    space gives both the estimate and every alpha_k. With sigma2 = 0 and H
-    of full column rank, every alpha_k is 1: zero forcing. An all-zero
-    column has no alpha_k (a zero denominator) and raises ``SolverFailure``.
-    """
-    A, gram, hty = _normal_equations(instance)
-    sol = _solve_spd(A, np.column_stack([hty, gram]), "regularized normal equations")
-    denom = np.diagonal(sol[:, 1:])
-    if not denom.all():
-        raise SolverFailure(f"column {np.flatnonzero(denom == 0)[0]} of H carries no energy")
-    return sol[:, 0] / denom
+    """Per-column bias-corrected linear estimate (see ``detect_lmmse_batch``)."""
+    return _detect_lmmse_one(DetectorKind.CONSTRAINED_LMMSE, instance)
 
 
 class BoxOracleResult(NamedTuple):
@@ -148,7 +188,7 @@ def _kkt_excess(cost: QuadraticResidualCost, abs_gram: np.ndarray,
 def _solve_block(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """LU solve that raises a structured error on an exactly singular block;
     an inaccurate solve of a near-singular one fails the KKT check instead.
-    (``_solve_spd``'s Cholesky certificate would add a factorization to
+    (``_solve_stack``'s Cholesky certificate would add a factorization to
     each of these small solves.)"""
     try:
         return np.linalg.solve(A, rhs)

@@ -9,6 +9,7 @@ y = Hs + w, not the noise w itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,8 +51,14 @@ def realify(Hc: np.ndarray) -> np.ndarray:
     """Lift a complex N x K matrix to the real 2N x 2K block form
     [[Re, -Im], [Im, Re]]."""
     Hc = np.asarray(Hc)
+    n, k = Hc.shape
     re, im = Hc.real, Hc.imag
-    return np.block([[re, -im], [im, re]])
+    H = np.empty((2 * n, 2 * k), dtype=re.dtype)
+    H[:n, :k] = re
+    np.negative(im, out=H[:n, k:])
+    H[n:, :k] = im
+    H[n:, k:] = re
+    return H
 
 
 @lru_cache(maxsize=16)
@@ -99,8 +106,19 @@ def snr_to_sigma2(snr_db: float, N: int, K: int) -> float:
 
     With unit-norm columns and unit-energy symbols the total receive signal
     power is K and the noise power N * sigma2, so sigma2 = K / (N * 10^(SNR/10)).
+    An SNR too large for 10^(SNR/10) gives sigma2 = 0, as +inf dB does; an
+    SNR whose sigma2 is not finite (nan, -inf, or too far below 0 dB) is a
+    ``ConfigError``.
     """
-    return K / (N * 10.0 ** (snr_db / 10.0))
+    try:
+        sigma2 = K / (N * 10.0 ** (float(snr_db) / 10.0))
+    except OverflowError:
+        return 0.0
+    except ZeroDivisionError:
+        sigma2 = math.inf
+    if not math.isfinite(sigma2):
+        raise ConfigError(f"snr {snr_db} dB gives no finite noise variance")
+    return sigma2
 
 
 def trial_seed(*parts: int) -> int:

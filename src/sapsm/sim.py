@@ -20,10 +20,17 @@ import numpy as np
 
 from .apsm import apsm_run_batch
 from .cost import ApsmConfig, QuadraticResidualCost
-from .detectors import _APSM_VARIANT, DetectorKind, detect, run_config
+from .detectors import (
+    _APSM_VARIANT,
+    _LMMSE_KINDS,
+    DetectorKind,
+    detect,
+    detect_lmmse_batch,
+    run_config,
+)
 from .errors import ConfigError
 from .geometry import Constellation, constellation
-from .mimo import ChannelModel, make_instance, symbol_errors, trial_seed
+from .mimo import ChannelModel, make_instance, snr_to_sigma2, symbol_errors, trial_seed
 
 CSV_HEADER = ("detector", "x_kind", "x_value", "errors", "symbols", "ser")
 # most trials per engine stack: enough rows to amortize the per-iteration
@@ -66,14 +73,14 @@ class ExperimentConfig:
             raise ConfigError("trials must be at least 1")
         if not self.snr_db:
             raise ConfigError("snr grid must be nonempty")
-        if not all(s > -math.inf for s in self.snr_db):
-            raise ConfigError(f"snr must be finite or +inf dB, got {self.snr_db}")
         if not self.detectors:
             raise ConfigError("detector list must be nonempty")
         if len(set(self.detectors)) != len(self.detectors):
             raise ConfigError("duplicate detectors in list")
         if not 1 <= self.k <= self.n:
             raise ConfigError(f"need 1 <= K <= N, got K={self.k}, N={self.n}")
+        for snr in self.snr_db:
+            snr_to_sigma2(snr, self.n, self.k)
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
         resolved = {kind: replace(run_config(kind, overrides.get(kind)), max_iters=self.max_iters)
@@ -120,10 +127,11 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
     """Error totals keyed by (detector, SNR index) over a batch of paired
     realizations.
 
-    Each task is (SNR index, seed) and draws one realization. The baselines
+    Each task is (SNR index, seed) and draws one realization. The LMMSE
+    baselines solve the whole batch as one stack, and the other baselines
     run per realization, in task order; the iterative detectors run the
-    whole batch as one engine stack, rows ordered detector by realization,
-    and a row does not depend on the stack it sits in. Per-iteration counts
+    whole batch as one engine stack, rows ordered detector by realization.
+    A row does not depend on the stack it sits in. Per-iteration counts
     of an iterative detector are arrays of length ``max_iters``, counted from
     each row's recorded iterates; a baseline keeps its single count.
     """
@@ -132,8 +140,14 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
     sent = np.stack([inst.s for inst in insts])
     errors = {}
     iterative = cfg.run_configs
+    linear = tuple(kind for kind in cfg.detectors if kind in _LMMSE_KINDS)
+    if linear:
+        x_hat = detect_lmmse_batch(np.stack([inst.H for inst in insts]),
+                                   np.stack([inst.y for inst in insts]),
+                                   np.array([inst.sigma2 for inst in insts]), linear)
+        errors = {kind: symbol_errors(x, sent, c) for kind, x in x_hat.items()}
     for kind in cfg.detectors:
-        if kind in iterative:
+        if kind in iterative or kind in linear:
             continue
         x_hat = np.stack([detect(kind, inst, c)[0] for inst in insts])
         errors[kind] = symbol_errors(x_hat, sent, c)

@@ -1,8 +1,9 @@
 """Reference functions that only the tests call: the inverse of the real
 lifting, the first-order optimality residual of a box-constrained
 least-squares point, symbol errors counted by slicing both sides, CSV
-tables rendered through ``csv.writer``, and the attracting audit under a
-whole-window perturbation slack."""
+tables rendered through ``csv.writer``, the attracting audit under a
+whole-window perturbation slack, and both LMMSE baselines of one
+realization solved on its own."""
 
 import csv
 import io
@@ -96,3 +97,14 @@ def attracting_whole_window(trace: IterateTrace, x_seq: np.ndarray, z_ref: np.nd
     lhs = d[start + 1:] ** 2
     rhs = d[start:-1] ** 2 - kappa * steps**2 + gamma + AUDIT_TOL
     return lhs - rhs, gamma
+
+
+def lmmse_pair_alone(H: np.ndarray, y: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lmmse, constrained_lmmse) of one realization, each from its own 2-D
+    normal equations and solve, without the singularity certificate."""
+    gram = H.T @ H
+    hty = H.T @ y
+    A = gram.copy()
+    A.flat[::A.shape[0] + 1] += sigma2
+    sol = np.linalg.solve(A, np.column_stack([hty, gram]))
+    return np.linalg.solve(A, hty), sol[:, 0] / np.diagonal(sol[:, 1:])

@@ -391,6 +391,25 @@ class TestFlagsPerSubcommand:
         assert run(argv + extra) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr", ["-3300", "-3100", "nan", "-inf"])
+    def test_snr_without_a_finite_noise_variance_exits_2_before_any_trial(
+            self, capsys, no_trials, snr):
+        assert run(["ser-snr", "--k", "2", "--n", "4", "--mod", "qpsk",
+                    "--detectors", "lmmse", f"--snr={snr}"]) == 2
+        assert "gives no finite noise variance" in capsys.readouterr().err
+
+    def test_snr_past_the_float_range_is_the_noiseless_point(self, capsys):
+        argv = ["ser-snr", "--k", "2", "--n", "4", "--mod", "qpsk", "--trials", "20",
+                "--detectors", "lmmse,constrained_lmmse"]
+        tables = []
+        for snr in ("3100", "inf"):
+            assert run(argv + ["--snr", snr]) == 0
+            tables.append([line.split(",") for line in capsys.readouterr().out.splitlines()])
+        assert [row[2] for row in tables[0][1:]] == ["3100", "3100"]
+        # every column but x_value matches the noiseless sweep
+        assert [row[:2] + row[3:] for row in tables[0]] == [
+            row[:2] + row[3:] for row in tables[1]]
+
     def test_correlated_iid_channel_exits_2(self, capsys, no_trials):
         argv = ["detect", "--k", "2", "--n", "4", "--mod", "qpsk", "--snr", "10",
                 "--detectors", "lmmse"]

@@ -18,13 +18,14 @@ from sapsm.detectors import (
     detect_box_oracle,
     detect_constrained_lmmse,
     detect_lmmse,
+    detect_lmmse_batch,
     detect_ml_bruteforce,
 )
 from sapsm.errors import CandidateBudget, ConfigError, SolverFailure
 from sapsm.geometry import BoxSet, constellation, project_box
 from sapsm.mimo import ChannelInstance, ChannelModel, make_instance, realify, trial_seed
 
-from helpers import first_order_residual
+from helpers import first_order_residual, lmmse_pair_alone
 
 QPSK = constellation("qpsk")
 QAM16 = constellation("16qam")
@@ -178,6 +179,93 @@ class TestConstrainedLmmse:
                 h_k = inst.H[:, k]
                 alpha_k = 1.0 / (h_k @ np.linalg.solve(A, h_k))
                 assert abs(scaled[k] - alpha_k * base[k]) <= 1e-10 * (1 + abs(scaled[k]))
+
+
+LMMSE_PAIR = (DetectorKind.LMMSE, DetectorKind.CONSTRAINED_LMMSE)
+# the sweeps' linear-baseline setups: iid 16x64 16-QAM at 5, 9, 13 and +inf dB
+# (sigma2 = 0), and Kronecker-0.8 at 18 dB
+STACK_SETUPS = [(ChannelModel("iid"), 5.0), (ChannelModel("iid"), 9.0),
+                (ChannelModel("iid"), 13.0), (ChannelModel("iid"), np.inf),
+                (ChannelModel("kronecker", 0.8, 0.8), 18.0)]
+
+
+def stack_of(insts):
+    return (np.stack([inst.H for inst in insts]), np.stack([inst.y for inst in insts]),
+            np.array([inst.sigma2 for inst in insts]))
+
+
+def bad_row(kind):
+    """A 16 x 8 realization that one of the linear baselines refuses."""
+    rng = np.random.default_rng(4)
+    if kind == "non-finite":
+        H, y = rng.standard_normal((16, 8)), rng.standard_normal(16)
+        y[5] = np.nan
+        return manual_instance(H, y, sigma2=0.1)
+    if kind == "singular":
+        return duplicated_column_instance(0.0, 0.0)
+    if kind == "indefinite":
+        # a negative sigma2 leaves H'H + sigma2 I without a Cholesky factor
+        return replace(duplicated_column_instance(1.0, 0.0), sigma2=-50.0)
+    H = rng.standard_normal((16, 8))
+    H[:, 2] = 0.0
+    return manual_instance(H, rng.standard_normal(16), sigma2=0.1)
+
+
+def error_alone(inst, kinds):
+    with pytest.raises((ValueError, SolverFailure)) as err:
+        detect_lmmse_batch(*stack_of([inst]), kinds)
+    return type(err.value), str(err.value)
+
+
+class TestLmmseBatch:
+    @pytest.mark.parametrize("size", [1, 15, 64])
+    @pytest.mark.parametrize("model, snr", STACK_SETUPS)
+    def test_rows_equal_each_realization_alone(self, model, snr, size):
+        insts = [make_instance(model, QAM16, 16, 64, snr, trial_seed(558, t))
+                 for t in range(size)]
+        x = detect_lmmse_batch(*stack_of(insts), LMMSE_PAIR)
+        assert list(x) == list(LMMSE_PAIR)
+        for i, inst in enumerate(insts):
+            lmmse, constrained = lmmse_pair_alone(inst.H, inst.y, inst.sigma2)
+            np.testing.assert_array_equal(x[DetectorKind.LMMSE][i], lmmse)
+            np.testing.assert_array_equal(x[DetectorKind.CONSTRAINED_LMMSE][i], constrained)
+            np.testing.assert_array_equal(detect_lmmse(inst), lmmse)
+            np.testing.assert_array_equal(detect_constrained_lmmse(inst), constrained)
+
+    def test_solves_only_the_kinds_asked_for(self):
+        insts = [rand_instance(seed) for seed in range(3)]
+        for kinds in ((DetectorKind.LMMSE,), (DetectorKind.CONSTRAINED_LMMSE,)):
+            assert list(detect_lmmse_batch(*stack_of(insts), kinds)) == list(kinds)
+        with pytest.raises(ConfigError, match="lmmse kinds only"):
+            detect_lmmse_batch(*stack_of(insts), (DetectorKind.BOX_ORACLE,))
+
+    @pytest.mark.parametrize("kind, error, match", [
+        ("non-finite", ValueError, "non-finite"),
+        ("singular", SolverFailure, "pivot ratio"),
+        ("indefinite", SolverFailure, "not positive definite"),
+        ("zero column", SolverFailure, "column 2 of H")])
+    def test_a_bad_row_raises_its_own_error(self, kind, error, match):
+        good = [duplicated_column_instance(1.0, 0.1 * i) for i in range(1, 4)]
+        for at in range(len(good) + 1):
+            stack = good[:at] + [bad_row(kind)] + good[at:]
+            with pytest.raises(error, match=match) as err:
+                detect_lmmse_batch(*stack_of(stack), LMMSE_PAIR)
+            assert (type(err.value), str(err.value)) == error_alone(stack[at], LMMSE_PAIR)
+
+    def test_zero_column_row_solves_for_lmmse_alone(self):
+        good = duplicated_column_instance(1.0, 0.1)
+        stack = [good, bad_row("zero column"), good]
+        x = detect_lmmse_batch(*stack_of(stack), (DetectorKind.LMMSE,))
+        np.testing.assert_array_equal(x[DetectorKind.LMMSE][1], detect_lmmse(stack[1]))
+
+    @pytest.mark.parametrize("order", itertools.permutations(
+        ["non-finite", "singular", "indefinite", "zero column"]))
+    def test_first_bad_row_decides_a_mixed_stack(self, order):
+        good = duplicated_column_instance(1.0, 0.1)
+        stack = [good] + [row for kind in order for row in (bad_row(kind), good)]
+        with pytest.raises((ValueError, SolverFailure)) as err:
+            detect_lmmse_batch(*stack_of(stack), LMMSE_PAIR)
+        assert (type(err.value), str(err.value)) == error_alone(stack[1], LMMSE_PAIR)
 
 
 def projected_gradient_box(cost, box, tol=1e-13, max_iters=200_000):
@@ -343,13 +431,19 @@ def test_import_and_detect_load_no_scipy():
                                "--snr", "10", "--seed", "3", "--iters", "20",
                                "--detectors", "lmmse,constrained_lmmse,box_oracle,apsm_l1"])
         assert code == 0, code
+        # a sweep solves both linear baselines as one stack
+        code = sapsm.cli.main(["ser-snr", "--k", "2", "--n", "4", "--mod", "qpsk",
+                               "--snr", "10", "--trials", "5", "--iters", "20",
+                               "--workers", "1", "--detectors", "lmmse,constrained_lmmse"])
+        assert code == 0, code
         assert scipy_modules() == [], scipy_modules()
     """
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert len(out.stdout.splitlines()) == 4
+    # four detect lines, then the CSV header and one row per baseline
+    assert len(out.stdout.splitlines()) == 4 + 3
 
 
 class TestMlBruteforce:

@@ -78,6 +78,19 @@ class TestStacking:
         Hc = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         np.testing.assert_allclose(complexify(realify(Hc)), Hc, atol=1e-14)
 
+    def test_equals_the_block_form_bit_for_bit(self):
+        # signed zeros, infinities and nans of both signs in either part
+        rng = np.random.default_rng(3)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.0])
+        Hc = np.empty((6, 4), dtype=complex)
+        Hc.real = rng.choice(special, size=Hc.shape)
+        Hc.imag = rng.choice(special, size=Hc.shape)
+        for H in (Hc, Hc[::-1, 1:], rng.standard_normal((5, 3)), np.eye(2, dtype=int)):
+            block = np.block([[H.real, -H.imag], [H.imag, H.real]])
+            lifted = realify(H)
+            assert lifted.dtype == block.dtype
+            assert np.array_equal(lifted.view(np.uint8), block.view(np.uint8))
+
     def test_odd_dims_rejected(self):
         with pytest.raises(DimensionMismatch):
             complexify(np.zeros((3, 2)))
@@ -182,6 +195,26 @@ class TestSnr:
     def test_definition_values(self):
         assert snr_to_sigma2(0.0, 4, 4) == 1.0
         assert snr_to_sigma2(10.0, 64, 16) == pytest.approx(0.025, abs=1e-15)
+
+    @pytest.mark.parametrize("snr_db", [-40.0, -3.0, 0.0, 6.5, 9.0, 13.0, 300.0, 3000.0])
+    def test_formula_holds_where_sigma2_is_finite(self, snr_db):
+        assert snr_to_sigma2(snr_db, 64, 16) == 16 / (64 * 10.0 ** (snr_db / 10.0))
+
+    @pytest.mark.parametrize("snr_db", [3100.0, np.float64(3100.0), 1e308, np.inf])
+    def test_snr_past_the_float_range_is_noiseless(self, snr_db):
+        assert snr_to_sigma2(snr_db, 4, 2) == 0.0
+        inst = make_instance(ChannelModel("iid"), QPSK, 2, 4, snr_db, 17)
+        noiseless = make_instance(ChannelModel("iid"), QPSK, 2, 4, np.inf, 17)
+        assert inst.sigma2 == 0.0
+        np.testing.assert_array_equal(inst.y, noiseless.y)
+        np.testing.assert_array_equal(inst.y, inst.H @ inst.s)
+
+    @pytest.mark.parametrize("snr_db", [-3300.0, -3100.0, np.float64(-3100.0), np.nan, -np.inf])
+    def test_snr_without_a_finite_sigma2_is_config_error(self, snr_db):
+        with pytest.raises(ConfigError, match="no finite noise variance"):
+            snr_to_sigma2(snr_db, 4, 2)
+        with pytest.raises(ConfigError, match="no finite noise variance"):
+            make_instance(ChannelModel("iid"), QPSK, 2, 4, snr_db, 17)
 
     def test_monte_carlo_ratio(self):
         snr_db = 6.0

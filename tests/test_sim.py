@@ -53,11 +53,13 @@ class TestValidation:
             iter_cfg(detectors=("apsm_plain", "apsm_plain"))
         with pytest.raises(ConfigError):
             iter_cfg(detectors=("turbo",))
-        # +inf dB is the noiseless point; nan and -inf dB name no noise level
-        for snr in ((np.nan,), (-np.inf,), (8.0, np.nan)):
+        # +inf dB, and any SNR past the float range, is the noiseless point;
+        # nan, -inf dB and SNRs far below 0 dB give no finite noise variance
+        for snr in ((np.nan,), (-np.inf,), (8.0, np.nan), (-3300.0,), (8.0, -3100.0)):
             with pytest.raises(ConfigError, match="snr"):
                 iter_cfg(snr_db=snr)
         assert iter_cfg(snr_db=(np.inf,)).snr_db == (np.inf,)
+        assert iter_cfg(snr_db=(3100.0,)).snr_db == (3100.0,)
 
     def test_rejects_overrides_a_detector_cannot_take(self):
         with pytest.raises(ConfigError):
@@ -197,6 +199,27 @@ class TestSerVsSnr:
         t1 = run_ser_vs_snr(cfg, workers=1)
         t2 = run_ser_vs_snr(cfg, workers=3)
         assert table_text(t1) == table_text(t2)
+
+    @pytest.mark.parametrize("run", [run_ser_vs_snr, run_ser_vs_iter])
+    @pytest.mark.parametrize("listed, widths", [
+        ((D.LMMSE,), [1]), ((D.CONSTRAINED_LMMSE,), [5]),
+        ((D.CONSTRAINED_LMMSE, D.LMMSE), [1, 5])])
+    def test_each_batch_solves_the_listed_baselines_once(self, monkeypatch, run,
+                                                        listed, widths):
+        # one stacked solve per listed baseline and batch; the constrained
+        # solve has 1 + 2K right-hand sides, so a sweep listing lmmse alone
+        # never makes it
+        solves = []
+        solve = np.linalg.solve
+
+        def recording(A, rhs):
+            solves.append((A.shape[0], rhs.shape[-1]))
+            return solve(A, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        run(iter_cfg(detectors=(D.APSM_PLAIN,) + listed, trials=BATCH_TRIALS + 6,
+                     max_iters=5))
+        assert solves == [(size, w) for size in (BATCH_TRIALS, 6) for w in widths]
 
     def test_paired_seeding_by_snr_and_trial(self):
         cfg = iter_cfg(trials=2, snr_db=(3.0, 9.0), max_iters=10)
