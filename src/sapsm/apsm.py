@@ -3,8 +3,8 @@
 One run interleaves a superiorization perturbation (hard or soft slicing
 toward the constellation lattice) with a relaxed subgradient projection onto
 the current residual sublevel set, clamped to the box. The engine iterates a
-stack of runs, one config per row (rows with an equal config perturb as a
-group), each row bitwise the run it would be alone; a single run is a stack
+stack of runs, one config per row (the perturbing rows perturb as one
+block), each row bitwise the run it would be alone; a single run is a stack
 of one. The recorded trace is enough to audit, after the fact, the two
 inequalities that convergence theory promises: quasi-Fejér monotonicity of
 Type I and the kappa-attracting step decrease, both relative to a feasible
@@ -30,7 +30,7 @@ from .cost import (
     sublevel_step,
 )
 from .errors import ConfigError, NonFiniteIterate
-from .geometry import Constellation, perturbation_l1, perturbation_l2
+from .geometry import Constellation, perturbation_l1, perturbation_l2, soft_slice
 
 TRACE_COLUMNS = ("n", "theta", "objective", "rho", "step_norm", "pert_norm")
 # rounding slack on the right-hand side of every audited inequality
@@ -115,18 +115,6 @@ def _perturbation(cfg: ApsmConfig, x: np.ndarray, c: Constellation) -> np.ndarra
     return perturbation_l1(x, cfg.tau, c)
 
 
-def _row_groups(cfgs: list[ApsmConfig]) -> list[tuple[int, int, ApsmConfig]]:
-    """(start, stop, config) of each run of consecutive rows with an equal
-    config."""
-    groups = []
-    start = 0
-    for i in range(1, len(cfgs) + 1):
-        if i == len(cfgs) or cfgs[i] != cfgs[start]:
-            groups.append((start, i, cfgs[start]))
-            start = i
-    return groups
-
-
 # a row that overflows or divides by zero surfaces as NonFiniteIterate, not
 # as a numpy warning
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -139,8 +127,8 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     Follows the superiorized recursion on every row: perturb the current
     iterate, evaluate the sublevel cost and its subgradient at the perturbed
     point, take the relaxed subgradient-projection step, clamp to the box.
-    Consecutive rows with an equal config form a group, which perturbs as
-    one call on its slice of the stack; all rows take one step together.
+    The rows that perturb form one block, which perturbs as one soft-slicing
+    call (l2 as tau = inf); all rows take one step together.
     Every row runs the full ``max_iters`` iterations, which all configs of a
     stack must share, and is bitwise the run it would be alone. Every row
     starts at x_0 = 0, and every iterate lies in the box. The loop records
@@ -152,28 +140,34 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     if len(budgets) != 1:
         raise ConfigError(f"a stack needs one max_iters, got {budgets}")
     (steps,) = budgets
-    gram, hty, yty = stack_costs(costs)
+    # the rows that can perturb go last, stably, as one block, perturbed in
+    # place (each step returns a new x) by tau (inf for l2) and beta_n columns
+    perturbs = [(cfg.variant == "l2" or cfg.tau > 0) and schedule_table(cfg.beta, steps).any()
+                for cfg in cfgs]
+    order = sorted(range(len(cfgs)), key=perturbs.__getitem__)
+    block = slice(perturbs.count(False), None)
+    row_cfgs = [cfgs[i] for i in order]
+    gram, hty, yty = stack_costs([costs[i] for i in order])
     size, dim = hty.shape
     x = np.zeros((size, dim))
     box = c.box()
-    rho = np.stack([schedule_table(cfg.rho, steps) for cfg in cfgs], axis=1)
-    mu = np.array([cfg.mu for cfg in cfgs])
-    perturbed = [(a, b, cfg, schedule_table(cfg.beta, steps).tolist())
-                 for a, b, cfg in _row_groups(cfgs) if cfg.variant != "plain"]
+    rho = np.stack([schedule_table(cfg.rho, steps) for cfg in row_cfgs], axis=1)
+    mu = np.array([cfg.mu for cfg in row_cfgs])
+    tau = np.array([[cfg.tau if cfg.variant == "l1" else np.inf] for cfg in row_cfgs[block]])
+    beta = np.array([schedule_table(cfg.beta, steps) for cfg in row_cfgs[block]]
+                    ).reshape(-1, steps).T[:, :, None]
+    perturbing = beta.any(axis=(1, 2)).tolist()
     thetas = np.empty((steps, size))
     iterates = np.zeros((size, steps + 1, dim)) if record_iterates else None
 
     for n in range(steps):
-        z = x
-        for a, b, cfg, betas in perturbed:
-            beta_n = betas[n]
-            if beta_n == 0.0:
-                continue
-            if z is x:
-                z = x.copy()
-            z[a:b] += beta_n * _perturbation(cfg, x[a:b], c)
-
-        x, thetas[n] = sublevel_step(gram, hty, yty, z, rho[n], mu, box)
+        if perturbing[n]:
+            xb = x[block]
+            v = soft_slice(xb, tau, c)
+            v -= xb
+            v *= beta[n]
+            xb += v
+        x, thetas[n] = sublevel_step(gram, hty, yty, x, rho[n], mu, box)
         if record_iterates:
             iterates[:, n + 1] = x
 
@@ -184,8 +178,10 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
         raise NonFiniteIterate(int(bad[0]))
     if not np.isfinite(x).all():
         raise NonFiniteIterate(steps - 1)
-    return x, [IterateTrace(thetas[:, i], cfgs[i], costs[i], c,
-                            iterates[i] if record_iterates else None) for i in range(size)]
+    rows = np.argsort(order).tolist()
+    return x[rows], [IterateTrace(thetas[:, j], cfgs[i], costs[i], c,
+                                  iterates[j] if record_iterates else None)
+                     for i, j in enumerate(rows)]
 
 
 def apsm_run(cost: QuadraticResidualCost, cfg: ApsmConfig, c: Constellation,

@@ -107,6 +107,16 @@ def project_box(x: np.ndarray, box: BoxSet) -> np.ndarray:
     return np.minimum(out, box.a_max, out=out)
 
 
+def _check_tau(tau: float | np.ndarray) -> None:
+    # "not >= 0" refuses nan too; a scalar tau costs no numpy call
+    if not (np.all(tau >= 0) if isinstance(tau, np.ndarray) else tau >= 0):
+        raise ConfigError("tau must be nonnegative")
+
+
+def _shrink(r: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
+    return np.copysign(np.maximum(np.abs(r) - tau, 0.0), r)
+
+
 def soft_threshold(x: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
     """Shrinkage sign(x) * max(|x| - tau, 0), the prox of tau * l1-norm.
 
@@ -114,11 +124,15 @@ def soft_threshold(x: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
     the sign of x, also when it is zero, so that soft_threshold(-x) is
     -soft_threshold(x) bit for bit; -0.0 maps to -0.0.
     """
-    # a Python-level type test keeps the scalar path free of numpy calls
-    negative = np.any(tau < 0) if isinstance(tau, np.ndarray) else tau < 0
-    if negative:
-        raise ConfigError("tau must be nonnegative")
-    return np.copysign(np.maximum(np.abs(x) - tau, 0.0), x)
+    _check_tau(tau)
+    return _shrink(x, tau)
+
+
+def soft_slice(x: np.ndarray, tau: float | np.ndarray, c: Constellation) -> np.ndarray:
+    """soft_threshold(x - P_S(x), tau) + P_S(x), tau unchecked and broadcast
+    against x; at tau = inf, P_S(x) bitwise for every finite x (nan at +-inf)."""
+    sliced = c.nearest(x)
+    return _shrink(x - sliced, tau) + sliced
 
 
 def prox_l1_levels(x: np.ndarray, tau: float | np.ndarray, c: Constellation) -> np.ndarray:
@@ -131,20 +145,20 @@ def prox_l1_levels(x: np.ndarray, tau: float | np.ndarray, c: Constellation) -> 
     scalar call on it; an element with tau = 0 keeps its x.
     """
     x = np.asarray(x, dtype=float)
+    _check_tau(tau)
     per_element = isinstance(tau, np.ndarray)
     if not per_element and tau == 0:
         # identity, kept exact (adding and subtracting the slice would round)
         return x.copy()
-    sliced = c.nearest(x)
-    out = soft_threshold(x - sliced, tau) + sliced
+    out = soft_slice(x, tau, c)
     if per_element:
         np.copyto(out, x, where=tau == 0)
     return out
 
 
 def perturbation_l2(x: np.ndarray, c: Constellation) -> np.ndarray:
-    """Hard-slicing perturbation P_S(x) - x (zero exactly on the lattice)."""
-    return c.nearest(x) - x
+    """Hard-slicing perturbation P_S(x) - x, zero exactly on the lattice."""
+    return soft_slice(x, np.inf, c) - x
 
 
 def perturbation_l1(x: np.ndarray, tau: float, c: Constellation) -> np.ndarray:

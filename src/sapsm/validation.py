@@ -176,9 +176,9 @@ def _audited_runs(specs: list[_RunSpec]) -> list[SuiteResult]:
     """The result of each spec, from one recorded engine stack that holds
     the runs of every spec; all specs must share one ``max_iters``.
 
-    The stack holds its rows variant by spec by trial, so that the runs of
-    one variant perturb as one group whatever spec they serve; each audit
-    runs in that order, and a spec's tally does not depend on it.
+    The stack holds its rows variant by spec by trial, plain rows first,
+    which is the engine's own block order; each audit runs in that order,
+    and a spec's tally does not depend on it.
     """
     c = constellation(RUN_MODULATION)
     model = ChannelModel("iid")

@@ -2,8 +2,9 @@
 lifting, the first-order optimality residual of a box-constrained
 least-squares point, symbol errors counted by slicing both sides, CSV
 tables rendered through ``csv.writer``, the attracting audit under a
-whole-window perturbation slack, and both LMMSE baselines of one
-realization solved on its own."""
+whole-window perturbation slack, both LMMSE baselines of one realization
+solved on its own, and the hard-slicing perturbation as the plain
+difference P_S(x) - x."""
 
 import csv
 import io
@@ -40,6 +41,13 @@ def first_order_residual(cost: QuadraticResidualCost, x: np.ndarray,
     with L = 2 * lambda_max(H'H) the gradient's Lipschitz constant."""
     lipschitz = 2.0 * float(np.linalg.eigvalsh(cost.gram)[-1])
     return float(np.linalg.norm(x - project_box(x - cost.gradient(x) / lipschitz, box)))
+
+
+def hard_slicing_perturbation(x: np.ndarray, c: Constellation) -> np.ndarray:
+    """P_S(x) - x as one subtraction, the reference for
+    :func:`sapsm.geometry.perturbation_l2` (which maps x = +-inf to nan,
+    where this gives -+inf)."""
+    return c.nearest(x) - x
 
 
 def symbol_errors_by_slicing(x_hat: np.ndarray, s: np.ndarray,

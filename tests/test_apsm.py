@@ -30,14 +30,24 @@ from sapsm.cost import (
     standard_config,
 )
 from sapsm.errors import ConfigError, DimensionMismatch, NonFiniteIterate
-from sapsm.geometry import BoxSet, constellation, perturbation_l1, perturbation_l2
+from sapsm.geometry import (
+    BoxSet,
+    Constellation,
+    constellation,
+    perturbation_l1,
+    perturbation_l2,
+    soft_slice,
+)
 from sapsm.mimo import ChannelModel, make_instance, trial_seed
 from sapsm.validation import quasi_fejer_suite
 
-from helpers import attracting_whole_window
+from helpers import attracting_whole_window, hard_slicing_perturbation
 
 QPSK = constellation("qpsk")
 QAM16 = constellation("16qam")
+QAM64 = constellation("64qam")
+# an odd alphabet, whose middle level 0.0 slices to signed zeros
+THREE = Constellation(np.array([-0.75**0.5, 0.0, 0.75**0.5]))
 
 
 def small_instance(seed=0, k=2, n=4, snr=8.0):
@@ -167,27 +177,28 @@ class TestRun:
 
     @pytest.mark.parametrize("bad_row", [0, 1])
     def test_non_finite_mid_run_reports_its_iteration(self, monkeypatch, bad_row):
-        # a mixed stack whose l2 group (two rows) turns nan from the 4th
-        # perturbation on, that is at iteration 3; the other rows stay finite
+        # a mixed stack one of whose two l2 rows (tau = inf in the perturbing
+        # block of l2, l2 and l1) turns nan from the 4th perturbation on,
+        # that is at iteration 3; the other rows stay finite
         costs = [small_instance(seed=s)[1] for s in range(5)]
         cfgs = [standard_config(v, max_iters=10) for v in ("plain", "l2", "l2", "l1", "plain")]
         apsm_run_batch(costs, cfgs, QPSK)
         calls = []
 
-        def poisoned(x, c):
+        def poisoned(x, tau, c):
             calls.append(len(x))
-            v = perturbation_l2(x, c)
+            v = soft_slice(x, tau, c)
             if len(calls) >= 4:
-                v[bad_row] = np.nan
+                v[np.flatnonzero(tau == np.inf)[bad_row]] = np.nan
             return v
 
-        monkeypatch.setattr(sapsm.apsm, "perturbation_l2", poisoned)
+        monkeypatch.setattr(sapsm.apsm, "soft_slice", poisoned)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteIterate) as err:
                 apsm_run_batch(costs, cfgs, QPSK, record_iterates=True)
         assert err.value.iteration == 3
-        assert calls[0] == 2
+        assert calls[0] == 3
 
     def test_non_finite_last_iterate_names_the_last_iteration(self, monkeypatch):
         # a nan that appears in the last step's result never reaches a theta;
@@ -414,7 +425,8 @@ class TestTraceExport:
 
 
 # (K, N, constellation) per problem size 2K of the batched-engine properties
-SIZES = {4: (2, 4, QPSK), 8: (4, 8, QPSK), 32: (16, 32, QAM16)}
+SIZES = {4: (2, 4, QPSK), 6: (3, 6, THREE), 8: (4, 8, QPSK), 12: (6, 12, QAM64),
+         32: (16, 32, QAM16)}
 
 
 def recorded_columns(trace):
@@ -457,7 +469,7 @@ def serial_reference_run(cost, cfg, c):
         pert_norm, z = 0.0, x
         if beta_n != 0.0:
             if cfg.variant == "l2":
-                v = perturbation_l2(x, c)
+                v = hard_slicing_perturbation(x, c)
             else:
                 v = perturbation_l1(x, cfg.tau, c)
             pert_norm = beta_n * math.sqrt(float(v @ v))
@@ -485,7 +497,9 @@ def serial_reference_run(cost, cfg, c):
 def config_pool(max_iters):
     """Configs a stack's rows draw from: the three standard variants, an l2
     with its own radius schedule and relaxation, an l2 whose geometric beta
-    underflows to 0 by iteration 3, and an l1 with another tau and beta."""
+    underflows to 0 by iteration 3, an l1 with another tau and beta, and
+    three that the engine must tell apart: an l1 with tau = 0 and an l2 with
+    beta = 0, which never perturb, and an l1 with a beta above 1."""
     return (
         standard_config("plain", max_iters=max_iters),
         standard_config("l2", max_iters=max_iters),
@@ -498,6 +512,12 @@ def config_pool(max_iters):
         ApsmConfig(rho=RhoSchedule(1e-4, 1.03), mu=0.4,
                    beta=BetaSchedule.constant(0.5), tau=0.05, variant="l1",
                    max_iters=max_iters),
+        ApsmConfig(rho=RhoSchedule(5e-5, 1.06), beta=BetaSchedule.geometric(0.99),
+                   variant="l1", max_iters=max_iters),
+        ApsmConfig(rho=RhoSchedule(5e-5, 1.06), beta=BetaSchedule.constant(0.0),
+                   variant="l2", max_iters=max_iters),
+        ApsmConfig(rho=RhoSchedule(2e-4, 1.04), beta=BetaSchedule.constant(1.7), tau=0.2,
+                   variant="l1", max_iters=max_iters),
     )
 
 
@@ -558,6 +578,39 @@ class TestBatch:
                 got = getattr(traces[i], col)
                 assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), col
             assert traces[i].iterates.tobytes() == iterates.tobytes()
+
+    def test_one_soft_slicing_call_per_iteration_on_the_perturbing_rows(self, monkeypatch):
+        # every pool config on its own problem, the plain row last; the
+        # block holds the other rows in the caller's order, except the l1
+        # with tau = 0 and the l2 with beta = 0
+        steps = 12
+        pool = config_pool(steps)
+        quiet = (pool[0], pool[6], pool[7])
+        cfgs = list(reversed(pool))
+        costs = [small_instance(seed=s)[1] for s in range(len(cfgs))]
+        block = [i for i, cfg in enumerate(cfgs) if cfg not in quiet]
+        calls = []
+
+        def counted(x, tau, c):
+            calls.append((x.copy(), tau.copy()))
+            return soft_slice(x, tau, c)
+
+        monkeypatch.setattr(sapsm.apsm, "soft_slice", counted)
+        _, traces = apsm_run_batch(costs, cfgs, QPSK, record_iterates=True)
+        assert len(calls) == steps
+        taus = [[cfgs[i].tau if cfgs[i].variant == "l1" else np.inf] for i in block]
+        for n, (x, tau) in enumerate(calls):
+            assert x.tobytes() == np.stack([traces[i].iterates[n] for i in block]).tobytes()
+            assert np.array_equal(tau, taus)
+        # a block whose beta underflows to 0 makes no call from then on
+        calls.clear()
+        apsm_run_batch(costs[:2], [pool[4]] * 2, QPSK)
+        assert len(calls) == np.count_nonzero([pool[4].beta.at(n) for n in range(steps)]) == 3
+        # nor does a stack whose rows never perturb, plain or not
+        calls.clear()
+        apsm_run_batch(costs[:3], list(quiet), QPSK)
+        apsm_run_batch(costs[:3], [pool[0]] * 3, QPSK)
+        assert calls == []
 
     def test_costs_of_different_sizes_rejected(self):
         costs = [small_instance(seed=0)[1], small_instance(seed=1, k=4, n=8)[1]]

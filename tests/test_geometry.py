@@ -16,9 +16,13 @@ from sapsm.geometry import (
     soft_threshold,
 )
 
+from helpers import hard_slicing_perturbation
+
 RAW16 = np.array([-3.0, -1.0, 1.0, 3.0])
 QPSK = constellation("qpsk")
 QAM16 = constellation("16qam")
+# an odd alphabet, whose middle level 0.0 slices to signed zeros
+THREE = Constellation(np.array([-0.75**0.5, 0.0, 0.75**0.5]))
 # the level raw alphabet value 1 maps to after energy scaling
 A1 = QPSK.levels[1]
 U16 = QAM16.levels[2]
@@ -213,14 +217,20 @@ class TestProx:
     def test_zero_tau_is_exact_identity(self, c, x):
         np.testing.assert_array_equal(prox_l1_levels(x, 0.0, c), x)
 
-    def test_negative_tau_rejected(self):
-        with pytest.raises(ConfigError):
-            prox_l1_levels(np.array([0.3]), -0.1, QPSK)
-        for tau in (np.array([0.1, -0.1]), np.array(-0.1)):
-            with pytest.raises(ConfigError):
-                prox_l1_levels(np.array([0.3, 0.4]), tau, QPSK)
-            with pytest.raises(ConfigError):
-                soft_threshold(np.array([0.3, 0.4]), tau)
+    @pytest.mark.parametrize("bad", [-0.1, np.nan])
+    def test_tau_that_is_not_nonnegative_rejected(self, bad):
+        x = np.array([0.3, 0.4])
+        for tau in (bad, np.float64(bad), np.array([0.1, bad]), np.array(bad)):
+            for call in (lambda: soft_threshold(x, tau), lambda: prox_l1_levels(x, tau, QPSK),
+                         lambda: perturbation_l1(x, tau, QPSK)):
+                with pytest.raises(ConfigError, match="nonnegative"):
+                    call()
+
+    def test_infinite_tau_accepted(self):
+        x = np.array([0.3, -2.0])
+        assert soft_threshold(x, np.inf).tobytes() == np.array([0.0, -0.0]).tobytes()
+        np.testing.assert_array_equal(prox_l1_levels(x, np.array([np.inf, 0.0]), QPSK),
+                                      [A1, -2.0])
 
     @properties
     @given(c=alphabets, x_tau=paired_taus)
@@ -244,6 +254,29 @@ class TestProx:
 
 
 class TestPerturbations:
+    @properties
+    @given(c=st.sampled_from([QPSK, QAM16, constellation("64qam"), THREE]), data=st.data())
+    def test_l2_is_the_plain_difference(self, c, data):
+        # tau = inf shrinks the residual to a signed zero, which adds to the
+        # slice exactly, also to a 0.0 level
+        edges = (c.midpoints, c.levels, [c.a_max, -c.a_max, 0.0, -0.0, np.nan])
+        special = st.sampled_from(np.concatenate(edges).tolist())
+        floats = st.floats(-3.0, 3.0) | st.floats(allow_infinity=False)
+        x = data.draw(arrays(np.float64, st.integers(1, 16), elements=special | floats))
+        got, ref = perturbation_l2(x, c), hard_slicing_perturbation(x, c)
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        keep = ~np.isnan(ref)
+        assert got[keep].tobytes() == ref[keep].tobytes()
+
+    def test_l2_of_an_infinite_coordinate_is_nan(self):
+        # the reference gives -+inf there, and inf - inf warns as numpy
+        # does; both are outside every box
+        x = np.array([np.inf, -np.inf, 0.2 * A1])
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            got = perturbation_l2(x, QPSK)
+        assert np.isnan(got[:2]).all() and got[2] == hard_slicing_perturbation(x, QPSK)[2]
+        assert np.array_equal(hard_slicing_perturbation(x, QPSK)[:2], [-np.inf, np.inf])
+
     def test_l2_zero_on_lattice(self):
         c = constellation("16qam")
         x = c.levels[np.array([0, 3, 1, 2])]

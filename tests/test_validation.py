@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 import sapsm.apsm as apsm
 import sapsm.validation as validation
-from sapsm.apsm import TRACE_COLUMNS, AuditResult, _row_groups
-from sapsm.cost import MU, QuadraticResidualCost, apsm_map
+from sapsm.apsm import TRACE_COLUMNS, AuditResult
+from sapsm.cost import MU, VARIANTS, QuadraticResidualCost, apsm_map
 from sapsm.errors import ConfigError
 from sapsm.geometry import BoxSet, constellation, prox_l1_levels
 from sapsm.validation import (
@@ -184,7 +185,7 @@ class TestAuditedRuns:
         batch = validation.apsm_run_batch
 
         def counted(costs, cfgs, *args, **kwargs):
-            stacks.append((len(costs), len(_row_groups(cfgs))))
+            stacks.append((len(costs), tuple(cfg.variant for cfg, _ in groupby(cfgs))))
             return batch(costs, cfgs, *args, **kwargs)
 
         def recorded(check):
@@ -199,11 +200,12 @@ class TestAuditedRuns:
             monkeypatch.setattr(validation, check.__name__, recorded(check))
         merged = run_all_suites(seed=5, prox_cases=20, attracting_draws=20, qf_trials=6)
         merged_runs = audited[:]
-        # 6 + 3 trials, three variants each, in one engine stack whose runs
-        # of one variant perturb as one group
-        assert stacks == [(27, 3)] and len(merged_runs) == 27
+        # 6 + 3 trials, three variants each, in one engine stack of three
+        # runs of equal configs, plain first: the engine's perturbing block
+        # (the l2 and l1 rows) needs no reordering
+        assert stacks == [(27, VARIANTS)] and len(merged_runs) == 27
         separate = [quasi_fejer_suite(trials=6, seed=7), attracting_run_suite(trials=3, seed=8)]
-        assert stacks == [(27, 3), (18, 3), (9, 3)]
+        assert stacks == [(27, VARIANTS), (18, VARIANTS), (9, VARIANTS)]
         # every audited run, its trace and its result are those of the
         # separate stacks; the merged stack audits variant by variant
         assert Counter(audited[27:]) == Counter(merged_runs)
