@@ -17,6 +17,7 @@ import csv
 import functools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ from .errors import ConfigError, NonFiniteIterate
 from .geometry import Constellation, perturbation_l1, perturbation_l2, soft_slice
 
 TRACE_COLUMNS = ("n", "theta", "objective", "rho", "step_norm", "pert_norm")
+# iterates per ``observe`` call of an engine run: the window buffer holds
+# WINDOW x B x d floats however long the run
+WINDOW = 60
 # rounding slack on the right-hand side of every audited inequality
 AUDIT_TOL = 1e-9
 
@@ -119,7 +123,8 @@ def _perturbation(cfg: ApsmConfig, x: np.ndarray, c: Constellation) -> np.ndarra
 # as a numpy warning
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
-                   c: Constellation, record_iterates: bool = False
+                   c: Constellation, record_iterates: bool = False,
+                   observe: Callable[[np.ndarray], object] | None = None
                    ) -> tuple[np.ndarray, list[IterateTrace]]:
     """Run the perturbed iteration on B problems at once, row i under
     ``cfgs[i]``; return (final iterates as (B, d), one trace per row).
@@ -133,6 +138,14 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     stack must share, and is bitwise the run it would be alone. Every row
     starts at x_0 = 0, and every iterate lies in the box. The loop records
     theta alone, in one table of which each trace holds a column.
+
+    ``observe``, when given, sees every iterate x_1 .. x_final without a
+    recorded trace: the loop writes each new iterate into a window of
+    ``WINDOW`` iterations and hands each filled window, and the last partial
+    one, to ``observe`` as one (m, B, d) array in the caller's row order,
+    before the run's finiteness check. The array is a view of the window
+    when the engine's sort left the rows in place, else one gather of it; it
+    is valid only during the call.
     """
     if len(cfgs) != len(costs):
         raise ConfigError(f"{len(cfgs)} configs for {len(costs)} problems")
@@ -159,6 +172,10 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     perturbing = beta.any(axis=(1, 2)).tolist()
     thetas = np.empty((steps, size))
     iterates = np.zeros((size, steps + 1, dim)) if record_iterates else None
+    rows = np.argsort(order).tolist()
+    if observe is not None:
+        window = np.empty((min(WINDOW, steps), size, dim))
+        in_order = order == list(range(size))
 
     for n in range(steps):
         if perturbing[n]:
@@ -170,6 +187,12 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
         x, thetas[n] = sublevel_step(gram, hty, yty, x, rho[n], mu, box)
         if record_iterates:
             iterates[:, n + 1] = x
+        if observe is not None:
+            slot = n % WINDOW
+            window[slot] = x
+            if slot == WINDOW - 1 or n == steps - 1:
+                filled = window[:slot + 1]
+                observe(filled if in_order else filled[:, rows])
 
     # a nan in x_{n+1} reaches theta_{n+1} through the residual, and the box
     # clips an inf: theta names the first bad iteration, x only the last
@@ -178,7 +201,6 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
         raise NonFiniteIterate(int(bad[0]))
     if not np.isfinite(x).all():
         raise NonFiniteIterate(steps - 1)
-    rows = np.argsort(order).tolist()
     return x[rows], [IterateTrace(thetas[:, j], cfgs[i], costs[i], c,
                                   iterates[j] if record_iterates else None)
                      for i, j in enumerate(rows)]

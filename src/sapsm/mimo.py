@@ -136,6 +136,24 @@ def make_instance(model: ChannelModel, c: Constellation, K: int, N: int,
     return ChannelInstance(H=H, s=s, y=add_noise(H @ s, sigma2, rng), sigma2=sigma2)
 
 
+def slicing_interval(s: np.ndarray, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) of each reference coordinate: the slicing interval
+    (lower, upper] of its level."""
+    i = c.nearest_indices(s)
+    return c.edges[i], c.edges[i + 1]
+
+
+def interval_errors(x_hat: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Wrong complex symbols along the last axis of ``x_hat``, any leading
+    shape, against the slicing intervals (lower, upper] of the reference,
+    which broadcast against ``x_hat``: coordinates k and k+K form one symbol,
+    wrong when either lies outside its interval (a non-finite one always does)."""
+    k = x_hat.shape[-1] // 2
+    right = x_hat > lower
+    right &= x_hat <= upper
+    return k - np.count_nonzero(right[..., :k] & right[..., k:], axis=-1)
+
+
 def symbol_errors(x_hat: np.ndarray, s: np.ndarray,
                   c: Constellation) -> int | np.ndarray:
     """Count wrong complex symbols after hard slicing.
@@ -151,8 +169,5 @@ def symbol_errors(x_hat: np.ndarray, s: np.ndarray,
         raise DimensionMismatch(f"shapes {x_hat.shape} vs {s.shape}")
     if s.shape[-1] % 2:
         raise DimensionMismatch("vectors must have even length")
-    k = s.shape[-1] // 2
-    i = c.nearest_indices(s)
-    right = (x_hat > c.edges[i]) & (x_hat <= c.edges[i + 1])
-    errors = k - np.count_nonzero(right[..., :k] & right[..., k:], axis=-1)
+    errors = interval_errors(x_hat, *slicing_interval(s, c))
     return errors if x_hat.ndim == 2 else int(errors)

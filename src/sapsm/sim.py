@@ -4,8 +4,9 @@ Every trial draws its own channel/noise realization from a counter-based
 seed mix, and all detectors within a trial share that realization (paired
 comparison). Trials run in consecutive batches, and all iterative detectors
 of a batch iterate as one engine stack; a row's result does not depend on
-the stack it sits in. Aggregation is a plain integer sum, so results are
-identical for any worker count.
+the stack it sits in. A per-iteration sweep records no iterates: it counts
+each window of them that the stack hands over. Aggregation is a plain
+integer sum, so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,15 @@ from .detectors import (
 )
 from .errors import ConfigError
 from .geometry import Constellation, constellation
-from .mimo import ChannelModel, make_instance, snr_to_sigma2, symbol_errors, trial_seed
+from .mimo import (
+    ChannelModel,
+    interval_errors,
+    make_instance,
+    slicing_interval,
+    snr_to_sigma2,
+    symbol_errors,
+    trial_seed,
+)
 
 CSV_HEADER = ("detector", "x_kind", "x_value", "errors", "symbols", "ser")
 # most trials per engine stack: enough rows to amortize the per-iteration
@@ -132,8 +141,10 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
     run per realization, in task order; the iterative detectors run the
     whole batch as one engine stack, rows ordered detector by realization.
     A row does not depend on the stack it sits in. Per-iteration counts
-    of an iterative detector are arrays of length ``max_iters``, counted from
-    each row's recorded iterates; a baseline keeps its single count.
+    of an iterative detector are arrays of length ``max_iters``, counted
+    window by window as the unrecorded stack hands its iterates over, each
+    against the slicing intervals of its row's reference, found once; a
+    baseline keeps its single count.
     """
     insts = [make_instance(cfg.channel, c, cfg.k, cfg.n, cfg.snr_db[si], seed)
              for si, seed in tasks]
@@ -154,14 +165,18 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
     if iterative:
         costs = [QuadraticResidualCost(inst.H, inst.y) for _ in iterative for inst in insts]
         cfgs = [acfg for acfg in iterative.values() for _ in insts]
-        x_hat, traces = apsm_run_batch(costs, cfgs, c, record_iterates=per_iteration)
+        if per_iteration:
+            bounds = slicing_interval(np.tile(sent, (len(iterative), 1)), c)
+            windows = []
+            apsm_run_batch(costs, cfgs, c,
+                           observe=lambda xs: windows.append(interval_errors(xs, *bounds)))
+            # each row's count per iteration, (rows, max_iters)
+            per_row = np.concatenate(windows).T
+        else:
+            x_hat, _ = apsm_run_batch(costs, cfgs, c)
         for j, kind in enumerate(iterative):
             rows = slice(j * len(insts), (j + 1) * len(insts))
-            if per_iteration:
-                errors[kind] = [symbol_errors(trace.iterates[1:], s, c)
-                                for trace, s in zip(traces[rows], sent)]
-            else:
-                errors[kind] = symbol_errors(x_hat[rows], sent, c)
+            errors[kind] = per_row[rows] if per_iteration else symbol_errors(x_hat[rows], sent, c)
     totals = {}
     for kind, errs in errors.items():
         for (si, _), e in zip(tasks, errs):
@@ -222,7 +237,8 @@ def run_ser_vs_iter(cfg: ExperimentConfig, workers: int = 1) -> SerTable:
     rows = []
     for kind in cfg.detectors:
         counts = np.broadcast_to(totals[(kind, 0)], cfg.max_iters).tolist()
-        rows += [SerRow(kind.value, "iter", float(it), errors, symbols)
+        name = kind.value
+        rows += [SerRow(name, "iter", float(it), errors, symbols)
                  for it, errors in enumerate(counts, 1)]
     return SerTable(rows)
 

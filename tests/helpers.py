@@ -3,11 +3,12 @@ lifting, the first-order optimality residual of a box-constrained
 least-squares point, symbol errors counted by slicing both sides, CSV
 tables rendered through ``csv.writer``, the attracting audit under a
 whole-window perturbation slack, both LMMSE baselines of one realization
-solved on its own, and the hard-slicing perturbation as the plain
-difference P_S(x) - x."""
+solved on its own, the hard-slicing perturbation as the plain
+difference P_S(x) - x, and the peak memory a call allocates."""
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 
@@ -116,3 +117,20 @@ def lmmse_pair_alone(H: np.ndarray, y: np.ndarray, sigma2: float) -> tuple[np.nd
     A.flat[::A.shape[0] + 1] += sigma2
     sol = np.linalg.solve(A, np.column_stack([hty, gram]))
     return np.linalg.solve(A, hty), sol[:, 0] / np.diagonal(sol[:, 1:])
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes that tracemalloc saw allocated during the call
+    above what was allocated when it began). numpy reports its array
+    buffers to tracemalloc, so the peak counts them."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()

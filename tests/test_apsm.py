@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import sapsm.apsm
 from sapsm.apsm import (
     TRACE_COLUMNS,
+    WINDOW,
     AuditResult,
     IterateTrace,
     activation_index,
@@ -494,6 +495,25 @@ def serial_reference_run(cost, cfg, c):
     return x, columns, np.asarray(iterates)
 
 
+def assert_observed_as_recorded(costs, cfgs, c, record):
+    """A run that observes its windows returns what it returns unobserved,
+    and its windows, in order, are the recorded run's iterates x_1 ..
+    x_final, row by row. Returns the window sizes."""
+    windows = []
+    observed = apsm_run_batch(costs, cfgs, c, record_iterates=record,
+                              observe=lambda xs: windows.append(xs.copy()))
+    plain = apsm_run_batch(costs, cfgs, c, record_iterates=record)
+    for i in range(len(costs)):
+        assert_same_run((observed[0][i], observed[1][i]), (plain[0][i], plain[1][i]))
+    _, traces = apsm_run_batch(costs, cfgs, c, record_iterates=True)
+    recorded = np.stack([trace.iterates[1:] for trace in traces], axis=1)
+    seen = np.concatenate(windows)
+    assert seen.shape == recorded.shape and seen.tobytes() == recorded.tobytes()
+    sizes = [len(xs) for xs in windows]
+    assert all(size == WINDOW for size in sizes[:-1]) and 1 <= sizes[-1] <= WINDOW
+    return sizes
+
+
 def config_pool(max_iters):
     """Configs a stack's rows draw from: the three standard variants, an l2
     with its own radius schedule and relaxation, an l2 whose geometric beta
@@ -611,6 +631,29 @@ class TestBatch:
         apsm_run_batch(costs[:3], list(quiet), QPSK)
         apsm_run_batch(costs[:3], [pool[0]] * 3, QPSK)
         assert calls == []
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(batches())
+    def test_observed_windows_are_the_recorded_iterates(self, batch):
+        costs, cfgs, c, record = batch
+        assert_observed_as_recorded(costs, cfgs, c, record)
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_observed_windows_of_a_sorted_stack(self, record):
+        # the perturbing rows come first here, so the engine sorts the stack
+        steps = 2 * WINDOW + 3
+        cfgs = list(reversed(config_pool(steps)))
+        costs = [small_instance(seed=s)[1] for s in range(len(cfgs))]
+        sizes = assert_observed_as_recorded(costs, cfgs, QPSK, record)
+        assert sizes == [WINDOW, WINDOW, 3]
+
+    def test_an_ordered_stack_is_observed_in_place(self):
+        cfgs = [standard_config(v, max_iters=WINDOW + 1) for v in ("plain", "l2", "l1")]
+        costs = [small_instance(seed=s)[1] for s in range(len(cfgs))]
+        seen = []
+        apsm_run_batch(costs, cfgs, QPSK, observe=seen.append)
+        assert [len(xs) for xs in seen] == [WINDOW, 1]
+        assert np.shares_memory(seen[0], seen[1])
 
     def test_costs_of_different_sizes_rejected(self):
         costs = [small_instance(seed=0)[1], small_instance(seed=1, k=4, n=8)[1]]

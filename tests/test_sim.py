@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sapsm.sim
-from sapsm.apsm import apsm_run_batch
+from sapsm.apsm import WINDOW, apsm_run_batch
 from sapsm.cost import BetaSchedule, QuadraticResidualCost, standard_config
 from sapsm.detectors import DetectorKind as D
 from sapsm.detectors import detect
@@ -25,7 +25,7 @@ from sapsm.sim import (
 )
 from sapsm.validation import run_all_suites
 
-from helpers import table_text_csv_writer
+from helpers import table_text_csv_writer, traced_peak
 
 ALL_SIX = (D.APSM_PLAIN, D.APSM_L2, D.APSM_L1, D.LMMSE, D.CONSTRAINED_LMMSE,
            D.BOX_ORACLE)
@@ -154,9 +154,14 @@ class TestSerVsIter:
         assert seeds[:4] == small
         assert len(set(seeds)) == 8
 
-    def test_per_iteration_counts_equal_one_count_per_iterate(self):
-        cfg = iter_cfg(detectors=(D.APSM_L1, D.LMMSE, D.APSM_PLAIN, D.APSM_L2),
-                       trials=5, max_iters=40)
+    # budgets around the engine's window, and stacks the engine keeps in
+    # order (the perturbing rows already last) or sorts
+    @pytest.mark.parametrize("max_iters", [1, WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 3])
+    @pytest.mark.parametrize("detectors", [
+        (D.APSM_PLAIN, D.APSM_L2, D.APSM_L1),
+        (D.APSM_L1, D.LMMSE, D.APSM_PLAIN, D.APSM_L2)])
+    def test_per_iteration_counts_equal_one_count_per_iterate(self, max_iters, detectors):
+        cfg = iter_cfg(detectors=detectors, trials=5, max_iters=max_iters)
         c = constellation(cfg.modulation)
         tasks = [(0, trial_seed(cfg.master_seed, t)) for t in range(cfg.trials)]
         totals = sapsm.sim._batch_errors(cfg, c, True, tasks)
@@ -172,6 +177,18 @@ class TestSerVsIter:
                 expected += [symbol_errors(x, inst.s, c) for x in trace.iterates[1:]]
             np.testing.assert_array_equal(totals[(kind, 0)], expected)
         assert totals[(D.APSM_L1, 0)].max() > 0
+
+    def test_per_iteration_counting_holds_no_recorded_stack(self):
+        # one batch of the CLI's size: three iterative detectors, 64 trials
+        # at 16x64, whose recorded iterates alone would take this many bytes
+        cfg = ExperimentConfig(k=16, n=64, detectors=(D.APSM_PLAIN, D.APSM_L2, D.APSM_L1),
+                               trials=BATCH_TRIALS, master_seed=7)
+        recorded = 3 * BATCH_TRIALS * (cfg.max_iters + 1) * 2 * cfg.k * 8
+        tasks = [(0, trial_seed(cfg.master_seed, t)) for t in range(cfg.trials)]
+        c = constellation(cfg.modulation)
+        totals, peak = traced_peak(lambda: sapsm.sim._batch_errors(cfg, c, True, tasks))
+        assert peak < recorded
+        assert totals[(D.APSM_L1, 0)].shape == (cfg.max_iters,)
 
     def test_row_shape_and_bounds(self):
         cfg = iter_cfg(trials=3, max_iters=20)
