@@ -29,14 +29,18 @@ from .cost import (
     schedule_table,
     stack_costs,
     sublevel_step,
+    sublevel_theta,
 )
 from .errors import ConfigError, NonFiniteIterate
-from .geometry import Constellation, perturbation_l1, perturbation_l2, soft_slice
+from .geometry import Constellation, perturbation_l1, perturbation_l2, project_box, soft_slice
 
 TRACE_COLUMNS = ("n", "theta", "objective", "rho", "step_norm", "pert_norm")
 # iterates per ``observe`` call of an engine run: the window buffer holds
 # WINDOW x B x d floats however long the run
 WINDOW = 60
+# iterations per chunk: a quiet chunk runs as perturbation and box clamp
+# alone. A divisor of WINDOW, so that no chunk crosses an observe window
+CHUNK = 12
 # rounding slack on the right-hand side of every audited inequality
 AUDIT_TOL = 1e-9
 
@@ -119,6 +123,16 @@ def _perturbation(cfg: ApsmConfig, x: np.ndarray, c: Constellation) -> np.ndarra
     return perturbation_l1(x, cfg.tau, c)
 
 
+def _perturb_block(xb: np.ndarray, tau: np.ndarray, beta_n: np.ndarray,
+                   c: Constellation) -> None:
+    """Move each row of the perturbing block xb, in place, to
+    x + beta_n (soft_slice(x, tau) - x), tau and beta_n one column each."""
+    v = soft_slice(xb, tau, c)
+    v -= xb
+    v *= beta_n
+    xb += v
+
+
 # a row that overflows or divides by zero surfaces as NonFiniteIterate, not
 # as a numpy warning
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -138,6 +152,15 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     stack must share, and is bitwise the run it would be alone. Every row
     starts at x_0 = 0, and every iterate lies in the box. The loop records
     theta alone, in one table of which each trace holds a column.
+
+    Iterations run in chunks of ``CHUNK``. Once the last iteration of a
+    chunk leaves every row's theta at 0, the next chunk runs quiet: each
+    iteration only perturbs and clamps, its perturbed point going into a
+    (CHUNK, B, d) buffer, and one stacked call then finds the chunk's
+    thetas. The iterations before the first positive theta are kept; that
+    iteration and the rest of the chunk run again as ordinary ones, from
+    the same x, so with the same bits. The quiet path holds two
+    (CHUNK, B, d) float buffers, CHUNK x B x d x 8 bytes each.
 
     ``observe``, when given, sees every iterate x_1 .. x_final without a
     recorded trace: the loop writes each new iterate into a window of
@@ -177,22 +200,52 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
         window = np.empty((min(WINDOW, steps), size, dim))
         in_order = order == list(range(size))
 
-    for n in range(steps):
-        if perturbing[n]:
-            xb = x[block]
-            v = soft_slice(xb, tau, c)
-            v -= xb
-            v *= beta[n]
-            xb += v
-        x, thetas[n] = sublevel_step(gram, hty, yty, x, rho[n], mu, box)
-        if record_iterates:
-            iterates[:, n + 1] = x
-        if observe is not None:
-            slot = n % WINDOW
-            window[slot] = x
-            if slot == WINDOW - 1 or n == steps - 1:
-                filled = window[:slot + 1]
-                observe(filled if in_order else filled[:, rows])
+        def hand_over(slot):
+            filled = window[:slot + 1]
+            observe(filled if in_order else filled[:, rows])
+    # a quiet chunk's perturbed points z_n and their Gram matvecs
+    zs, gzs = (np.empty((min(CHUNK, steps), size, dim)) for _ in range(2))
+    quiet = False
+
+    for start in range(0, steps, CHUNK):
+        end = min(start + CHUNK, steps)
+        resume = start
+        if quiet:
+            # x_{n+1} is the clamp of z_n, written where z_{n+1} is formed
+            zs[0] = x
+            for k, n in enumerate(range(start, end)):
+                if perturbing[n]:
+                    _perturb_block(zs[k, block], tau, beta[n], c)
+                if n + 1 < end:
+                    project_box(zs[k], box, out=zs[k + 1])
+            m = end - start
+            _, theta = sublevel_theta(gram, hty, yty, zs[:m], rho[start:end], out=gzs[:m])
+            hot = np.flatnonzero(theta.any(axis=1))
+            kept = int(hot[0]) if hot.size else m
+            resume = start + kept
+            thetas[start:resume] = theta[:kept]
+            if kept:
+                x = project_box(zs[kept - 1], box)
+                if record_iterates:
+                    project_box(zs[:kept], box,
+                                out=iterates[:, start + 1:resume + 1].swapaxes(0, 1))
+                if observe is not None:
+                    slot = start % WINDOW
+                    project_box(zs[:kept], box, out=window[slot:slot + kept])
+                    if resume == end and (end % WINDOW == 0 or end == steps):
+                        hand_over(slot + kept - 1)
+        for n in range(resume, end):
+            if perturbing[n]:
+                _perturb_block(x[block], tau, beta[n], c)
+            x, thetas[n] = sublevel_step(gram, hty, yty, x, rho[n], mu, box)
+            if record_iterates:
+                iterates[:, n + 1] = x
+            if observe is not None:
+                slot = n % WINDOW
+                window[slot] = x
+                if slot == WINDOW - 1 or n == steps - 1:
+                    hand_over(slot)
+        quiet = not np.count_nonzero(thetas[end - 1])
 
     # a nan in x_{n+1} reaches theta_{n+1} through the residual, and the box
     # clips an inf: theta names the first bad iteration, x only the last

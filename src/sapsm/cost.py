@@ -83,12 +83,24 @@ def residuals(hty: np.ndarray, yty: np.ndarray, x: np.ndarray,
     """||H_i x_i - y_i||^2 per row as x'Gx - 2h'x + y'y, from the Gram
     matvecs gx, clamped at 0 against cancellation.
 
-    The clamps here and in ``sublevel_step`` are np.maximum, whose SIMD
+    The clamps here and in ``sublevel_theta`` are np.maximum, whose SIMD
     loops may differ from Python's max on -0.0 alone. Neither clamped value
     can be -0.0: the sum ends by adding y'y, which is +0.0 or positive, and
     theta subtracts a nonnegative rho from that.
     """
     return np.maximum(np.vecdot(x, gx) - 2.0 * np.vecdot(hty, x) + yty, 0.0)
+
+
+def sublevel_theta(gram: np.ndarray, hty: np.ndarray, yty: np.ndarray, z: np.ndarray,
+                   rho: float | np.ndarray, out: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(the Gram matvecs G_i z_i, into ``out`` when given, and the cost
+    theta = (||H_i z_i - y_i||^2 - rho)_+) per row of z, which is (B, d) or
+    an (m, B, d) stack of them against the (B, d, d) Gram stack, each
+    (iteration, row) bitwise its (B, d) call; ``rho`` broadcasts against
+    the rows."""
+    gz = np.matvec(gram, z, out=out)
+    return gz, np.maximum(residuals(hty, yty, z, gz) - rho, 0.0)
 
 
 def sublevel_step(gram: np.ndarray, hty: np.ndarray, yty: np.ndarray,
@@ -103,8 +115,7 @@ def sublevel_step(gram: np.ndarray, hty: np.ndarray, yty: np.ndarray,
     A row keeps z when its theta is zero or its subgradient 2H'(Hz - y)
     vanishes.
     """
-    gz = np.matvec(gram, z)
-    theta = np.maximum(residuals(hty, yty, z, gz) - rho, 0.0)
+    gz, theta = sublevel_theta(gram, hty, yty, z, rho)
     take = theta > 0.0
     if np.count_nonzero(take):
         # the gradient 2(Gz - H'y), formed in the matvec's buffer

@@ -101,9 +101,9 @@ def constellation(name: str) -> Constellation:
     return Constellation(raw / scale)
 
 
-def project_box(x: np.ndarray, box: BoxSet) -> np.ndarray:
-    """Coordinate-wise clamp onto the box."""
-    out = np.maximum(x, -box.a_max)
+def project_box(x: np.ndarray, box: BoxSet, out: np.ndarray | None = None) -> np.ndarray:
+    """Coordinate-wise clamp onto the box, into ``out`` when given."""
+    out = np.maximum(x, -box.a_max, out=out)
     return np.minimum(out, box.a_max, out=out)
 
 
@@ -113,26 +113,14 @@ def _check_tau(tau: float | np.ndarray) -> None:
         raise ConfigError("tau must be nonnegative")
 
 
-def _shrink(r: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
-    return np.copysign(np.maximum(np.abs(r) - tau, 0.0), r)
-
-
-def soft_threshold(x: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
-    """Shrinkage sign(x) * max(|x| - tau, 0), the prox of tau * l1-norm.
-
-    ``tau`` is a scalar or an array broadcast against x. The result carries
-    the sign of x, also when it is zero, so that soft_threshold(-x) is
-    -soft_threshold(x) bit for bit; -0.0 maps to -0.0.
-    """
-    _check_tau(tau)
-    return _shrink(x, tau)
-
-
 def soft_slice(x: np.ndarray, tau: float | np.ndarray, c: Constellation) -> np.ndarray:
-    """soft_threshold(x - P_S(x), tau) + P_S(x), tau unchecked and broadcast
-    against x; at tau = inf, P_S(x) bitwise for every finite x (nan at +-inf)."""
+    """The residual r = x - P_S(x) shrunk to sign(r) max(|r| - tau, 0), plus
+    P_S(x); tau unchecked and broadcast against x. The shrunk residual keeps
+    the sign of r, also when it is zero; at tau = inf the result is P_S(x)
+    bitwise for every finite x (nan at +-inf)."""
     sliced = c.nearest(x)
-    return _shrink(x - sliced, tau) + sliced
+    r = x - sliced
+    return np.copysign(np.maximum(np.abs(r) - tau, 0.0), r) + sliced
 
 
 def prox_l1_levels(x: np.ndarray, tau: float | np.ndarray, c: Constellation) -> np.ndarray:

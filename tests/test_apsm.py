@@ -1,7 +1,7 @@
 import csv
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import sapsm.apsm
 from sapsm.apsm import (
+    CHUNK,
     TRACE_COLUMNS,
     WINDOW,
     AuditResult,
@@ -514,6 +515,55 @@ def assert_observed_as_recorded(costs, cfgs, c, record):
     return sizes
 
 
+def assert_rows_are_serial(costs, cfgs, c):
+    """Every row of a recorded stack run is bitwise serial_reference_run."""
+    final, traces = apsm_run_batch(costs, cfgs, c, record_iterates=True)
+    for i, cost in enumerate(costs):
+        x, columns, iterates = serial_reference_run(cost, cfgs[i], c)
+        assert final[i].tobytes() == x.tobytes()
+        for col, ref in zip(TRACE_COLUMNS, columns):
+            got = getattr(traces[i], col)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), col
+        assert traces[i].iterates.tobytes() == iterates.tobytes()
+
+
+@dataclass(frozen=True)
+class DippingRho(RhoSchedule):
+    """The geometric radius schedule, back at rho0 at iteration ``dip``."""
+
+    dip: int = -1
+
+    def at(self, n: int) -> float:
+        return self.rho0 if n == self.dip else super().at(n)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """The engine's calls in order: 1 per ordinary iteration, and per quiet
+    chunk (its iterations, those before its first positive theta)."""
+    calls = []
+    step, stacked_theta = sapsm.apsm.sublevel_step, sapsm.apsm.sublevel_theta
+
+    def counted_step(*args):
+        calls.append(1)
+        return step(*args)
+
+    def counted_theta(*args, **kwargs):
+        gz, theta = stacked_theta(*args, **kwargs)
+        hot = np.flatnonzero(theta.any(axis=1))
+        calls.append((len(theta), int(hot[0]) if hot.size else len(theta)))
+        return gz, theta
+
+    monkeypatch.setattr(sapsm.apsm, "sublevel_step", counted_step)
+    monkeypatch.setattr(sapsm.apsm, "sublevel_theta", counted_theta)
+    return calls
+
+
+def quiet_chunks(calls):
+    """The (iterations, kept) of each quiet chunk among engine_calls."""
+    return [call for call in calls if call != 1]
+
+
 def config_pool(max_iters):
     """Configs a stack's rows draw from: the three standard variants, an l2
     with its own radius schedule and relaxation, an l2 whose geometric beta
@@ -590,14 +640,7 @@ class TestBatch:
     @given(batches())
     def test_rows_are_the_serial_loop(self, batch):
         costs, cfgs, c, _ = batch
-        final, traces = apsm_run_batch(costs, cfgs, c, record_iterates=True)
-        for i, cost in enumerate(costs):
-            x, columns, iterates = serial_reference_run(cost, cfgs[i], c)
-            assert final[i].tobytes() == x.tobytes()
-            for col, ref in zip(TRACE_COLUMNS, columns):
-                got = getattr(traces[i], col)
-                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), col
-            assert traces[i].iterates.tobytes() == iterates.tobytes()
+        assert_rows_are_serial(costs, cfgs, c)
 
     def test_one_soft_slicing_call_per_iteration_on_the_perturbing_rows(self, monkeypatch):
         # every pool config on its own problem, the plain row last; the
@@ -655,6 +698,88 @@ class TestBatch:
         assert [len(xs) for xs in seen] == [WINDOW, 1]
         assert np.shares_memory(seen[0], seen[1])
 
+    # six small runs of the standard variants, 300 iterations: no row steps
+    # from iteration 154 on, so every chunk from the first to start after
+    # iteration 155 runs quiet
+    QUIET_FROM = -(-155 // CHUNK) * CHUNK
+
+    def standard_stack(self, steps=300):
+        costs = [small_instance(seed=s)[1] for s in range(6)]
+        return costs, [standard_config(v, max_iters=steps) for v in ("plain", "l2", "l1")
+                       for _ in range(2)]
+
+    def test_quiet_chunks_kept_whole_are_the_serial_loop(self, engine_calls):
+        costs, cfgs = self.standard_stack()
+        assert_rows_are_serial(costs, cfgs, QPSK)
+        assert quiet_chunks(engine_calls) == [(min(CHUNK, 300 - n),) * 2
+                                              for n in range(self.QUIET_FROM, 300, CHUNK)]
+        assert engine_calls.count(1) == self.QUIET_FROM
+
+    def test_a_quiet_chunk_cut_at_a_positive_theta_runs_on_as_ordinary(self, engine_calls):
+        # the radius falls back to rho0 at the 6th iteration of a quiet
+        # chunk: that chunk keeps the 5 before it, and the ordinary loop
+        # runs the rest of it, after which the stack is quiet again
+        steps = 300
+        cut = self.QUIET_FROM + 2 * CHUNK
+        costs, cfgs = self.standard_stack(steps)
+        cfgs = [replace(cfg, rho=DippingRho(cfg.rho.rho0, cfg.rho.growth, cut + 5))
+                for cfg in cfgs]
+        assert_rows_are_serial(costs, cfgs, QPSK)
+        assert quiet_chunks(engine_calls) == [(m, 5 if n == cut else m) for n, m in (
+            (n, min(CHUNK, steps - n)) for n in range(self.QUIET_FROM, steps, CHUNK))]
+        at = engine_calls.index((CHUNK, 5))
+        assert engine_calls[at + 1:at + 1 + CHUNK - 5] == [1] * (CHUNK - 5)
+        assert engine_calls.count(1) == self.QUIET_FROM + CHUNK - 5
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_quiet_chunks_end_at_observe_windows_and_at_the_end(self, engine_calls, record):
+        # a radius every point of the box meets: every chunk after the
+        # first runs quiet, one of them ending each observe window and a
+        # partial one ending the run; the perturbing rows come first, so
+        # the engine sorts the stack. The last row walks from 0 toward the
+        # level -a_max by 1.7 tau a step and overshoots it at iteration
+        # 20, inside the first quiet chunk, where the clamp takes it back
+        assert WINDOW % CHUNK == 0
+        steps = 2 * WINDOW + 5
+        cfgs = [replace(cfg, rho=RhoSchedule(1e3)) for cfg in reversed(config_pool(steps))]
+        cfgs.append(ApsmConfig(rho=RhoSchedule(1e3), beta=BetaSchedule.constant(1.7),
+                               tau=0.02, variant="l1", max_iters=steps))
+        costs = [small_instance(seed=s)[1] for s in range(len(cfgs))]
+        assert assert_observed_as_recorded(costs, cfgs, QPSK, record) == [WINDOW, WINDOW, 5]
+        engine_calls.clear()
+        assert_rows_are_serial(costs, cfgs, QPSK)
+        assert engine_calls == [1] * CHUNK + [(min(CHUNK, steps - n),) * 2
+                                              for n in range(CHUNK, steps, CHUNK)]
+        assert engine_calls[-1] == (5, 5)
+
+    def test_non_finite_inside_a_quiet_chunk_names_its_iteration(self, monkeypatch,
+                                                                  engine_calls):
+        # an l2 row turns nan from iteration CHUNK + 5 on, the 6th of the
+        # first quiet chunk: the chunk keeps the 5 before it, and the
+        # ordinary loop, which runs that iteration again, finds the nan
+        steps, bad = 40, CHUNK + 5
+        cfgs = [replace(standard_config(v, max_iters=steps), rho=RhoSchedule(1e3))
+                for v in ("plain", "l2", "l1")]
+        costs = [small_instance(seed=s)[1] for s in range(3)]
+        calls = []
+
+        def poisoned(x, tau, c):
+            calls.append(None)
+            v = soft_slice(x, tau, c)
+            if len(calls) > bad:
+                v[0] = np.nan
+            return v
+
+        monkeypatch.setattr(sapsm.apsm, "soft_slice", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIterate) as err:
+                apsm_run_batch(costs, cfgs, QPSK)
+        assert err.value.iteration == bad
+        assert quiet_chunks(engine_calls) == [(CHUNK, 5)]
+        assert engine_calls.count(1) == CHUNK + steps - bad
+        assert len(calls) == CHUNK + CHUNK + steps - bad
+
     def test_costs_of_different_sizes_rejected(self):
         costs = [small_instance(seed=0)[1], small_instance(seed=1, k=4, n=8)[1]]
         cfg = standard_config("plain", max_iters=3)
@@ -696,3 +821,15 @@ class TestBatch:
             for j, i in enumerate(rows):
                 assert mv[j].tobytes() == (gram[i] @ z[i]).tobytes()
                 assert gx[j].tobytes() == mv[j].tobytes()
+        # a quiet chunk's (m, B, d) stack against the broadcast (B, d, d)
+        # Gram stack, into a buffer as the engine does: the same call per
+        # (iteration, row)
+        zs = rng.standard_normal((CHUNK, size, dim))
+        gzs = np.matvec(gram, zs, out=np.empty_like(zs))
+        dots, hdots = np.vecdot(zs, gzs), np.vecdot(a, zs)
+        for k in range(CHUNK):
+            assert gzs[k].tobytes() == np.matvec(gram, zs[k]).tobytes()
+            for i in range(size):
+                assert gzs[k, i].tobytes() == (gram[i] @ zs[k, i]).tobytes()
+                assert dots[k, i].tobytes() == np.float64(zs[k, i] @ gzs[k, i]).tobytes()
+                assert hdots[k, i].tobytes() == np.float64(a[i] @ zs[k, i]).tobytes()

@@ -13,7 +13,7 @@ from sapsm.geometry import (
     perturbation_l2,
     project_box,
     prox_l1_levels,
-    soft_threshold,
+    soft_slice,
 )
 
 from helpers import hard_slicing_perturbation
@@ -141,45 +141,57 @@ class TestSlicing:
         np.testing.assert_array_equal(QAM16.levels[idx], QAM16.nearest(x))
 
 
-class TestSoftThreshold:
-    def test_below_threshold_zeroes(self):
-        np.testing.assert_array_equal(soft_threshold(np.array([0.3]), 0.5), [0.0])
-
-    def test_shrinks_magnitude(self):
-        np.testing.assert_array_equal(soft_threshold(np.array([-2.0]), 0.5), [-1.5])
-
-    def test_zero_tau_identity(self):
-        x = np.array([1.0, -1.0])
-        np.testing.assert_array_equal(soft_threshold(x, 0.0), x)
-
-    def test_negative_tau_rejected(self):
-        with pytest.raises(ConfigError):
-            soft_threshold(np.array([1.0]), -0.1)
-
-    def test_never_grows_max_norm(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            x = rng.normal(size=10) * 3
-            tau = rng.uniform(0, 1)
-            assert np.max(np.abs(soft_threshold(x, tau))) <= np.max(np.abs(x)) + 1e-15
+class TestShrinkage:
+    """The shrinkage inside the slicing prox, seen through its public calls."""
 
     @properties
-    @given(x=any_points, tau=taus)
-    @example(x=np.array(SPECIALS + (-1e-300, 1e-300, -0.5, 2.0)), tau=0.0)
-    @example(x=np.array(SPECIALS + (-0.25, 0.25, -3.0)), tau=0.5)
-    def test_copysign_form_is_the_sign_product(self, x, tau):
-        # byte-equal wherever the result is a number and x is not -0.0.
-        # np.sign(-0.0) is +0.0, so the product drops the sign there, while
-        # copysign keeps it and the shrinkage stays odd. A nan result keeps
-        # the sign of x; the product's nan takes the sign of whichever
-        # operand numpy's multiply loop puts first.
-        got, ref = soft_threshold(x, tau), sign_product_threshold(x, tau)
-        assert np.array_equal(np.isnan(got), np.isnan(x))
-        assert np.array_equal(np.isnan(ref), np.isnan(x))
-        same = ~np.isnan(x) & ~((x == 0.0) & np.signbit(x))
-        assert got[same].tobytes() == ref[same].tobytes()
-        assert np.array_equal(np.signbit(got), np.signbit(x))
-        assert soft_threshold(-x, tau).tobytes() == (-got).tobytes()
+    @given(c=alphabets | st.just(THREE), x=points, tau=taus)
+    def test_never_moves_farther_from_the_slice(self, c, x, tau):
+        # the prox lies between x and its slice, so it never grows the
+        # residual, and it keeps the slice's level
+        sliced = c.nearest(x)
+        got = prox_l1_levels(x, tau, c)
+        assert np.all(np.abs(got - sliced) <= np.abs(x - sliced) + 1e-15)
+        assert np.all(np.minimum(x, sliced) - 1e-15 <= got)
+        assert np.all(got <= np.maximum(x, sliced) + 1e-15)
+        assert np.array_equal(c.nearest(got), sliced)
+
+    @properties
+    @given(c=alphabets | st.just(THREE), x=any_points, tau=taus)
+    @example(c=THREE, x=np.array(SPECIALS + (-1e-300, 1e-300)), tau=0.5)
+    def test_a_shrunk_residual_leaves_the_slice_bitwise(self, c, x, tau):
+        # the shrinkage returns a zero that carries the residual's sign,
+        # -0.0 included; added to the slice it leaves the slice bitwise,
+        # also on the level 0.0 (+0.0 either way), so no signed zero shows
+        sliced = c.nearest(x)
+        with np.errstate(invalid="ignore"):
+            within = np.abs(x - sliced) <= tau
+        got = soft_slice(x, tau, c)
+        assert got[within].tobytes() == sliced[within].tobytes()
+
+    @properties
+    @given(c=alphabets, x_tau=paired_taus)
+    def test_odd_away_from_the_midpoints(self, c, x_tau):
+        # on a symmetric alphabet, -x slices to minus the slice of x except
+        # on a midpoint, and the shrinkage is odd; a result that rounds to
+        # zero is +0.0 on either side
+        x, tau = x_tau
+        keep = ~np.isin(np.abs(x), c.midpoints[c.midpoints >= 0]) & ~np.isnan(x)
+        got = soft_slice(x[keep], tau[keep], c)
+        mirrored = soft_slice(-x[keep], tau[keep], c)
+        assert np.array_equal(mirrored, -got)
+        assert mirrored[got != 0].tobytes() == (-got[got != 0]).tobytes()
+
+    @properties
+    @given(c=alphabets | st.just(THREE), x=points, y=points, tau=taus)
+    def test_nonexpansive_within_a_slicing_interval(self, c, x, y, tau):
+        # the prox is discontinuous at the midpoints, but on two points of
+        # one slicing interval it is the l1 prox about one level
+        n = min(x.size, y.size)
+        x, y = x[:n], y[:n]
+        same = c.nearest_indices(x) == c.nearest_indices(y)
+        d = prox_l1_levels(x, tau, c) - prox_l1_levels(y, tau, c)
+        assert np.all(np.abs(d[same]) <= np.abs(x - y)[same] + 1e-15)
 
     @properties
     @given(c=alphabets, x=any_points, tau=taus)
@@ -193,14 +205,6 @@ class TestSoftThreshold:
         got = prox_l1_levels(x, tau, c)
         assert np.array_equal(np.isnan(got), np.isnan(ref))
         assert got[~np.isnan(got)].tobytes() == ref[~np.isnan(ref)].tobytes()
-
-    def test_nonexpansive(self):
-        rng = np.random.default_rng(5)
-        for _ in range(500):
-            x, y = rng.normal(size=(2, 8)) * 2
-            tau = rng.uniform(0, 1)
-            d = soft_threshold(x, tau) - soft_threshold(y, tau)
-            assert np.linalg.norm(d) <= np.linalg.norm(x - y) + 1e-12
 
 
 class TestProx:
@@ -221,14 +225,14 @@ class TestProx:
     def test_tau_that_is_not_nonnegative_rejected(self, bad):
         x = np.array([0.3, 0.4])
         for tau in (bad, np.float64(bad), np.array([0.1, bad]), np.array(bad)):
-            for call in (lambda: soft_threshold(x, tau), lambda: prox_l1_levels(x, tau, QPSK),
+            for call in (lambda: prox_l1_levels(x, tau, QPSK),
                          lambda: perturbation_l1(x, tau, QPSK)):
                 with pytest.raises(ConfigError, match="nonnegative"):
                     call()
 
     def test_infinite_tau_accepted(self):
         x = np.array([0.3, -2.0])
-        assert soft_threshold(x, np.inf).tobytes() == np.array([0.0, -0.0]).tobytes()
+        assert prox_l1_levels(x, np.inf, QPSK).tobytes() == QPSK.nearest(x).tobytes()
         np.testing.assert_array_equal(prox_l1_levels(x, np.array([np.inf, 0.0]), QPSK),
                                       [A1, -2.0])
 
@@ -242,8 +246,6 @@ class TestProx:
         x, tau = x_tau
         ref = [prox_l1_levels(x[i:i + 1], float(t), c) for i, t in enumerate(tau)]
         assert prox_l1_levels(x, tau, c).tobytes() == np.concatenate(ref).tobytes()
-        ref = [soft_threshold(x[i:i + 1], float(t)) for i, t in enumerate(tau)]
-        assert soft_threshold(x, tau).tobytes() == np.concatenate(ref).tobytes()
 
     @properties
     @given(c=alphabets, x=points, extra=st.floats(0.0, 1.0))

@@ -14,9 +14,10 @@ and the change on the others. Each run's JSON result (the last line of its
 stdout) goes into ``runs``, and ``summary`` gives, per workload and
 end-to-end metric, both sides' quartiles, the ratio of medians, how many
 pairs the change won (by the metric's direction in ``BENCHMARK.json``),
-the change-minus-parent median gain in that direction and the parent's
-interquartile range. A run that fails is kept in ``runs`` with its exit
-code and the tail of its stderr, and the sequence goes on; the summary
+the change-minus-parent median gain in that direction, the parent's
+interquartile range and a ``verdict`` (see ``compare``). A run that
+fails is kept in ``runs`` with its exit code and the tail of its stderr,
+and the sequence goes on; the summary
 reads the runs that succeeded, counts the failed runs per side, and the
 script exits 1 once the file is written. The script reads ``perfbench/``
 output only; it imports and writes nothing there.
@@ -87,24 +88,48 @@ def quartiles(xs: list[float]) -> list[float]:
     return [q25, q50, q75]
 
 
-def compare(par: dict, chg: dict, sign: float) -> dict:
+def compare(par: dict, chg: dict, sign: float, bound: float) -> dict:
     """One metric of one workload; ``par`` and ``chg`` map seed -> value of
     each side's runs that succeeded, and a pair counts toward the wins only
-    when both its runs did. ``sign`` is +1 where higher is better."""
+    when both its runs did. ``sign`` is +1 where higher is better, and
+    ``bound`` is the metric's ``BENCHMARK.json`` bound, a fraction of the
+    parent's median. The verdict is
+
+    - ``gain`` when the change wins at least 9/10 of the pairs and its
+      median gain exceeds the parent's interquartile range;
+    - ``worse`` when the change's median is worse than the parent's by
+      more than the bound;
+    - ``unresolved`` when the parent's interquartile range exceeds the
+      bound and not every change run beats every parent run;
+    - ``no_change`` otherwise.
+    """
     pq, cq = quartiles(list(par.values())), quartiles(list(chg.values()))
     paired = par.keys() & chg.keys()
     wins = sum(sign * (chg[seed] - par[seed]) > 0 for seed in paired)
+    gain, iqr, scale = sign * (cq[1] - pq[1]), pq[2] - pq[0], abs(pq[1])
+    if paired and 10 * wins >= 9 * len(paired) and gain > iqr:
+        verdict = "gain"
+    elif gain < -bound * scale:
+        verdict = "worse"
+    elif iqr > bound * scale and not (min(sign * v for v in chg.values())
+                                      > max(sign * v for v in par.values())):
+        verdict = "unresolved"
+    else:
+        verdict = "no_change"
     return {
         "parent_q25_median_q75": [round(v, 4) for v in pq],
         "change_q25_median_q75": [round(v, 4) for v in cq],
         "change_over_parent_median": round(cq[1] / pq[1], 4),
         "change_wins": f"{wins}/{len(paired)}",
-        "median_gain": round(sign * (cq[1] - pq[1]), 4),
-        "parent_iqr": round(pq[2] - pq[0], 4),
+        "median_gain": round(gain, 4),
+        "parent_iqr": round(iqr, 4),
+        "verdict": verdict,
     }
 
 
-def summarize(runs: list[dict], workloads: list[str], better: dict) -> dict:
+def summarize(runs: list[dict], workloads: list[str], metrics: dict) -> dict:
+    """``metrics`` maps each end-to-end metric to its ``BENCHMARK.json``
+    entry, for its direction and bound."""
     summary = {}
     for w in workloads:
         mine = [r for r in runs if r["workload"] == w]
@@ -112,11 +137,12 @@ def summarize(runs: list[dict], workloads: list[str], better: dict) -> dict:
         ok = {s: {r["seed"]: r["result"] for r in mine if r["side"] == s and "result" in r}
               for s in SIDES}
         entry = {}
-        for metric, direction in better.items():
+        for metric, spec in metrics.items():
             par, chg = ({seed: r["metrics"][metric]["value"] for seed, r in ok[s].items()}
                         for s in SIDES)
             if par and chg:
-                entry[metric] = compare(par, chg, 1.0 if direction == "higher" else -1.0)
+                entry[metric] = compare(par, chg, 1.0 if spec["better"] == "higher" else -1.0,
+                                        spec["bound"])
         failed = {}
         for s in SIDES:
             results = ok[s].values()
@@ -149,7 +175,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     with open(args.change / "BENCHMARK.json") as fh:
         bench = json.load(fh)
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     seconds = float(bench["run_seconds"])
     runs, manifest, k = [], {}, 0
     for w in args.workload:
@@ -185,7 +211,7 @@ def main(argv=None) -> int:
                     "whole sequence); one run at a time; written by "
                     "tools/bench_pairs.py",
         "machine": machine(manifest),
-        "summary": summarize(runs, args.workload, better),
+        "summary": summarize(runs, args.workload, metrics),
         "runs": runs,
     }
     path = args.out_dir / f"BENCH_{args.tag}.json"
