@@ -124,10 +124,11 @@ def _perturbation(cfg: ApsmConfig, x: np.ndarray, c: Constellation) -> np.ndarra
 
 
 def _perturb_block(xb: np.ndarray, tau: np.ndarray, beta_n: np.ndarray,
-                   c: Constellation) -> None:
+                   c: Constellation, sliced: np.ndarray | None = None) -> None:
     """Move each row of the perturbing block xb, in place, to
-    x + beta_n (soft_slice(x, tau) - x), tau and beta_n one column each."""
-    v = soft_slice(xb, tau, c)
+    x + beta_n (soft_slice(x, tau) - x), tau and beta_n one column each;
+    ``sliced`` is P_S(xb) when known."""
+    v = soft_slice(xb, tau, c, sliced)
     v -= xb
     v *= beta_n
     xb += v
@@ -153,14 +154,31 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     starts at x_0 = 0, and every iterate lies in the box. The loop records
     theta alone, in one table of which each trace holds a column.
 
+    Each step is given the bound a_max (1 + 2 beta_max) on the perturbed
+    points, beta_max the largest beta of the block: every x_n is a box
+    point (x_0 = 0 too), and the soft slice lies between x_n and a level,
+    so z_n = x_n + beta_n (soft_slice(x_n) - x_n) lies within beta_n 2 a_max
+    of x_n. From it ``sublevel_step`` proves, in most steps, that its
+    gradient-tolerance test would keep every row, and skips it.
+
     Iterations run in chunks of ``CHUNK``. Once the last iteration of a
     chunk leaves every row's theta at 0, the next chunk runs quiet: each
     iteration only perturbs and clamps, its perturbed point going into a
-    (CHUNK, B, d) buffer, and one stacked call then finds the chunk's
-    thetas. The iterations before the first positive theta are kept; that
+    (CHUNK, B, d) buffer, and the chunk's thetas are found at its end. The
+    fixed rows (those before the block) do not move, as the clamp of a box
+    point is that point: one call finds their (CHUNK, rows) thetas from
+    their x against the chunk's radii, each bitwise the stacked call's on
+    the same point, and one stacked call those of the block's perturbed
+    points. The iterations before the first positive theta are kept; that
     iteration and the rest of the chunk run again as ordinary ones, from
-    the same x, so with the same bits. The quiet path holds two
-    (CHUNK, B, d) float buffers, CHUNK x B x d x 8 bytes each.
+    the same x, so with the same bits. While every block beta of the chunk
+    is at most 1, the chunk slices the block's x once, at its start: a
+    point moved toward its soft slice by a fraction of at most 1 stays
+    between x and its level, so in x's slicing interval (correctly rounded
+    operations are monotone, and at worst carry it one ulp past the level,
+    still inside). A chunk with a beta above 1 slices at every iteration.
+    The quiet path holds a (CHUNK, B, d) and a (CHUNK, block rows, d) float
+    buffer, CHUNK x rows x d x 8 bytes each.
 
     ``observe``, when given, sees every iterate x_1 .. x_final without a
     recorded trace: the loop writes each new iterate into a window of
@@ -181,9 +199,10 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     perturbs = [(cfg.variant == "l2" or cfg.tau > 0) and schedule_table(cfg.beta, steps).any()
                 for cfg in cfgs]
     order = sorted(range(len(cfgs)), key=perturbs.__getitem__)
-    block = slice(perturbs.count(False), None)
+    fixed = perturbs.count(False)
+    block = slice(fixed, None)
     row_cfgs = [cfgs[i] for i in order]
-    gram, hty, yty = stack_costs([costs[i] for i in order])
+    stacks = gram, hty, yty = stack_costs([costs[i] for i in order])
     size, dim = hty.shape
     x = np.zeros((size, dim))
     box = c.box()
@@ -193,6 +212,9 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     beta = np.array([schedule_table(cfg.beta, steps) for cfg in row_cfgs[block]]
                     ).reshape(-1, steps).T[:, :, None]
     perturbing = beta.any(axis=(1, 2)).tolist()
+    # a beta above 1 may carry a block row out of its slicing interval
+    overshoots = (beta > 1.0).any(axis=(1, 2)).tolist()
+    z_bound = box.a_max * (1.0 + 2.0 * float(beta.max(initial=0.0)))
     thetas = np.empty((steps, size))
     iterates = np.zeros((size, steps + 1, dim)) if record_iterates else None
     rows = np.argsort(order).tolist()
@@ -203,8 +225,9 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
         def hand_over(slot):
             filled = window[:slot + 1]
             observe(filled if in_order else filled[:, rows])
-    # a quiet chunk's perturbed points z_n and their Gram matvecs
-    zs, gzs = (np.empty((min(CHUNK, steps), size, dim)) for _ in range(2))
+    # a quiet chunk's perturbed points z_n, and the block's Gram matvecs
+    zs = np.empty((min(CHUNK, steps), size, dim))
+    gzs = np.empty((min(CHUNK, steps), size - fixed, dim))
     quiet = False
 
     for start in range(0, steps, CHUNK):
@@ -213,17 +236,27 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
         if quiet:
             # x_{n+1} is the clamp of z_n, written where z_{n+1} is formed
             zs[0] = x
+            sliced = None
+            if any(perturbing[start:end]) and not any(overshoots[start:end]):
+                sliced = c.nearest(x[block])
             for k, n in enumerate(range(start, end)):
                 if perturbing[n]:
-                    _perturb_block(zs[k, block], tau, beta[n], c)
+                    _perturb_block(zs[k, block], tau, beta[n], c, sliced)
                 if n + 1 < end:
                     project_box(zs[k], box, out=zs[k + 1])
             m = end - start
-            _, theta = sublevel_theta(gram, hty, yty, zs[:m], rho[start:end], out=gzs[:m])
+            # the chunk's thetas go straight into the table: the ordinary
+            # loop writes over those from the first positive one on
+            theta = thetas[start:end]
+            if fixed:
+                theta[:, :fixed] = sublevel_theta(*(a[:fixed] for a in stacks), x[:fixed],
+                                                  rho[start:end, :fixed])[1]
+            if fixed < size:
+                theta[:, block] = sublevel_theta(*(a[block] for a in stacks), zs[:m, block],
+                                                 rho[start:end, block], out=gzs[:m])[1]
             hot = np.flatnonzero(theta.any(axis=1))
             kept = int(hot[0]) if hot.size else m
             resume = start + kept
-            thetas[start:resume] = theta[:kept]
             if kept:
                 x = project_box(zs[kept - 1], box)
                 if record_iterates:
@@ -237,7 +270,7 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
         for n in range(resume, end):
             if perturbing[n]:
                 _perturb_block(x[block], tau, beta[n], c)
-            x, thetas[n] = sublevel_step(gram, hty, yty, x, rho[n], mu, box)
+            x, thetas[n] = sublevel_step(gram, hty, yty, x, rho[n], mu, box, z_bound)
             if record_iterates:
                 iterates[:, n + 1] = x
             if observe is not None:
@@ -283,9 +316,13 @@ class AuditResult:
                    float(excess.max(initial=0.0)))
 
     def __add__(self, other: "AuditResult") -> "AuditResult":
-        """The tally of both audits' steps together."""
+        """The tally of both audits' steps together; a nan worst excess on
+        either side is the worst (Python's max keeps it only when first)."""
+        worst = other.max_excess
+        if not math.isnan(worst):
+            worst = max(self.max_excess, worst)
         return AuditResult(self.checked + other.checked, self.violations + other.violations,
-                           max(self.max_excess, other.max_excess))
+                           worst)
 
     @property
     def passed(self) -> bool:

@@ -103,9 +103,17 @@ def sublevel_theta(gram: np.ndarray, hty: np.ndarray, yty: np.ndarray, z: np.nda
     return gz, np.maximum(residuals(hty, yty, z, gz) - rho, 0.0)
 
 
+def _gradient_test(take: np.ndarray, gn2: np.ndarray, z: np.ndarray) -> int:
+    """Drop from ``take`` each row whose gradient norm sqrt(gn2) is at most
+    1e-12 (1 + ||z||), the scale-aware stand-in for the exact test
+    "subgradient != 0"; return the rows left."""
+    take &= np.sqrt(gn2) > 1e-12 * (1.0 + np.sqrt(np.vecdot(z, z)))
+    return np.count_nonzero(take)
+
+
 def sublevel_step(gram: np.ndarray, hty: np.ndarray, yty: np.ndarray,
                   z: np.ndarray, rho: float | np.ndarray, mu: float | np.ndarray,
-                  box: BoxSet) -> tuple[np.ndarray, np.ndarray]:
+                  box: BoxSet, z_bound: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
     """One relaxed subgradient projection of each row of z toward its
     rho-sublevel set, clamped to the box.
 
@@ -113,18 +121,30 @@ def sublevel_step(gram: np.ndarray, hty: np.ndarray, yty: np.ndarray,
     are scalars or one value per row. Returns (next iterates, theta) with
     theta = (||H_i z_i - y_i||^2 - rho)_+ the cost value at z, one per row.
     A row keeps z when its theta is zero or its subgradient 2H'(Hz - y)
-    vanishes.
+    vanishes (``_gradient_test``).
+
+    ``z_bound`` bounds every |z_ij| (a few ulps past it change nothing).
+    The test's right-hand side is then below 2e-12 (1 + sqrt(2d) z_bound):
+    z'z is at most d z_bound^2 before rounding, which costs it at most a
+    factor 1 + d 2^-53, and the few roundings after it cost far less than
+    the factor 2. When the least gn2 of all rows exceeds the floor
+    (4e-12 (1 + sqrt(2d) z_bound))^2, every sqrt(gn2), as sqrt rounds
+    monotonically, is about twice that right-hand side or more: every row
+    passes, so the test is skipped and its result is the count already
+    made. A nan gn2 fails the comparison, and a non-finite bound (the
+    default, inf) makes the floor inf or nan: both take the full test.
     """
     gz, theta = sublevel_theta(gram, hty, yty, z, rho)
     take = theta > 0.0
-    if np.count_nonzero(take):
+    stepping = np.count_nonzero(take)
+    if stepping:
         # the gradient 2(Gz - H'y), formed in the matvec's buffer
         grad = np.subtract(gz, hty, out=gz)
         grad *= 2.0
         gn2 = np.vecdot(grad, grad)
-        # scale-aware stand-in for the exact test "subgradient != 0"
-        take &= np.sqrt(gn2) > 1e-12 * (1.0 + np.sqrt(np.vecdot(z, z)))
-        stepping = np.count_nonzero(take)
+        floor = 4e-12 * (1.0 + math.sqrt(2.0 * z.shape[-1]) * z_bound)
+        if not gn2.min() > floor * floor:
+            stepping = _gradient_test(take, gn2, z)
         if stepping == take.size:
             grad *= (mu * theta / gn2)[:, None]
             z = z - grad

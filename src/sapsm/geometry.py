@@ -113,12 +113,15 @@ def _check_tau(tau: float | np.ndarray) -> None:
         raise ConfigError("tau must be nonnegative")
 
 
-def soft_slice(x: np.ndarray, tau: float | np.ndarray, c: Constellation) -> np.ndarray:
+def soft_slice(x: np.ndarray, tau: float | np.ndarray, c: Constellation,
+               sliced: np.ndarray | None = None) -> np.ndarray:
     """The residual r = x - P_S(x) shrunk to sign(r) max(|r| - tau, 0), plus
     P_S(x); tau unchecked and broadcast against x. The shrunk residual keeps
     the sign of r, also when it is zero; at tau = inf the result is P_S(x)
-    bitwise for every finite x (nan at +-inf)."""
-    sliced = c.nearest(x)
+    bitwise for every finite x (nan at +-inf). ``sliced``, when given, is
+    P_S(x), found earlier (unchecked)."""
+    if sliced is None:
+        sliced = c.nearest(x)
     r = x - sliced
     return np.copysign(np.maximum(np.abs(r) - tau, 0.0), r) + sliced
 

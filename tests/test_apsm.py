@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sapsm.apsm
+import sapsm.cost
 from sapsm.apsm import (
     CHUNK,
     TRACE_COLUMNS,
@@ -187,9 +188,9 @@ class TestRun:
         apsm_run_batch(costs, cfgs, QPSK)
         calls = []
 
-        def poisoned(x, tau, c):
+        def poisoned(x, tau, c, sliced=None):
             calls.append(len(x))
-            v = soft_slice(x, tau, c)
+            v = soft_slice(x, tau, c, sliced)
             if len(calls) >= 4:
                 v[np.flatnonzero(tau == np.inf)[bad_row]] = np.nan
             return v
@@ -273,6 +274,20 @@ class TestAudits:
         assert a + b == b + a == AuditResult(7, 1, 0.5)
         assert AuditResult() + a == a
         assert not a.passed and b.passed and not AuditResult().passed
+
+    def test_a_worst_excess_that_is_not_a_number_wins_in_either_order(self):
+        bad = AuditResult.from_excess(np.array([np.nan, -1.0]))
+        for good in (AuditResult(4, 0, 0.0), AuditResult(4, 2, 0.5), AuditResult()):
+            for total in (bad + good, good + bad):
+                assert math.isnan(total.max_excess)
+                assert (total.checked, total.violations) == (good.checked + 2,
+                                                             good.violations + 1)
+                assert not total.passed
+        # without a nan the worst excess keeps its bytes, -0.0 included
+        for a, b in ((-0.0, 0.0), (0.0, -0.0), (0.25, -0.0)):
+            got = (AuditResult(1, 0, a) + AuditResult(1, 0, b)).max_excess
+            assert float(got).hex() == float(max(a, b)).hex()
+            assert math.copysign(1.0, got) == math.copysign(1.0, max(a, b))
 
     def test_an_excess_that_is_not_a_number_violates(self):
         audit = AuditResult.from_excess(np.array([np.nan, -1.0]))
@@ -540,18 +555,28 @@ class DippingRho(RhoSchedule):
 @pytest.fixture
 def engine_calls(monkeypatch):
     """The engine's calls in order: 1 per ordinary iteration, and per quiet
-    chunk (its iterations, those before its first positive theta)."""
+    chunk (its iterations, those before its first positive theta). A quiet
+    chunk finds the thetas of its fixed rows from their one x (a (B, d)
+    call) and then those of its block (an (m, B, d) call); the entry of a
+    chunk that makes both is the block's call merged into the fixed rows'."""
     calls = []
+    opened = []  # the fixed rows' thetas of a chunk whose block call is due
     step, stacked_theta = sapsm.apsm.sublevel_step, sapsm.apsm.sublevel_theta
 
     def counted_step(*args):
         calls.append(1)
         return step(*args)
 
-    def counted_theta(*args, **kwargs):
-        gz, theta = stacked_theta(*args, **kwargs)
-        hot = np.flatnonzero(theta.any(axis=1))
-        calls.append((len(theta), int(hot[0]) if hot.size else len(theta)))
+    def counted_theta(gram, hty, yty, z, rho, **kwargs):
+        gz, theta = stacked_theta(gram, hty, yty, z, rho, **kwargs)
+        chunk = theta
+        if z.ndim == 2:
+            opened[:] = [theta]
+        elif opened:
+            calls.pop()
+            chunk = np.hstack([opened.pop(), theta])
+        hot = np.flatnonzero(chunk.any(axis=1))
+        calls.append((len(chunk), int(hot[0]) if hot.size else len(chunk)))
         return gz, theta
 
     monkeypatch.setattr(sapsm.apsm, "sublevel_step", counted_step)
@@ -562,6 +587,20 @@ def engine_calls(monkeypatch):
 def quiet_chunks(calls):
     """The (iterations, kept) of each quiet chunk among engine_calls."""
     return [call for call in calls if call != 1]
+
+
+@pytest.fixture
+def slicings(monkeypatch):
+    """The shape of each point the constellations slice (P_S)."""
+    calls = []
+    nearest = Constellation.nearest
+
+    def counted(c, x):
+        calls.append(x.shape)
+        return nearest(c, x)
+
+    monkeypatch.setattr(Constellation, "nearest", counted)
+    return calls
 
 
 def config_pool(max_iters):
@@ -654,9 +693,9 @@ class TestBatch:
         block = [i for i, cfg in enumerate(cfgs) if cfg not in quiet]
         calls = []
 
-        def counted(x, tau, c):
+        def counted(x, tau, c, sliced=None):
             calls.append((x.copy(), tau.copy()))
-            return soft_slice(x, tau, c)
+            return soft_slice(x, tau, c, sliced)
 
         monkeypatch.setattr(sapsm.apsm, "soft_slice", counted)
         _, traces = apsm_run_batch(costs, cfgs, QPSK, record_iterates=True)
@@ -708,12 +747,18 @@ class TestBatch:
         return costs, [standard_config(v, max_iters=steps) for v in ("plain", "l2", "l1")
                        for _ in range(2)]
 
-    def test_quiet_chunks_kept_whole_are_the_serial_loop(self, engine_calls):
+    def test_quiet_chunks_kept_whole_are_the_serial_loop(self, engine_calls, slicings):
         costs, cfgs = self.standard_stack()
         assert_rows_are_serial(costs, cfgs, QPSK)
         assert quiet_chunks(engine_calls) == [(min(CHUNK, 300 - n),) * 2
                                               for n in range(self.QUIET_FROM, 300, CHUNK)]
         assert engine_calls.count(1) == self.QUIET_FROM
+        # every beta is at most 1: each ordinary iteration slices the
+        # block's x, and each quiet chunk slices it once, at its start
+        chunks = len(quiet_chunks(engine_calls))
+        slicings.clear()
+        apsm_run_batch(costs, cfgs, QPSK)
+        assert slicings == [(4, 4)] * (self.QUIET_FROM + chunks)
 
     def test_a_quiet_chunk_cut_at_a_positive_theta_runs_on_as_ordinary(self, engine_calls):
         # the radius falls back to rho0 at the 6th iteration of a quiet
@@ -732,7 +777,8 @@ class TestBatch:
         assert engine_calls.count(1) == self.QUIET_FROM + CHUNK - 5
 
     @pytest.mark.parametrize("record", [False, True])
-    def test_quiet_chunks_end_at_observe_windows_and_at_the_end(self, engine_calls, record):
+    def test_quiet_chunks_end_at_observe_windows_and_at_the_end(self, engine_calls, slicings,
+                                                                  record):
         # a radius every point of the box meets: every chunk after the
         # first runs quiet, one of them ending each observe window and a
         # partial one ending the run; the perturbing rows come first, so
@@ -751,6 +797,11 @@ class TestBatch:
         assert engine_calls == [1] * CHUNK + [(min(CHUNK, steps - n),) * 2
                                               for n in range(CHUNK, steps, CHUNK)]
         assert engine_calls[-1] == (5, 5)
+        # a block row's beta of 1.7 may carry it out of its slicing
+        # interval: every iteration, quiet or not, slices the block
+        slicings.clear()
+        apsm_run_batch(costs, cfgs, QPSK, record_iterates=record)
+        assert len(slicings) == steps
 
     def test_non_finite_inside_a_quiet_chunk_names_its_iteration(self, monkeypatch,
                                                                   engine_calls):
@@ -763,9 +814,9 @@ class TestBatch:
         costs = [small_instance(seed=s)[1] for s in range(3)]
         calls = []
 
-        def poisoned(x, tau, c):
+        def poisoned(x, tau, c, sliced=None):
             calls.append(None)
-            v = soft_slice(x, tau, c)
+            v = soft_slice(x, tau, c, sliced)
             if len(calls) > bad:
                 v[0] = np.nan
             return v
@@ -779,6 +830,79 @@ class TestBatch:
         assert quiet_chunks(engine_calls) == [(CHUNK, 5)]
         assert engine_calls.count(1) == CHUNK + steps - bad
         assert len(calls) == CHUNK + CHUNK + steps - bad
+
+    @pytest.mark.parametrize("perturbing", [False, True])
+    def test_a_fixed_row_turning_positive_cuts_its_quiet_chunk(self, engine_calls, slicings,
+                                                               perturbing):
+        # two plain rows, an l1 with tau = 0 and an l2 with beta = 0, which
+        # never move in a quiet chunk, alone or before a perturbing block;
+        # the fixed rows' radius falls back to rho0 at the 6th iteration of
+        # the second quiet chunk, where a fixed row's theta turns positive
+        steps = 300
+        pool = config_pool(steps)
+        fixed = [pool[0], pool[0], pool[6], pool[7]]
+        block = [pool[1], pool[2]] if perturbing else []
+        costs = [small_instance(seed=s)[1] for s in range(len(fixed) + len(block))]
+        apsm_run_batch(costs, fixed + block, QPSK)
+        quiet_from = engine_calls.count(1)
+        assert quiet_chunks(engine_calls) == [(min(CHUNK, steps - n),) * 2
+                                              for n in range(quiet_from, steps, CHUNK)]
+        cut = quiet_from + CHUNK
+        dipped = [replace(cfg, rho=DippingRho(cfg.rho.rho0, cfg.rho.growth, cut + 5))
+                  for cfg in fixed]
+        engine_calls.clear()
+        assert_rows_are_serial(costs, dipped + block, QPSK)
+        assert quiet_chunks(engine_calls) == [(m, 5 if n == cut else m) for n, m in (
+            (n, min(CHUNK, steps - n)) for n in range(quiet_from, steps, CHUNK))]
+        at = engine_calls.index((CHUNK, 5))
+        assert engine_calls[at + 1:at + 1 + CHUNK - 5] == [1] * (CHUNK - 5)
+        slicings.clear()
+        _, traces = apsm_run_batch(costs, dipped + block, QPSK)
+        assert all(trace.theta[cut + 5] > 0.0 for trace in traces[:len(fixed)])
+        assert not any(trace.theta[cut + 5] for trace in traces[len(fixed):])
+        # the engine slices the block alone
+        assert slicings == ([(len(block), 4)] * len(slicings) if perturbing else [])
+
+    def test_a_standard_stack_skips_most_full_gradient_tests(self, monkeypatch):
+        # 16x64 16-QAM, two realizations per standard variant: the full
+        # gradient test (it reads 0 here) runs in few of the ordinary
+        # iterations in which some row steps, and the rows stay serial
+        insts = [make_instance(ChannelModel("iid"), QAM16, 16, 64, 9.0, trial_seed(5, t))
+                 for t in range(2)]
+        costs = [QuadraticResidualCost(inst.H, inst.y) for inst in insts] * 3
+        cfgs = [standard_config(v) for v in ("plain", "l2", "l1") for _ in insts]
+        calls = {"stepping": 0, "full": 0}
+        step, full = sapsm.apsm.sublevel_step, sapsm.cost._gradient_test
+
+        def counted_step(*args):
+            x, theta = step(*args)
+            calls["stepping"] += bool(np.count_nonzero(theta))
+            return x, theta
+
+        def counted_full(*args):
+            calls["full"] += 1
+            return full(*args)
+
+        monkeypatch.setattr(sapsm.apsm, "sublevel_step", counted_step)
+        monkeypatch.setattr(sapsm.cost, "_gradient_test", counted_full)
+        assert_rows_are_serial(costs, cfgs, QAM16)
+        assert calls["stepping"] > 100 and 10 * calls["full"] <= calls["stepping"]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(batches())
+    def test_every_stepped_point_lies_within_the_engine_bound(self, batch):
+        costs, cfgs, c, record = batch
+        step = sapsm.apsm.sublevel_step
+        excess = []
+
+        def checked(gram, hty, yty, z, rho, mu, box, z_bound):
+            excess.append(float(np.abs(z).max()) - z_bound)
+            return step(gram, hty, yty, z, rho, mu, box, z_bound)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sapsm.apsm, "sublevel_step", checked)
+            apsm_run_batch(costs, cfgs, c, record_iterates=record)
+        assert excess and max(excess) <= 0.0
 
     def test_costs_of_different_sizes_rejected(self):
         costs = [small_instance(seed=0)[1], small_instance(seed=1, k=4, n=8)[1]]

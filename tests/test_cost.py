@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sapsm.cost
 from sapsm.cost import (
+    MU,
     RHO_MAX,
     ApsmConfig,
     BetaSchedule,
@@ -235,6 +237,89 @@ class TestStackedStep:
             assert (theta[i] > 0.0) == (rows[i] != "feasible")
             if rows[i] != "step":
                 assert out[i].tobytes() == project_box(z[i], box).tobytes()
+
+
+@st.composite
+def guarded_stacks(draw):
+    """A ``step_stacks`` stack, maybe with a row at its least-squares point
+    (theta > 0 and a gradient at rounding level) and a nan row appended,
+    and a bound on its |z|: exactly tight, loose or inf. Returns (costs, z,
+    rho, mu, box, z_bound)."""
+    costs, z, rho, mu, box, _ = draw(step_stacks())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = z.shape[1]
+    extra = []
+    if draw(st.booleans()):
+        cost = QuadraticResidualCost(rng.standard_normal((2 * dim, dim)),
+                                     10.0 * rng.standard_normal(2 * dim))
+        extra.append((cost, np.linalg.solve(cost.gram, cost.hty)))
+    if draw(st.booleans()):
+        extra.append((costs[0], np.full(dim, np.nan)))
+    costs = costs + [cost for cost, _ in extra]
+    z = np.vstack([z, *(zi for _, zi in extra)])
+    rho, mu = (v if np.ndim(v) == 0 else np.r_[v, np.full(len(extra), v[0])]
+               for v in (rho, mu))
+    tight = float(np.nanmax(np.abs(z)))
+    z_bound = draw(st.sampled_from([tight, 2.0 * tight, np.inf]))
+    return costs, z, rho, mu, box, z_bound
+
+
+def full_tests(monkeypatch):
+    """The calls of the full gradient test that ``sublevel_step`` makes."""
+    calls = []
+    full = sapsm.cost._gradient_test
+
+    def counted(*args):
+        calls.append(None)
+        return full(*args)
+
+    monkeypatch.setattr(sapsm.cost, "_gradient_test", counted)
+    return calls
+
+
+class TestGradientGuard:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(guarded_stacks())
+    def test_a_bound_on_z_leaves_the_step_bitwise(self, stack):
+        costs, z, rho, mu, box, z_bound = stack
+        stacks = stack_costs(costs)
+        guarded = sublevel_step(*stacks, z, rho, mu, box, z_bound)
+        full = sublevel_step(*stacks, z, rho, mu, box)
+        for a, b in zip(guarded, full):
+            assert a.tobytes() == b.tobytes()
+
+    def test_the_full_test_runs_only_when_a_gradient_may_fail_it(self, monkeypatch):
+        calls = full_tests(monkeypatch)
+        rng = np.random.default_rng(3)
+        costs = [random_cost(rng) for _ in range(3)]
+        z = rng.uniform(-1.0, 1.0, (3, 4))
+        tight = float(np.abs(z).max())
+        stacks = stack_costs(costs)
+        ref = sublevel_step(*stacks, z, 0.1, MU, BoxSet(1.0))
+        assert len(calls) == 1 and np.all(ref[1] > 0.0)
+        # every row steps with a gradient far above the floor: no full test
+        # at the exactly tight bound, the full one at inf and nan
+        for z_bound, runs in ((tight, 0), (np.inf, 1), (np.nan, 1)):
+            calls.clear()
+            got = sublevel_step(*stacks, z, 0.1, MU, BoxSet(1.0), z_bound)
+            assert len(calls) == runs
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+        # a row at its least-squares point has theta > 0 and a gradient at
+        # rounding level: the full test runs and that row keeps its z; a
+        # nan row takes the full test too
+        ls = np.linalg.solve(costs[0].gram, costs[0].hty)
+        for row in (ls, np.full(4, np.nan)):
+            zr = np.vstack([z, row])
+            stacks = stack_costs(costs + costs[:1])
+            bound = max(tight, float(np.nanmax(np.abs(ls))))
+            calls.clear()
+            got = sublevel_step(*stacks, zr, 0.1, MU, WIDE, bound)
+            assert len(calls) == 1
+            full = sublevel_step(*stacks, zr, 0.1, MU, WIDE)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, full))
+            assert got[0][-1].tobytes() == zr[-1].tobytes()
+        # the least-squares row kept its z with theta > 0: the full test dropped it
+        assert step(costs[0], ls, 0.1)[1] > 0.0
 
 
 class TestNormalEquations:

@@ -170,6 +170,21 @@ class TestShrinkage:
         assert got[within].tobytes() == sliced[within].tobytes()
 
     @properties
+    @given(c=alphabets | st.just(THREE), x=any_points | points, tau=taus | st.just(np.inf))
+    def test_a_given_slice_is_the_slice_it_finds(self, c, x, tau):
+        # the edge cases of each alphabet (its midpoints, levels, +-0.0 and
+        # +-a_max, and their neighbours) with the drawn points, under the
+        # drawn tau and a tau column of 0, a finite tau and inf
+        edges = np.r_[c.midpoints, c.levels, 0.0, c.a_max]
+        edges = np.r_[edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)]
+        x = np.r_[x, edges, -edges]
+        for tau_x in (tau, np.array([[0.0], [0.3], [np.inf]])):
+            xs = np.broadcast_to(x, np.broadcast_shapes(np.shape(tau_x), x.shape))
+            with np.errstate(invalid="ignore"):
+                got = soft_slice(xs, tau_x, c, sliced=c.nearest(xs))
+                assert got.tobytes() == soft_slice(xs, tau_x, c).tobytes()
+
+    @properties
     @given(c=alphabets, x_tau=paired_taus)
     def test_odd_away_from_the_midpoints(self, c, x_tau):
         # on a symmetric alphabet, -x slices to minus the slice of x except
