@@ -35,11 +35,8 @@ from .errors import ConfigError, NonFiniteIterate
 from .geometry import Constellation, perturbation_l1, perturbation_l2, project_box, soft_slice
 
 TRACE_COLUMNS = ("n", "theta", "objective", "rho", "step_norm", "pert_norm")
-# iterates per ``observe`` call of an engine run: the window buffer holds
-# WINDOW x B x d floats however long the run
-WINDOW = 60
 # iterations per chunk: a quiet chunk runs as perturbation and box clamp
-# alone. A divisor of WINDOW, so that no chunk crosses an observe window
+# alone, and ``observe`` sees one chunk's iterates per call
 CHUNK = 12
 # rounding slack on the right-hand side of every audited inequality
 AUDIT_TOL = 1e-9
@@ -162,31 +159,31 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     gradient-tolerance test would keep every row, and skips it.
 
     Iterations run in chunks of ``CHUNK``. Once the last iteration of a
-    chunk leaves every row's theta at 0, the next chunk runs quiet: each
-    iteration only perturbs and clamps, its perturbed point going into a
-    (CHUNK, B, d) buffer, and the chunk's thetas are found at its end. The
+    chunk leaves every row's theta at 0, the next chunk runs quiet: the
     fixed rows (those before the block) do not move, as the clamp of a box
-    point is that point: one call finds their (CHUNK, rows) thetas from
-    their x against the chunk's radii, each bitwise the stacked call's on
-    the same point, and one stacked call those of the block's perturbed
-    points. The iterations before the first positive theta are kept; that
-    iteration and the rest of the chunk run again as ordinary ones, from
-    the same x, so with the same bits. While every block beta of the chunk
-    is at most 1, the chunk slices the block's x once, at its start: a
-    point moved toward its soft slice by a fraction of at most 1 stays
-    between x and its level, so in x's slicing interval (correctly rounded
-    operations are monotone, and at worst carry it one ulp past the level,
-    still inside). A chunk with a beta above 1 slices at every iteration.
-    The quiet path holds a (CHUNK, B, d) and a (CHUNK, block rows, d) float
-    buffer, CHUNK x rows x d x 8 bytes each.
+    point is that point, and each iteration only perturbs and clamps the
+    block, its perturbed points going into a (CHUNK, block rows, d) buffer;
+    the chunk's thetas are found at its end. One call finds the fixed rows'
+    (CHUNK, rows) thetas from their x against the chunk's radii, each
+    bitwise the stacked call's on the same point, and one stacked call
+    those of the block's perturbed points. The iterations before the first
+    positive theta are kept; that iteration and the rest of the chunk run
+    again as ordinary ones, from the same x, so with the same bits. While
+    every block beta of the chunk is at most 1, the chunk slices the
+    block's x once, at its start: a point moved toward its soft slice by a
+    fraction of at most 1 stays between x and its level, so in x's slicing
+    interval (correctly rounded operations are monotone, and at worst carry
+    it one ulp past the level, still inside). A chunk with a beta above 1
+    slices at every iteration. The quiet path holds two (CHUNK, block
+    rows, d) float buffers, the perturbed points and their Gram matvecs.
 
-    ``observe``, when given, sees every iterate x_1 .. x_final without a
-    recorded trace: the loop writes each new iterate into a window of
-    ``WINDOW`` iterations and hands each filled window, and the last partial
-    one, to ``observe`` as one (m, B, d) array in the caller's row order,
-    before the run's finiteness check. The array is a view of the window
-    when the engine's sort left the rows in place, else one gather of it; it
-    is valid only during the call.
+    ``observe``, when given, sees every iterate x_1 .. x_final, one chunk's
+    iterates per call, as one (m, B, d) array in the caller's row order,
+    at the chunk's end and before the run's finiteness check. A recorded
+    run writes each chunk's iterates into its record, and an unrecorded one
+    into a (CHUNK, B, d) buffer; the array is a view of these when the
+    engine's sort left the rows in place, else one gather of them. A view
+    of the buffer is valid only during the call.
     """
     if len(cfgs) != len(costs):
         raise ConfigError(f"{len(cfgs)} configs for {len(costs)} problems")
@@ -218,30 +215,30 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     thetas = np.empty((steps, size))
     iterates = np.zeros((size, steps + 1, dim)) if record_iterates else None
     rows = np.argsort(order).tolist()
-    if observe is not None:
-        window = np.empty((min(WINDOW, steps), size, dim))
-        in_order = order == list(range(size))
-
-        def hand_over(slot):
-            filled = window[:slot + 1]
-            observe(filled if in_order else filled[:, rows])
-    # a quiet chunk's perturbed points z_n, and the block's Gram matvecs
-    zs = np.empty((min(CHUNK, steps), size, dim))
-    gzs = np.empty((min(CHUNK, steps), size - fixed, dim))
+    in_order = order == list(range(size))
+    # the iterates of a chunk of an observed, unrecorded run
+    buffer = (np.empty((min(CHUNK, steps), size, dim))
+              if observe is not None and not record_iterates else None)
+    # a quiet chunk's perturbed block points z_n, and their Gram matvecs
+    zs, gzs = np.empty((2, min(CHUNK, steps), size - fixed, dim))
     quiet = False
 
     for start in range(0, steps, CHUNK):
         end = min(start + CHUNK, steps)
+        # where the chunk's iterates x_{start+1} .. x_end go, if anywhere
+        out = (iterates[:, start + 1:end + 1].swapaxes(0, 1) if record_iterates
+               else None if buffer is None else buffer[:end - start])
         resume = start
         if quiet:
-            # x_{n+1} is the clamp of z_n, written where z_{n+1} is formed
-            zs[0] = x
+            # the block's x_{n+1} is the clamp of z_n, written where z_{n+1}
+            # is formed; the fixed rows do not move
+            zs[0] = x[block]
             sliced = None
             if any(perturbing[start:end]) and not any(overshoots[start:end]):
-                sliced = c.nearest(x[block])
+                sliced = c.nearest(zs[0])
             for k, n in enumerate(range(start, end)):
                 if perturbing[n]:
-                    _perturb_block(zs[k, block], tau, beta[n], c, sliced)
+                    _perturb_block(zs[k], tau, beta[n], c, sliced)
                 if n + 1 < end:
                     project_box(zs[k], box, out=zs[k + 1])
             m = end - start
@@ -252,32 +249,24 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
                 theta[:, :fixed] = sublevel_theta(*(a[:fixed] for a in stacks), x[:fixed],
                                                   rho[start:end, :fixed])[1]
             if fixed < size:
-                theta[:, block] = sublevel_theta(*(a[block] for a in stacks), zs[:m, block],
+                theta[:, block] = sublevel_theta(*(a[block] for a in stacks), zs[:m],
                                                  rho[start:end, block], out=gzs[:m])[1]
             hot = np.flatnonzero(theta.any(axis=1))
             kept = int(hot[0]) if hot.size else m
             resume = start + kept
             if kept:
-                x = project_box(zs[kept - 1], box)
-                if record_iterates:
-                    project_box(zs[:kept], box,
-                                out=iterates[:, start + 1:resume + 1].swapaxes(0, 1))
-                if observe is not None:
-                    slot = start % WINDOW
-                    project_box(zs[:kept], box, out=window[slot:slot + kept])
-                    if resume == end and (end % WINDOW == 0 or end == steps):
-                        hand_over(slot + kept - 1)
+                project_box(zs[kept - 1], box, out=x[block])
+                if out is not None:
+                    out[:kept, :fixed] = x[:fixed]
+                    project_box(zs[:kept], box, out=out[:kept, block])
         for n in range(resume, end):
             if perturbing[n]:
                 _perturb_block(x[block], tau, beta[n], c)
             x, thetas[n] = sublevel_step(gram, hty, yty, x, rho[n], mu, box, z_bound)
-            if record_iterates:
-                iterates[:, n + 1] = x
-            if observe is not None:
-                slot = n % WINDOW
-                window[slot] = x
-                if slot == WINDOW - 1 or n == steps - 1:
-                    hand_over(slot)
+            if out is not None:
+                out[n - start] = x
+        if observe is not None:
+            observe(out if in_order else out[:, rows])
         quiet = not np.count_nonzero(thetas[end - 1])
 
     # a nan in x_{n+1} reaches theta_{n+1} through the residual, and the box

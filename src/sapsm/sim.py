@@ -5,7 +5,7 @@ seed mix, and all detectors within a trial share that realization (paired
 comparison). Trials run in consecutive batches, and all iterative detectors
 of a batch iterate as one engine stack; a row's result does not depend on
 the stack it sits in. A per-iteration sweep records no iterates: it counts
-each window of them that the stack hands over. Aggregation is a plain
+each chunk of them that the stack hands over. Aggregation is a plain
 integer sum, so results are identical for any worker count.
 """
 
@@ -142,7 +142,7 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
     whole batch as one engine stack, rows ordered detector by realization.
     A row does not depend on the stack it sits in. Per-iteration counts
     of an iterative detector are arrays of length ``max_iters``, counted
-    window by window as the unrecorded stack hands its iterates over, each
+    chunk by chunk as the unrecorded stack hands its iterates over, each
     against the slicing intervals of its row's reference, found once; a
     baseline keeps its single count.
     """
@@ -167,11 +167,11 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
         cfgs = [acfg for acfg in iterative.values() for _ in insts]
         if per_iteration:
             bounds = slicing_interval(np.tile(sent, (len(iterative), 1)), c)
-            windows = []
+            chunks = []
             apsm_run_batch(costs, cfgs, c,
-                           observe=lambda xs: windows.append(interval_errors(xs, *bounds)))
+                           observe=lambda xs: chunks.append(interval_errors(xs, *bounds)))
             # each row's count per iteration, (rows, max_iters)
-            per_row = np.concatenate(windows).T
+            per_row = np.concatenate(chunks).T
         else:
             x_hat, _ = apsm_run_batch(costs, cfgs, c)
         for j, kind in enumerate(iterative):

@@ -13,7 +13,6 @@ import sapsm.cost
 from sapsm.apsm import (
     CHUNK,
     TRACE_COLUMNS,
-    WINDOW,
     AuditResult,
     IterateTrace,
     activation_index,
@@ -512,21 +511,21 @@ def serial_reference_run(cost, cfg, c):
 
 
 def assert_observed_as_recorded(costs, cfgs, c, record):
-    """A run that observes its windows returns what it returns unobserved,
-    and its windows, in order, are the recorded run's iterates x_1 ..
-    x_final, row by row. Returns the window sizes."""
-    windows = []
+    """A run that observes its chunks returns what it returns unobserved,
+    and its chunks' iterates, in order, are the recorded run's x_1 ..
+    x_final, row by row. Returns the chunk sizes."""
+    chunks = []
     observed = apsm_run_batch(costs, cfgs, c, record_iterates=record,
-                              observe=lambda xs: windows.append(xs.copy()))
+                              observe=lambda xs: chunks.append(xs.copy()))
     plain = apsm_run_batch(costs, cfgs, c, record_iterates=record)
     for i in range(len(costs)):
         assert_same_run((observed[0][i], observed[1][i]), (plain[0][i], plain[1][i]))
     _, traces = apsm_run_batch(costs, cfgs, c, record_iterates=True)
     recorded = np.stack([trace.iterates[1:] for trace in traces], axis=1)
-    seen = np.concatenate(windows)
+    seen = np.concatenate(chunks)
     assert seen.shape == recorded.shape and seen.tobytes() == recorded.tobytes()
-    sizes = [len(xs) for xs in windows]
-    assert all(size == WINDOW for size in sizes[:-1]) and 1 <= sizes[-1] <= WINDOW
+    sizes = [len(xs) for xs in chunks]
+    assert all(size == CHUNK for size in sizes[:-1]) and 1 <= sizes[-1] <= CHUNK
     return sizes
 
 
@@ -723,19 +722,31 @@ class TestBatch:
     @pytest.mark.parametrize("record", [False, True])
     def test_observed_windows_of_a_sorted_stack(self, record):
         # the perturbing rows come first here, so the engine sorts the stack
-        steps = 2 * WINDOW + 3
+        steps = 2 * CHUNK + 3
         cfgs = list(reversed(config_pool(steps)))
         costs = [small_instance(seed=s)[1] for s in range(len(cfgs))]
         sizes = assert_observed_as_recorded(costs, cfgs, QPSK, record)
-        assert sizes == [WINDOW, WINDOW, 3]
+        assert sizes == [CHUNK, CHUNK, 3]
 
     def test_an_ordered_stack_is_observed_in_place(self):
-        cfgs = [standard_config(v, max_iters=WINDOW + 1) for v in ("plain", "l2", "l1")]
+        cfgs = [standard_config(v, max_iters=CHUNK + 1) for v in ("plain", "l2", "l1")]
         costs = [small_instance(seed=s)[1] for s in range(len(cfgs))]
         seen = []
         apsm_run_batch(costs, cfgs, QPSK, observe=seen.append)
-        assert [len(xs) for xs in seen] == [WINDOW, 1]
+        assert [len(xs) for xs in seen] == [CHUNK, 1]
         assert np.shares_memory(seen[0], seen[1])
+
+    def test_a_recorded_stack_is_observed_as_views_of_its_record(self):
+        # the rows are in the engine's order: observe sees the record itself
+        cfgs = [standard_config(v, max_iters=2 * CHUNK + 3) for v in ("plain", "l2", "l1")]
+        costs = [small_instance(seed=s)[1] for s in range(len(cfgs))]
+        seen = []
+        _, traces = apsm_run_batch(costs, cfgs, QPSK, record_iterates=True,
+                                   observe=seen.append)
+        assert [len(xs) for xs in seen] == [CHUNK, CHUNK, 3]
+        assert all(np.shares_memory(xs, trace.iterates) for xs in seen for trace in traces)
+        recorded = np.stack([trace.iterates[1:] for trace in traces], axis=1)
+        assert np.concatenate(seen).tobytes() == recorded.tobytes()
 
     # six small runs of the standard variants, 300 iterations: no row steps
     # from iteration 154 on, so every chunk from the first to start after
@@ -760,6 +771,26 @@ class TestBatch:
         apsm_run_batch(costs, cfgs, QPSK)
         assert slicings == [(4, 4)] * (self.QUIET_FROM + chunks)
 
+    @pytest.mark.parametrize("record", [False, True])
+    def test_a_quiet_chunk_clamps_its_block_rows_alone(self, monkeypatch, engine_calls, record):
+        # two plain rows, which do not move in a quiet chunk, before a block
+        # of four: each quiet iteration clamps the block's perturbed point,
+        # and a recorded chunk clamps its kept block iterates in one call
+        costs, cfgs = self.standard_stack()
+        clamped = []
+        clamp = sapsm.apsm.project_box
+
+        def counted(x, box, out=None):
+            clamped.append(x.shape[:-1])
+            return clamp(x, box, out=out)
+
+        monkeypatch.setattr(sapsm.apsm, "project_box", counted)
+        apsm_run_batch(costs, cfgs, QPSK, record_iterates=record)
+        chunks = quiet_chunks(engine_calls)
+        assert chunks and all(m == kept for m, kept in chunks)
+        assert clamped == [shape for m, _ in chunks
+                           for shape in [(4,)] * m + ([(m, 4)] if record else [])]
+
     def test_a_quiet_chunk_cut_at_a_positive_theta_runs_on_as_ordinary(self, engine_calls):
         # the radius falls back to rho0 at the 6th iteration of a quiet
         # chunk: that chunk keeps the 5 before it, and the ordinary loop
@@ -780,18 +811,17 @@ class TestBatch:
     def test_quiet_chunks_end_at_observe_windows_and_at_the_end(self, engine_calls, slicings,
                                                                   record):
         # a radius every point of the box meets: every chunk after the
-        # first runs quiet, one of them ending each observe window and a
+        # first runs quiet, each handing its iterates to observe, a
         # partial one ending the run; the perturbing rows come first, so
         # the engine sorts the stack. The last row walks from 0 toward the
         # level -a_max by 1.7 tau a step and overshoots it at iteration
         # 20, inside the first quiet chunk, where the clamp takes it back
-        assert WINDOW % CHUNK == 0
-        steps = 2 * WINDOW + 5
+        steps = 2 * CHUNK + 5
         cfgs = [replace(cfg, rho=RhoSchedule(1e3)) for cfg in reversed(config_pool(steps))]
         cfgs.append(ApsmConfig(rho=RhoSchedule(1e3), beta=BetaSchedule.constant(1.7),
                                tau=0.02, variant="l1", max_iters=steps))
         costs = [small_instance(seed=s)[1] for s in range(len(cfgs))]
-        assert assert_observed_as_recorded(costs, cfgs, QPSK, record) == [WINDOW, WINDOW, 5]
+        assert assert_observed_as_recorded(costs, cfgs, QPSK, record) == [CHUNK, CHUNK, 5]
         engine_calls.clear()
         assert_rows_are_serial(costs, cfgs, QPSK)
         assert engine_calls == [1] * CHUNK + [(min(CHUNK, steps - n),) * 2

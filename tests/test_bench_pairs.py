@@ -37,24 +37,24 @@ def test_pairs_alternate_and_summary_follows_each_metric_direction(tmp_path, mon
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
                              "--workload", "ref_iter", "--workload", "validate",
-                             "--pairs", "3", "--seed", "7", "--tag", "t",
+                             "--pairs", "10", "--seed", "7", "--tag", "t",
                              "--out-dir", str(tmp_path)]) == 0
     # parent first on the 1st, 3rd, ... pair of the whole sequence
     firsts = [side for i, (_, _, side) in enumerate(calls) if i % 2 == 0]
-    assert firsts == ["parent", "change", "parent", "change", "parent", "change"]
-    assert [seed for _, seed, _ in calls[:6]] == [7, 7, 8, 8, 9, 9]
+    assert firsts == ["parent", "change"] * 10
+    assert [seed for _, seed, _ in calls[:20]] == [s for s in range(7, 17) for _ in "pc"]
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
-    assert len(doc["runs"]) == 12
+    assert len(doc["runs"]) == 40
     rate = doc["summary"]["ref_iter"]["trials_per_s_at_ref_speed"]
-    assert rate["change_wins"] == "3/3"
-    assert rate["parent_q25_median_q75"] == [107.5, 108.0, 108.5]
-    assert rate["median_gain"] == 10.0 and rate["parent_iqr"] == 1.0
+    assert rate["change_wins"] == "10/10"
+    assert rate["parent_q25_median_q75"] == [109.25, 111.5, 113.75]
+    assert rate["median_gain"] == 10.0 and rate["parent_iqr"] == 4.5
     assert rate["verdict"] == "gain"
     setup = doc["summary"]["validate"]["setup_s"]
-    assert setup["change_wins"] == "3/3" and setup["median_gain"] == 0.1
+    assert setup["change_wins"] == "10/10" and setup["median_gain"] == 0.1
     # a lower-is-better metric at no spread: a gain of 0.1 exceeds it
     assert setup["verdict"] == "gain"
-    assert doc["summary"]["validate"]["failed_over_attempted"]["change"] == "0/30"
+    assert doc["summary"]["validate"]["failed_over_attempted"]["change"] == "0/100"
 
 
 def test_a_failed_run_is_kept_and_the_sequence_goes_on(tmp_path, monkeypatch):
@@ -104,6 +104,8 @@ PARENT = [100.0 + p for p in range(10)]  # median 104.5, interquartile range 4.5
     ([v + 1.0 for v in PARENT], 1.0, 0.25, "no_change"),
     # a gain of 10 over 8/10 pairs is short of 9/10
     ([v + 10.0 if p < 8 else v - 1.0 for p, v in enumerate(PARENT)], 1.0, 0.25, "no_change"),
+    # 3/3 wins by 10, past the interquartile range, but on fewer than ten pairs
+    ([v + 10.0 for v in PARENT[:3]], 1.0, 0.25, "no_change"),
     # 30% slower, past the 25% bound
     ([0.7 * v for v in PARENT], 1.0, 0.25, "worse"),
     # the same values, where lower is better: 30% lower wins every pair

@@ -2,9 +2,13 @@ import importlib.util
 import json
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import sapsm
 
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("engine_pairs", ROOT / "tools" / "engine_pairs.py")
@@ -43,3 +47,34 @@ def test_sides_that_differ_are_refused(tmp_path):
         engine_pairs.main(["--parent", str(parent), "--stacks", "1", "--runs", "1",
                            "--shape", "validate_18"])
     assert "sapsm_parent" not in sys.modules
+
+
+def test_recorded_and_observed_shapes_compare_what_they_hand_over(tmp_path, capsys):
+    parent = parent_checkout(tmp_path)
+    assert engine_pairs.main(["--parent", str(parent), "--stacks", "1", "--runs", "1",
+                              "--shape", "validate_18_recorded",
+                              "--shape", "rows_45_observed"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["shapes"]) == ["validate_18_recorded", "rows_45_observed"]
+    recorded = engine_pairs.timed(sapsm, "validate_18_recorded",
+                                  engine_pairs.stack(sapsm, "validate_18_recorded", 0))[1]
+    x, traces, seen = recorded
+    assert len(traces) == 18 and seen == []
+    assert all(trace.iterates.shape == (261, 8) for trace in traces)
+    observed = engine_pairs.timed(sapsm, "rows_45_observed",
+                                  engine_pairs.stack(sapsm, "rows_45_observed", 0), keep=True)[1]
+    x, traces, seen = observed
+    assert sum(map(len, seen)) == 300 and {xs.shape[1:] for xs in seen} == {(45, 32)}
+    assert all(trace.iterates is None for trace in traces)
+    # one flipped bit in a recorded iterate or an observed array tells them apart
+    assert engine_pairs.same_bits(recorded, recorded)
+    assert engine_pairs.same_bits(observed, observed)
+    x, traces, seen = recorded
+    flipped = traces[5].iterates.copy()
+    flipped[100, 3] = np.nextafter(flipped[100, 3], np.inf)
+    traces = traces[:5] + [replace(traces[5], iterates=flipped)] + traces[6:]
+    assert not engine_pairs.same_bits(recorded, (x, traces, seen))
+    x, traces, seen = observed
+    seen = [xs.copy() for xs in seen]
+    seen[-1][-1, 44, 31] = np.nextafter(seen[-1][-1, 44, 31], np.inf)
+    assert not engine_pairs.same_bits(observed, (x, traces, seen))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sapsm.sim
-from sapsm.apsm import WINDOW, apsm_run_batch
+from sapsm.apsm import CHUNK, apsm_run_batch
 from sapsm.cost import BetaSchedule, QuadraticResidualCost, standard_config
 from sapsm.detectors import DetectorKind as D
 from sapsm.detectors import detect
@@ -154,9 +154,9 @@ class TestSerVsIter:
         assert seeds[:4] == small
         assert len(set(seeds)) == 8
 
-    # budgets around the engine's window, and stacks the engine keeps in
+    # budgets around the engine's chunk, and stacks the engine keeps in
     # order (the perturbing rows already last) or sorts
-    @pytest.mark.parametrize("max_iters", [1, WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 3])
+    @pytest.mark.parametrize("max_iters", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
     @pytest.mark.parametrize("detectors", [
         (D.APSM_PLAIN, D.APSM_L2, D.APSM_L1),
         (D.APSM_L1, D.LMMSE, D.APSM_PLAIN, D.APSM_L2)])

@@ -95,8 +95,8 @@ def compare(par: dict, chg: dict, sign: float, bound: float) -> dict:
     ``bound`` is the metric's ``BENCHMARK.json`` bound, a fraction of the
     parent's median. The verdict is
 
-    - ``gain`` when the change wins at least 9/10 of the pairs and its
-      median gain exceeds the parent's interquartile range;
+    - ``gain`` when at least ten pairs ran, the change wins at least 9/10
+      of them and its median gain exceeds the parent's interquartile range;
     - ``worse`` when the change's median is worse than the parent's by
       more than the bound;
     - ``unresolved`` when the parent's interquartile range exceeds the
@@ -107,7 +107,7 @@ def compare(par: dict, chg: dict, sign: float, bound: float) -> dict:
     paired = par.keys() & chg.keys()
     wins = sum(sign * (chg[seed] - par[seed]) > 0 for seed in paired)
     gain, iqr, scale = sign * (cq[1] - pq[1]), pq[2] - pq[0], abs(pq[1])
-    if paired and 10 * wins >= 9 * len(paired) and gain > iqr:
+    if len(paired) >= 10 and 10 * wins >= 9 * len(paired) and gain > iqr:
         verdict = "gain"
     elif gain < -bound * scale:
         verdict = "worse"

@@ -18,12 +18,19 @@ the same costs and configs for both sides:
 - ``never_quiet``: the ``rows_15`` shape at 9 dB iid with the constant
   radius 0.5, which no row meets, so no chunk runs quiet;
 - ``l1_beta_1.7``: the ``rows_15`` shape plus an l1 row whose constant beta
-  is 1.7.
+  is 1.7;
+- ``validate_18_recorded``: the ``validate_18`` stack recording its
+  iterates, as ``validation`` runs it;
+- ``rows_45_observed``: the ``rows_45`` stack observed, each array it hands
+  over counted with ``mimo.interval_errors`` against the rows' slicing
+  intervals, as ``sim`` counts a per-iteration sweep (the ``ref_iter``
+  batch).
 
 Each stack runs ``--runs`` times per side, the sides alternating which goes
-first; the first run of each side must give bitwise the same final iterates
-and thetas. The JSON printed holds, per shape, the change-over-parent ratio
-of each stack's minimum times and their median.
+first; the first run of each side must give bitwise the same final iterates,
+thetas, recorded iterates and concatenated observed arrays. The JSON printed
+holds, per shape, the change-over-parent ratio of each stack's minimum times
+and their median.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SHAPES = ("rows_15", "rows_45", "rows_192", "validate_18", "never_quiet", "l1_beta_1.7")
+SHAPES = ("rows_15", "rows_45", "rows_192", "validate_18", "never_quiet", "l1_beta_1.7",
+          "validate_18_recorded", "rows_45_observed")
 
 
 def parse_args(argv):
@@ -78,18 +86,18 @@ def sides(parent: Path):
 
 
 def stack(pkg, shape: str, seed: int):
-    """(costs, cfgs, constellation) of one stack of ``shape`` from package
-    ``pkg``, rows ordered variant by realization."""
+    """(costs, cfgs, constellation, each row's transmit vector) of one stack
+    of ``shape`` from package ``pkg``, rows ordered variant by realization."""
     mimo, cost = pkg.mimo, pkg.cost
     k, n, mod, iters, model = 16, 64, "16qam", 300, mimo.ChannelModel("iid")
     snrs = [9.0] * 5
     if shape == "rows_15":
         model, snrs = mimo.ChannelModel("kronecker", 0.8, 0.8), [18.0] * 5
-    elif shape == "rows_45":
+    elif shape.startswith("rows_45"):
         snrs = [5.0, 9.0, 13.0] * 5
     elif shape == "rows_192":
         snrs = [9.0] * 64
-    elif shape == "validate_18":
+    elif shape.startswith("validate_18"):
         k, n, mod, iters, snrs = 4, 8, "qpsk", 260, [8.0] * 6
     c = pkg.geometry.constellation(mod)
     insts = [mimo.make_instance(model, c, k, n, snr, mimo.trial_seed(seed, t))
@@ -97,24 +105,49 @@ def stack(pkg, shape: str, seed: int):
     cfgs = [cost.standard_config(v, max_iters=iters) for v in cost.VARIANTS for _ in insts]
     costs = [cost.QuadraticResidualCost(inst.H, inst.y) for _ in cost.VARIANTS
              for inst in insts]
+    sent = [inst.s for _ in cost.VARIANTS for inst in insts]
     if shape == "never_quiet":
         cfgs = [replace(cfg, rho=cost.RhoSchedule(0.5)) for cfg in cfgs]
     elif shape == "l1_beta_1.7":
         cfgs.append(replace(cfgs[-1], beta=cost.BetaSchedule.constant(1.7)))
         costs.append(costs[-1])
-    return costs, cfgs, c
+        sent.append(sent[-1])
+    return costs, cfgs, c, sent
 
 
-def timed(pkg, case) -> tuple[float, tuple]:
+def timed(pkg, shape: str, case, keep: bool = False) -> tuple[float, tuple]:
+    """(seconds, (final iterates, traces, observed arrays)) of one run of a
+    stack of ``shape``; the observed arrays are copied only when ``keep``."""
+    costs, cfgs, c, sent = case
+    seen, observe = [], None
+    if shape == "rows_45_observed":
+        bounds = pkg.mimo.slicing_interval(sent, c)
+        errors, counts = pkg.mimo.interval_errors, []
+
+        def observe(xs):
+            # the count is part of the timed work, as in a per-iteration sweep
+            counts.append(errors(xs, *bounds))
+            if keep:
+                seen.append(xs.copy())
     t0 = time.perf_counter()
-    x, traces = pkg.apsm.apsm_run_batch(*case)
-    return time.perf_counter() - t0, (x, traces)
+    x, traces = pkg.apsm.apsm_run_batch(costs, cfgs, c, observe=observe,
+                                        record_iterates=shape == "validate_18_recorded")
+    return time.perf_counter() - t0, (x, traces, seen)
+
+
+def _bits(a) -> bytes | None:
+    return None if a is None else a.tobytes()
 
 
 def same_bits(a, b) -> bool:
-    (xa, ta), (xb, tb) = a, b
-    return xa.tobytes() == xb.tobytes() and all(
-        s.theta.tobytes() == t.theta.tobytes() for s, t in zip(ta, tb, strict=True))
+    """Whether two runs' final iterates, thetas, recorded iterates and
+    concatenated observed arrays are bitwise the same."""
+    (xa, ta, sa), (xb, tb, sb) = a, b
+    return (xa.tobytes() == xb.tobytes()
+            and b"".join(map(_bits, sa)) == b"".join(map(_bits, sb))
+            and all(s.theta.tobytes() == t.theta.tobytes()
+                    and _bits(s.iterates) == _bits(t.iterates)
+                    for s, t in zip(ta, tb, strict=True)))
 
 
 def time_shape(pkgs, shape: str, seed: int, stacks: int, runs: int) -> dict:
@@ -125,7 +158,7 @@ def time_shape(pkgs, shape: str, seed: int, stacks: int, runs: int) -> dict:
         for r in range(runs):
             results = [None, None]
             for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-                seconds, results[side] = timed(pkgs[side], cases[side])
+                seconds, results[side] = timed(pkgs[side], shape, cases[side], keep=r == 0)
                 best[side] = min(best[side], seconds)
             if r == 0 and not same_bits(*results):
                 raise SystemExit(f"{shape} stack {seed + s}: the sides differ")
