@@ -174,8 +174,8 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     fraction of at most 1 stays between x and its level, so in x's slicing
     interval (correctly rounded operations are monotone, and at worst carry
     it one ulp past the level, still inside). A chunk with a beta above 1
-    slices at every iteration. The quiet path holds two (CHUNK, block
-    rows, d) float buffers, the perturbed points and their Gram matvecs.
+    slices at every iteration. The quiet path holds one (CHUNK, block
+    rows, d) float buffer, the perturbed points.
 
     ``observe``, when given, sees every iterate x_1 .. x_final, one chunk's
     iterates per call, as one (m, B, d) array in the caller's row order,
@@ -219,8 +219,8 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     # the iterates of a chunk of an observed, unrecorded run
     buffer = (np.empty((min(CHUNK, steps), size, dim))
               if observe is not None and not record_iterates else None)
-    # a quiet chunk's perturbed block points z_n, and their Gram matvecs
-    zs, gzs = np.empty((2, min(CHUNK, steps), size - fixed, dim))
+    # a quiet chunk's perturbed block points z_n
+    zs = np.empty((min(CHUNK, steps), size - fixed, dim))
     quiet = False
 
     for start in range(0, steps, CHUNK):
@@ -250,7 +250,7 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
                                                   rho[start:end, :fixed])[1]
             if fixed < size:
                 theta[:, block] = sublevel_theta(*(a[block] for a in stacks), zs[:m],
-                                                 rho[start:end, block], out=gzs[:m])[1]
+                                                 rho[start:end, block])[1]
             hot = np.flatnonzero(theta.any(axis=1))
             kept = int(hot[0]) if hot.size else m
             resume = start + kept

@@ -92,14 +92,12 @@ def residuals(hty: np.ndarray, yty: np.ndarray, x: np.ndarray,
 
 
 def sublevel_theta(gram: np.ndarray, hty: np.ndarray, yty: np.ndarray, z: np.ndarray,
-                   rho: float | np.ndarray, out: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(the Gram matvecs G_i z_i, into ``out`` when given, and the cost
-    theta = (||H_i z_i - y_i||^2 - rho)_+) per row of z, which is (B, d) or
-    an (m, B, d) stack of them against the (B, d, d) Gram stack, each
-    (iteration, row) bitwise its (B, d) call; ``rho`` broadcasts against
-    the rows."""
-    gz = np.matvec(gram, z, out=out)
+                   rho: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the Gram matvecs G_i z_i, and the cost theta = (||H_i z_i - y_i||^2
+    - rho)_+) per row of z, which is (B, d) or an (m, B, d) stack of them
+    against the (B, d, d) Gram stack, each (iteration, row) bitwise its
+    (B, d) call; ``rho`` broadcasts against the rows."""
+    gz = np.matvec(gram, z)
     return gz, np.maximum(residuals(hty, yty, z, gz) - rho, 0.0)
 
 

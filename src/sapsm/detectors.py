@@ -296,10 +296,8 @@ def detect(kind: DetectorKind, instance: ChannelInstance, c: Constellation,
     if kind in _APSM_VARIANT:
         cost = QuadraticResidualCost(instance.H, instance.y)
         return apsm_run(cost, run_config(kind, cfg), c, record_iterates=record_iterates)
-    if kind is DetectorKind.LMMSE:
-        return detect_lmmse(instance), None
-    if kind is DetectorKind.CONSTRAINED_LMMSE:
-        return detect_constrained_lmmse(instance), None
+    if kind in _LMMSE_KINDS:
+        return _detect_lmmse_one(kind, instance), None
     if kind is DetectorKind.BOX_ORACLE:
         return detect_box_oracle(instance, c.box()).x, None
     if kind is DetectorKind.ML_BRUTEFORCE:

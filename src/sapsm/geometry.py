@@ -107,12 +107,6 @@ def project_box(x: np.ndarray, box: BoxSet, out: np.ndarray | None = None) -> np
     return np.minimum(out, box.a_max, out=out)
 
 
-def _check_tau(tau: float | np.ndarray) -> None:
-    # "not >= 0" refuses nan too; a scalar tau costs no numpy call
-    if not (np.all(tau >= 0) if isinstance(tau, np.ndarray) else tau >= 0):
-        raise ConfigError("tau must be nonnegative")
-
-
 def soft_slice(x: np.ndarray, tau: float | np.ndarray, c: Constellation,
                sliced: np.ndarray | None = None) -> np.ndarray:
     """The residual r = x - P_S(x) shrunk to sign(r) max(|r| - tau, 0), plus
@@ -133,18 +127,16 @@ def prox_l1_levels(x: np.ndarray, tau: float | np.ndarray, c: Constellation) -> 
     objective tau * ||x - P_S(x)||_1; it reduces to P_S(x) when every
     residual magnitude is at most tau, and to x when tau is zero. ``tau``
     is a scalar or an array broadcast against x, each element bitwise the
-    scalar call on it; an element with tau = 0 keeps its x.
+    scalar call on it.
     """
     x = np.asarray(x, dtype=float)
-    _check_tau(tau)
-    per_element = isinstance(tau, np.ndarray)
-    if not per_element and tau == 0:
-        # identity, kept exact (adding and subtracting the slice would round)
-        return x.copy()
-    out = soft_slice(x, tau, c)
-    if per_element:
-        np.copyto(out, x, where=tau == 0)
-    return out
+    tau = np.asarray(tau, dtype=float)
+    # "not >= 0" refuses nan too
+    if not np.all(tau >= 0):
+        raise ConfigError("tau must be nonnegative")
+    # an element with tau = 0 keeps its x exactly (adding and subtracting
+    # the slice would round)
+    return np.where(tau == 0, x, soft_slice(x, tau, c))
 
 
 def perturbation_l2(x: np.ndarray, c: Constellation) -> np.ndarray:

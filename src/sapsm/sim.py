@@ -37,7 +37,6 @@ from .mimo import (
     make_instance,
     slicing_interval,
     snr_to_sigma2,
-    symbol_errors,
     trial_seed,
 )
 
@@ -140,15 +139,17 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
     baselines solve the whole batch as one stack, and the other baselines
     run per realization, in task order; the iterative detectors run the
     whole batch as one engine stack, rows ordered detector by realization.
-    A row does not depend on the stack it sits in. Per-iteration counts
-    of an iterative detector are arrays of length ``max_iters``, counted
-    chunk by chunk as the unrecorded stack hands its iterates over, each
-    against the slicing intervals of its row's reference, found once; a
-    baseline keeps its single count.
+    A row does not depend on the stack it sits in. Every detector's
+    estimates are counted against the slicing intervals of the batch's
+    references, found once; the engine's rows are counted as (..., iterative
+    detectors, realizations, d). Per-iteration counts of an iterative
+    detector are arrays of length ``max_iters``, counted chunk by chunk as
+    the unrecorded stack hands its iterates over; a baseline keeps its
+    single count.
     """
     insts = [make_instance(cfg.channel, c, cfg.k, cfg.n, cfg.snr_db[si], seed)
              for si, seed in tasks]
-    sent = np.stack([inst.s for inst in insts])
+    bounds = slicing_interval(np.stack([inst.s for inst in insts]), c)
     errors = {}
     iterative = cfg.run_configs
     linear = tuple(kind for kind in cfg.detectors if kind in _LMMSE_KINDS)
@@ -156,27 +157,26 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
         x_hat = detect_lmmse_batch(np.stack([inst.H for inst in insts]),
                                    np.stack([inst.y for inst in insts]),
                                    np.array([inst.sigma2 for inst in insts]), linear)
-        errors = {kind: symbol_errors(x, sent, c) for kind, x in x_hat.items()}
+        errors = {kind: interval_errors(x, *bounds) for kind, x in x_hat.items()}
     for kind in cfg.detectors:
         if kind in iterative or kind in linear:
             continue
         x_hat = np.stack([detect(kind, inst, c)[0] for inst in insts])
-        errors[kind] = symbol_errors(x_hat, sent, c)
+        errors[kind] = interval_errors(x_hat, *bounds)
     if iterative:
         costs = [QuadraticResidualCost(inst.H, inst.y) for _ in iterative for inst in insts]
         cfgs = [acfg for acfg in iterative.values() for _ in insts]
+        shape = (len(iterative), len(insts), -1)
         if per_iteration:
-            bounds = slicing_interval(np.tile(sent, (len(iterative), 1)), c)
             chunks = []
-            apsm_run_batch(costs, cfgs, c,
-                           observe=lambda xs: chunks.append(interval_errors(xs, *bounds)))
-            # each row's count per iteration, (rows, max_iters)
-            per_row = np.concatenate(chunks).T
+            apsm_run_batch(costs, cfgs, c, observe=lambda xs: chunks.append(
+                interval_errors(xs.reshape(len(xs), *shape), *bounds)))
+            # each detector's count per realization and iteration
+            counts = np.moveaxis(np.concatenate(chunks), 0, -1)
         else:
             x_hat, _ = apsm_run_batch(costs, cfgs, c)
-        for j, kind in enumerate(iterative):
-            rows = slice(j * len(insts), (j + 1) * len(insts))
-            errors[kind] = per_row[rows] if per_iteration else symbol_errors(x_hat[rows], sent, c)
+            counts = interval_errors(x_hat.reshape(shape), *bounds)
+        errors.update(zip(iterative, counts))
     totals = {}
     for kind, errs in errors.items():
         for (si, _), e in zip(tasks, errs):

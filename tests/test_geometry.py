@@ -252,15 +252,28 @@ class TestProx:
                                       [A1, -2.0])
 
     @properties
-    @given(c=alphabets, x_tau=paired_taus)
+    @given(c=alphabets | st.just(THREE), x_tau=paired_taus)
     @example(c=QPSK, x_tau=(np.array(SPECIALS + (A1, 1.05 * A1, -0.3)),
                             np.array([0.1, 0.0, -0.0, 0.2, 0.0, 0.3, 0.0, 0.1 * A1, -0.0])))
     def test_array_tau_is_the_scalar_call_per_element(self, c, x_tau):
-        # tau = +-0.0 elements keep their x, as the scalar identity branch
-        # does, nan payloads and signed zeros included
+        # tau = +-0.0 elements keep their x bytewise, nan payloads and
+        # signed zeros included
         x, tau = x_tau
         ref = [prox_l1_levels(x[i:i + 1], float(t), c) for i, t in enumerate(tau)]
-        assert prox_l1_levels(x, tau, c).tobytes() == np.concatenate(ref).tobytes()
+        got = prox_l1_levels(x, tau, c)
+        assert got.tobytes() == np.concatenate(ref).tobytes()
+        assert got[tau == 0].tobytes() == x[tau == 0].tobytes()
+        # a Python float, a numpy scalar, a 0-d array and a full array of one
+        # tau give the same bytes, on the drawn points, the specials and the
+        # alphabet's midpoints and levels, as does each scalar x alone;
+        # tau = 0 gives x itself
+        xs = np.r_[x, SPECIALS, c.midpoints, c.levels]
+        for t in (0.0, -0.0, 0.05, 2.0):
+            forms = (t, np.float64(t), np.array(t), np.full(xs.shape, t))
+            outs = {prox_l1_levels(xs, form, c).tobytes() for form in forms}
+            outs.add(b"".join(prox_l1_levels(v, t, c).tobytes() for v in xs))
+            assert len(outs) == 1
+        assert prox_l1_levels(xs, 0.0, c).tobytes() == xs.tobytes()
 
     @properties
     @given(c=alphabets, x=points, extra=st.floats(0.0, 1.0))

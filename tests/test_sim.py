@@ -389,11 +389,19 @@ class TestBatchBoundaries:
         assert seen == sizes
         assert text == table_text(run_ser_vs_snr(cfg))
 
-    @pytest.mark.parametrize("run", [run_ser_vs_snr, run_ser_vs_iter])
-    def test_batched_sweep_equals_per_realization_detection(self, run):
+    @pytest.mark.parametrize("run, detectors", [
+        pytest.param(run_ser_vs_snr, None, id="run_ser_vs_snr"),
+        pytest.param(run_ser_vs_iter, None, id="run_ser_vs_iter"),
+        # baselines between the iterative detectors, whose rows the engine
+        # sorts; the second of the three batches spans both SNR points
+        pytest.param(run_ser_vs_snr,
+                     (D.APSM_L1, D.LMMSE, D.APSM_PLAIN, D.BOX_ORACLE, D.APSM_L2),
+                     id="run_ser_vs_snr-sorted")])
+    def test_batched_sweep_equals_per_realization_detection(self, run, detectors):
         # in ser-iter, the last iteration's counts are those of the final
         # estimates
-        cfg = self.cfg() if run is run_ser_vs_snr else self.cfg(snr_db=(4.0,))
+        kw = {"detectors": detectors} if detectors else {}
+        cfg = self.cfg(**kw) if run is run_ser_vs_snr else self.cfg(snr_db=(4.0,), **kw)
         c = constellation(cfg.modulation)
         errors = {}
         for si, snr in enumerate(cfg.snr_db):

@@ -22,9 +22,9 @@ the same costs and configs for both sides:
 - ``validate_18_recorded``: the ``validate_18`` stack recording its
   iterates, as ``validation`` runs it;
 - ``rows_45_observed``: the ``rows_45`` stack observed, each array it hands
-  over counted with ``mimo.interval_errors`` against the rows' slicing
-  intervals, as ``sim`` counts a per-iteration sweep (the ``ref_iter``
-  batch).
+  over reshaped to (m, 3, 15, d) and counted with ``mimo.interval_errors``
+  against the 15 realizations' slicing intervals, found once, as ``sim``
+  counts a per-iteration sweep (the ``ref_iter`` batch).
 
 Each stack runs ``--runs`` times per side, the sides alternating which goes
 first; the first run of each side must give bitwise the same final iterates,
@@ -86,8 +86,9 @@ def sides(parent: Path):
 
 
 def stack(pkg, shape: str, seed: int):
-    """(costs, cfgs, constellation, each row's transmit vector) of one stack
-    of ``shape`` from package ``pkg``, rows ordered variant by realization."""
+    """(costs, cfgs, constellation, each realization's transmit vector) of
+    one stack of ``shape`` from package ``pkg``, rows ordered variant by
+    realization."""
     mimo, cost = pkg.mimo, pkg.cost
     k, n, mod, iters, model = 16, 64, "16qam", 300, mimo.ChannelModel("iid")
     snrs = [9.0] * 5
@@ -105,13 +106,12 @@ def stack(pkg, shape: str, seed: int):
     cfgs = [cost.standard_config(v, max_iters=iters) for v in cost.VARIANTS for _ in insts]
     costs = [cost.QuadraticResidualCost(inst.H, inst.y) for _ in cost.VARIANTS
              for inst in insts]
-    sent = [inst.s for _ in cost.VARIANTS for inst in insts]
+    sent = [inst.s for inst in insts]
     if shape == "never_quiet":
         cfgs = [replace(cfg, rho=cost.RhoSchedule(0.5)) for cfg in cfgs]
     elif shape == "l1_beta_1.7":
         cfgs.append(replace(cfgs[-1], beta=cost.BetaSchedule.constant(1.7)))
         costs.append(costs[-1])
-        sent.append(sent[-1])
     return costs, cfgs, c, sent
 
 
@@ -123,10 +123,11 @@ def timed(pkg, shape: str, case, keep: bool = False) -> tuple[float, tuple]:
     if shape == "rows_45_observed":
         bounds = pkg.mimo.slicing_interval(sent, c)
         errors, counts = pkg.mimo.interval_errors, []
+        rows = (len(cfgs) // len(sent), len(sent), -1)
 
         def observe(xs):
             # the count is part of the timed work, as in a per-iteration sweep
-            counts.append(errors(xs, *bounds))
+            counts.append(errors(xs.reshape(len(xs), *rows), *bounds))
             if keep:
                 seen.append(xs.copy())
     t0 = time.perf_counter()
