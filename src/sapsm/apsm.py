@@ -40,6 +40,9 @@ TRACE_COLUMNS = ("n", "theta", "objective", "rho", "step_norm", "pert_norm")
 CHUNK = 12
 # rounding slack on the right-hand side of every audited inequality
 AUDIT_TOL = 1e-9
+# a certified stop's rounding margin, relative to the square of each row's
+# scale a_max sum_i ||h_i|| + ||y|| (see ``_certified``)
+CERTIFY_MARGIN = 2.0**-28
 
 
 @dataclass
@@ -120,6 +123,53 @@ def _perturbation(cfg: ApsmConfig, x: np.ndarray, c: Constellation) -> np.ndarra
     return perturbation_l1(x, cfg.tau, c)
 
 
+def _certified(stacks: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarray,
+               fixed: int, c: Constellation, rho_least: np.ndarray) -> bool:
+    """Whether no row of the stack at x = x_n can step again, nor change its
+    slicing decision, while every later block beta is at most 1 and every
+    later radius is at least ``rho_least``.
+
+    Each row's later iterates stay in R, the coordinate hull of x_n and its
+    slice P_S(x_n) (R = {x_n} for a fixed row): a block point moved toward
+    its soft slice by a fraction of at most 1 stays between x and its slice
+    (at worst one ulp past the level), the clamp of a box point is that
+    point, and a step needs a positive theta. R lies in x_n's slicing
+    intervals, so the slice, and with it every later perturbation and
+    decision, stays x_n's. With c the center of R and r its half-widths,
+    every z in R has ||H z - y|| <= ||H c - y|| + sum_i r_i ||h_i||, and
+    ||h_i||^2 = G_ii. So a row for which (sqrt(f(c) + e) + sum_i r_i
+    sqrt(G_ii))^2 + e <= rho_least holds has every later theta 0 (theta
+    is zero exactly when the computed residual is at most the radius), and
+    by induction never steps again.
+
+    The margin e = CERTIFY_MARGIN w^2, w = a_max sum_i sqrt(G_ii) +
+    sqrt(y'y) per row, covers the rounding. The residual is computed as
+    x'Gx - 2h'x + y'y, whose terms cancel: with |G_ij| <= ||h_i|| ||h_j||
+    and |h_i| <= ||h_i|| ||y|| (Cauchy-Schwarz, up to the rounding of G, h
+    and y'y themselves, m rows of H deep), its error at any box point is
+    at most (m + 2d + 4) 2^-53 w^2, below 2^-30 w^2 for m + 2d below 2^22.
+    That error enters once at c (inside the root, as f(c) + e bounds
+    ||H c - y||^2) and once at z (outside). What is left is a few dozen
+    roundings of at most d terms each: c and r (R within r + 2 ulp(a_max)
+    of c, plus the ulp past the level), the sum of r_i sqrt(G_ii) against
+    sum_i r_i ||h_i||, and the test's own arithmetic, each below 2^-30 w^2
+    for d below 2^17; e is four times 2^-30 w^2. A nan anywhere fails the
+    test.
+    """
+    gram, hty, yty = stacks
+    col_norms = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+    margin = CERTIFY_MARGIN * (c.a_max * col_norms.sum(axis=1) + np.sqrt(yty)) ** 2
+    ends = x.copy()
+    ends[fixed:] = c.nearest(x[fixed:])
+    center = ends + x
+    center *= 0.5
+    half = np.abs(ends - x)
+    half *= 0.5
+    f = residuals(hty, yty, center, np.matvec(gram, center))
+    bound = (np.sqrt(f + margin) + np.vecdot(half, col_norms)) ** 2 + margin
+    return bool((bound <= rho_least).all())
+
+
 def _perturb_block(xb: np.ndarray, tau: np.ndarray, beta_n: np.ndarray,
                    c: Constellation, sliced: np.ndarray | None = None) -> None:
     """Move each row of the perturbing block xb, in place, to
@@ -136,8 +186,8 @@ def _perturb_block(xb: np.ndarray, tau: np.ndarray, beta_n: np.ndarray,
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
                    c: Constellation, record_iterates: bool = False,
-                   observe: Callable[[np.ndarray], object] | None = None
-                   ) -> tuple[np.ndarray, list[IterateTrace]]:
+                   observe: Callable[[np.ndarray], object] | None = None,
+                   certify: bool = False) -> tuple[np.ndarray, list[IterateTrace]]:
     """Run the perturbed iteration on B problems at once, row i under
     ``cfgs[i]``; return (final iterates as (B, d), one trace per row).
 
@@ -146,10 +196,18 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     point, take the relaxed subgradient-projection step, clamp to the box.
     The rows that perturb form one block, which perturbs as one soft-slicing
     call (l2 as tau = inf); all rows take one step together.
-    Every row runs the full ``max_iters`` iterations, which all configs of a
-    stack must share, and is bitwise the run it would be alone. Every row
-    starts at x_0 = 0, and every iterate lies in the box. The loop records
-    theta alone, in one table of which each trace holds a column.
+    Every row runs the ``max_iters`` iterations that all configs of a stack
+    must share, and is bitwise the run it would be alone. Every row starts
+    at x_0 = 0, and every iterate lies in the box. The loop records theta
+    alone, in one table of which each trace holds a column.
+
+    ``certify`` lets an unrecorded stack stop early. At each chunk end
+    n < ``max_iters`` whose last iteration left every theta at 0, and
+    after which no block beta is above 1, ``_certified`` may prove that no
+    row steps again and that every later iterate has x_n's slicing
+    decisions. The stack then returns x_n, its thetas from n on are 0, and
+    ``observe`` has seen x_1 .. x_n alone. Without ``certify`` (the
+    default) every stack goes the full budget.
 
     Each step is given the bound a_max (1 + 2 beta_max) on the perturbed
     points, beta_max the largest beta of the block: every x_n is a box
@@ -187,6 +245,8 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     """
     if len(cfgs) != len(costs):
         raise ConfigError(f"{len(cfgs)} configs for {len(costs)} problems")
+    if certify and record_iterates:
+        raise ConfigError("a certified stop records no iterates after it")
     budgets = sorted({cfg.max_iters for cfg in cfgs})
     if len(budgets) != 1:
         raise ConfigError(f"a stack needs one max_iters, got {budgets}")
@@ -268,6 +328,10 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
         if observe is not None:
             observe(out if in_order else out[:, rows])
         quiet = not np.count_nonzero(thetas[end - 1])
+        if (certify and quiet and end < steps and not any(overshoots[end:])
+                and _certified(stacks, x, fixed, c, rho[end:].min(axis=0))):
+            thetas[end:] = 0.0
+            break
 
     # a nan in x_{n+1} reaches theta_{n+1} through the residual, and the box
     # clips an inf: theta names the first bad iteration, x only the last

@@ -291,7 +291,8 @@ class ApsmConfig:
                 "tau": self.tau,
                 "variant": self.variant,
                 "max_iters": self.max_iters,
-                # every run goes the full budget; the key keeps hashes stable
+                # no config sets a stop (a sweep's certified stop keeps the
+                # full run's decisions); the key keeps hashes stable
                 "stop_eps": 0.0,
             },
             sort_keys=True,

@@ -4,9 +4,11 @@ Every trial draws its own channel/noise realization from a counter-based
 seed mix, and all detectors within a trial share that realization (paired
 comparison). Trials run in consecutive batches, and all iterative detectors
 of a batch iterate as one engine stack; a row's result does not depend on
-the stack it sits in. A per-iteration sweep records no iterates: it counts
-each chunk of them that the stack hands over. Aggregation is a plain
-integer sum, so results are identical for any worker count.
+the stack it sits in, and every stack stops once each row's slicing
+decision is certified final, which changes no count. A per-iteration sweep
+records no iterates: it counts each chunk of them that the stack hands
+over. Aggregation is a plain integer sum, so results are identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -144,8 +146,9 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
     references, found once; the engine's rows are counted as (..., iterative
     detectors, realizations, d). Per-iteration counts of an iterative
     detector are arrays of length ``max_iters``, counted chunk by chunk as
-    the unrecorded stack hands its iterates over; a baseline keeps its
-    single count.
+    the unrecorded stack hands its iterates over, the counts at a certified
+    stop standing for every later iteration; a baseline keeps its single
+    count.
     """
     insts = [make_instance(cfg.channel, c, cfg.k, cfg.n, cfg.snr_db[si], seed)
              for si, seed in tasks]
@@ -169,12 +172,16 @@ def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
         shape = (len(iterative), len(insts), -1)
         if per_iteration:
             chunks = []
-            apsm_run_batch(costs, cfgs, c, observe=lambda xs: chunks.append(
+            apsm_run_batch(costs, cfgs, c, certify=True, observe=lambda xs: chunks.append(
                 interval_errors(xs.reshape(len(xs), *shape), *bounds)))
+            # a stack stopped early keeps its last counts to the end
+            last = chunks[-1][-1]
+            chunks.append(np.broadcast_to(last, (cfg.max_iters - sum(map(len, chunks)),
+                                                 *last.shape)))
             # each detector's count per realization and iteration
             counts = np.moveaxis(np.concatenate(chunks), 0, -1)
         else:
-            x_hat, _ = apsm_run_batch(costs, cfgs, c)
+            x_hat, _ = apsm_run_batch(costs, cfgs, c, certify=True)
             counts = interval_errors(x_hat.reshape(shape), *bounds)
         errors.update(zip(iterative, counts))
     totals = {}

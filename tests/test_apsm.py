@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import sapsm.apsm
 import sapsm.cost
 from sapsm.apsm import (
+    CERTIFY_MARGIN,
     CHUNK,
     TRACE_COLUMNS,
     AuditResult,
@@ -40,7 +41,7 @@ from sapsm.geometry import (
     perturbation_l2,
     soft_slice,
 )
-from sapsm.mimo import ChannelModel, make_instance, trial_seed
+from sapsm.mimo import ChannelModel, interval_errors, make_instance, slicing_interval, trial_seed
 from sapsm.validation import quasi_fejer_suite
 
 from helpers import attracting_whole_window, hard_slicing_perturbation
@@ -987,3 +988,170 @@ class TestBatch:
                 assert gzs[k, i].tobytes() == (gram[i] @ zs[k, i]).tobytes()
                 assert dots[k, i].tobytes() == np.float64(zs[k, i] @ gzs[k, i]).tobytes()
                 assert hdots[k, i].tobytes() == np.float64(a[i] @ zs[k, i]).tobytes()
+
+
+def certify_pool(max_iters):
+    """Configs a certified stack's rows draw from: the three standard
+    variants, a plain and an l2 with constant radii (growth = 1), one that
+    x_0 = 0 meets and one that the rows meet later or never, and last an
+    l1 whose constant beta of 1.7 may carry it out of its slicing
+    interval."""
+    return (
+        standard_config("plain", max_iters=max_iters),
+        standard_config("l2", max_iters=max_iters),
+        standard_config("l1", max_iters=max_iters),
+        ApsmConfig(rho=RhoSchedule(200.0), variant="plain", max_iters=max_iters),
+        ApsmConfig(rho=RhoSchedule(8.0), beta=BetaSchedule.geometric(0.9), variant="l2",
+                   max_iters=max_iters),
+        ApsmConfig(rho=RhoSchedule(5e-5, 1.06), beta=BetaSchedule.constant(1.7), tau=0.005,
+                   variant="l1", max_iters=max_iters),
+    )
+
+
+@st.composite
+def certify_stacks(draw):
+    """(costs, cfgs, constellation, each row's transmit vector) of a mixed
+    stack: iid or Kronecker channels, noisy or noiseless."""
+    k, n, c = draw(st.sampled_from([(4, 8, QPSK), (16, 32, QAM16)]))
+    model = draw(st.sampled_from([ChannelModel("iid"), ChannelModel("kronecker", 0.8, 0.8)]))
+    size = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**16))
+    snrs = draw(st.lists(st.sampled_from([5.0, 9.0, 13.0, 18.0, math.inf]),
+                         min_size=size, max_size=size))
+    insts = [make_instance(model, c, k, n, snr, trial_seed(seed, t))
+             for t, snr in enumerate(snrs)]
+    pool = certify_pool(300)
+    picks = draw(st.lists(st.integers(0, len(pool) - 2), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        # the beta = 1.7 row in a stack that might otherwise be certified
+        picks[draw(st.integers(0, size - 1))] = len(pool) - 1
+    return ([QuadraticResidualCost(inst.H, inst.y) for inst in insts],
+            [pool[i] for i in picks], c, np.stack([inst.s for inst in insts]))
+
+
+def certified_run(costs, cfgs, c):
+    """(final iterates, traces, the iterates it handed over as (n, B, d)) of
+    a certified run."""
+    seen = []
+    final, traces = apsm_run_batch(costs, cfgs, c, certify=True,
+                                   observe=lambda xs: seen.append(xs.copy()))
+    return final, traces, np.concatenate(seen)
+
+
+class TestCertifiedStop:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(certify_stacks())
+    def test_a_certified_stop_keeps_every_decision_and_count(self, stack):
+        costs, cfgs, c, sent = stack
+        steps = cfgs[0].max_iters
+        full, traces = apsm_run_batch(costs, cfgs, c, record_iterates=True)
+        iterates = np.stack([trace.iterates for trace in traces], axis=1)
+        # the default is the full run, bitwise
+        for run in (apsm_run_batch(costs, cfgs, c, certify=False),
+                    apsm_run_batch(costs, cfgs, c)):
+            assert run[0].tobytes() == full.tobytes()
+            assert all(a.theta.tobytes() == b.theta.tobytes()
+                       for a, b in zip(run[1], traces, strict=True))
+        final, certified, seen = certified_run(costs, cfgs, c)
+        stop = len(seen)
+        # up to the stop the certified run is the full run, bitwise; from it
+        # on its thetas are 0, as are the full run's
+        assert seen.tobytes() == iterates[1:stop + 1].tobytes()
+        assert final.tobytes() == iterates[stop].tobytes()
+        for a, b in zip(certified, traces, strict=True):
+            assert a.theta[:stop].tobytes() == b.theta[:stop].tobytes()
+            assert not a.theta[stop:].any() and not b.theta[stop:].any()
+        # every later full iterate has the decisions of the stop, so every
+        # count a sweep repeats from the stop on is the full run's
+        assert (c.nearest(iterates[stop:]) == c.nearest(final)).all()
+        counts = interval_errors(iterates[1:], *slicing_interval(sent, c))
+        assert (counts[stop:] == counts[stop - 1]).all()
+        # a beta above 1 in the block is never certified
+        if any(cfg.variant == "l1" and cfg.beta.value > 1.0 for cfg in cfgs):
+            assert stop == steps and final.tobytes() == full.tobytes()
+
+    def test_a_standard_stack_stops_at_a_chunk_end_before_its_budget(self):
+        # 16x64 16-QAM at 5, 9 and 13 dB, the three standard variants
+        insts = [make_instance(ChannelModel("iid"), QAM16, 16, 64, snr, trial_seed(5, t))
+                 for t, snr in enumerate([5.0, 9.0, 13.0])]
+        costs = [QuadraticResidualCost(inst.H, inst.y) for inst in insts] * 3
+        cfgs = [standard_config(v) for v in ("plain", "l2", "l1") for _ in insts]
+        full, traces = apsm_run_batch(costs, cfgs, QAM16)
+        final, _, seen = certified_run(costs, cfgs, QAM16)
+        stop = len(seen)
+        assert 150 < stop < 300 and stop % CHUNK == 0
+        assert QAM16.nearest(full).tobytes() == QAM16.nearest(final).tobytes()
+        assert all(not trace.theta[stop - 1:].any() for trace in traces)
+        # with a beta of 1.7 on one row, the stack goes the full budget
+        cfgs[-1] = replace(cfgs[-1], beta=BetaSchedule.constant(1.7))
+        full, traces = apsm_run_batch(costs, cfgs, QAM16)
+        final, certified, seen = certified_run(costs, cfgs, QAM16)
+        assert len(seen) == 300 and final.tobytes() == full.tobytes()
+        assert all(a.theta.tobytes() == b.theta.tobytes() for a, b in zip(certified, traces))
+
+    @pytest.mark.parametrize("excess, stop", [(0.0, 60), (1.0, 60), (1.9, 60), (2.1, CHUNK)])
+    def test_a_bound_within_the_margin_of_the_radius_is_not_certified(self, excess, stop):
+        # a plain row whose constant radius x_0 = 0 meets never moves;
+        # its bound at the center x_0 is f(0) + 2e, f(0) = y'y exactly, so
+        # it is certified at the first chunk end only once the radius
+        # exceeds y'y + 2e
+        inst, cost = small_instance(seed=4)
+        margin = CERTIFY_MARGIN * (QPSK.a_max * np.sqrt(np.diag(cost.gram)).sum()
+                                   + math.sqrt(cost.yty)) ** 2
+        cfg = ApsmConfig(rho=RhoSchedule(cost.yty + excess * margin), max_iters=60)
+        final, (trace,), seen = certified_run([cost], [cfg], QPSK)
+        assert len(seen) == stop and not seen.any() and not final.any()
+        assert not trace.theta.any()
+
+    @pytest.mark.parametrize("rho, stop", [(1.2, 120), (2.6, CHUNK)])
+    def test_a_block_row_is_certified_on_the_hull_of_x_and_its_slice(self, rho, stop):
+        # f(x) = ||x - (0.3, 0.3)||^2; the l2 row walks from 0 toward its
+        # slice (-a, -a), a = 0.707, by 2% of the way each iteration, and no
+        # theta is positive before iteration 55 at radius 1.2. At the first
+        # chunk end x_12 = -0.152 and the center of the hull, -0.43, both
+        # lie within 1.2, but the slice (f = 2.03) does not: the bound
+        # (sqrt(f(c)) + sum_i r_i ||h_i||)^2 = 2.5 refuses the stop, and the
+        # row steps from 55 on. At radius 2.6 the bound admits it
+        cost = QuadraticResidualCost(np.eye(2), np.array([0.3, 0.3]))
+        cfg = ApsmConfig(rho=RhoSchedule(rho), beta=BetaSchedule.constant(0.02), variant="l2",
+                         max_iters=120)
+        full, (trace,) = apsm_run_batch([cost], [cfg], QPSK, record_iterates=True)
+        final, _, seen = certified_run([cost], [cfg], QPSK)
+        assert len(seen) == stop and final.tobytes() == trace.iterates[stop].tobytes()
+        assert not trace.theta[:55].any()
+        assert trace.theta[55:].any() == (stop == 120)
+
+    def test_a_recorded_run_is_not_certified(self):
+        _, cost = small_instance()
+        with pytest.raises(ConfigError, match="certified"):
+            apsm_run_batch([cost], [standard_config("plain", max_iters=3)], QPSK,
+                           record_iterates=True, certify=True)
+
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_non_finite_at_a_certifying_chunk_end_names_its_iteration(self, monkeypatch,
+                                                                       certify):
+        # a radius every point meets: unpoisoned, the certified stack stops
+        # at the first chunk end. The step of iteration CHUNK - 1 returns a
+        # nan, after a zero theta, so the chunk ends quiet on a nan iterate:
+        # the certificate refuses it, and the next theta names the iteration
+        steps = 40
+        cfgs = [replace(standard_config(v, max_iters=steps), rho=RhoSchedule(1e3))
+                for v in ("plain", "l2", "l1")]
+        costs = [small_instance(seed=s)[1] for s in range(3)]
+        assert len(certified_run(costs, cfgs, QPSK)[2]) == CHUNK
+        step = sapsm.apsm.sublevel_step
+        calls = []
+
+        def poisoned(*args):
+            calls.append(None)
+            x, theta = step(*args)
+            if len(calls) == CHUNK:
+                x[1] = np.nan
+            return x, theta
+
+        monkeypatch.setattr(sapsm.apsm, "sublevel_step", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIterate) as err:
+                apsm_run_batch(costs, cfgs, QPSK, certify=certify)
+        assert err.value.iteration == CHUNK

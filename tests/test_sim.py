@@ -178,6 +178,40 @@ class TestSerVsIter:
             np.testing.assert_array_equal(totals[(kind, 0)], expected)
         assert totals[(D.APSM_L1, 0)].max() > 0
 
+    @pytest.mark.parametrize("per_iteration", [False, True])
+    @pytest.mark.parametrize("channel", [ChannelModel("iid"), ChannelModel("kronecker", 0.8, 0.8)])
+    def test_a_certified_stop_counts_as_the_full_run(self, monkeypatch, per_iteration, channel):
+        # the sweep's stacks stop early, and every count, per iteration
+        # too, is that of the full run's iterates
+        cfg = iter_cfg(k=4, n=8, channel=channel, detectors=(D.APSM_L1, D.APSM_PLAIN, D.APSM_L2),
+                       trials=6, max_iters=300)
+        c = constellation(cfg.modulation)
+        tasks = [(0, trial_seed(cfg.master_seed, t)) for t in range(cfg.trials)]
+        run, seen = sapsm.sim.apsm_run_batch, []
+
+        def spied(*args, **kw):
+            seen.append(kw.get("certify"))
+            return run(*args, **kw)
+
+        monkeypatch.setattr(sapsm.sim, "apsm_run_batch", spied)
+        totals = sapsm.sim._batch_errors(cfg, c, per_iteration, tasks)
+        assert seen == [True]
+        insts = [make_instance(cfg.channel, c, cfg.k, cfg.n, cfg.snr_db[0], seed)
+                 for _, seed in tasks]
+        iterative = list(cfg.run_configs.items())
+        costs = [QuadraticResidualCost(inst.H, inst.y) for _ in iterative for inst in insts]
+        cfgs = [acfg for _, acfg in iterative for _ in insts]
+        stopped = []
+        run(costs, cfgs, c, certify=True, observe=lambda xs: stopped.append(len(xs)))
+        assert sum(stopped) < cfg.max_iters
+        _, traces = run(costs, cfgs, c, record_iterates=True)
+        for j, (kind, _) in enumerate(iterative):
+            expected = np.zeros(cfg.max_iters, dtype=int)
+            for trace, inst in zip(traces[j * len(insts):], insts):
+                expected += [symbol_errors(x, inst.s, c) for x in trace.iterates[1:]]
+            np.testing.assert_array_equal(totals[(kind, 0)],
+                                          expected if per_iteration else expected[-1])
+
     def test_per_iteration_counting_holds_no_recorded_stack(self):
         # one batch of the CLI's size: three iterative detectors, 64 trials
         # at 16x64, whose recorded iterates alone would take this many bytes

@@ -24,13 +24,19 @@ the same costs and configs for both sides:
 - ``rows_45_observed``: the ``rows_45`` stack observed, each array it hands
   over reshaped to (m, 3, 15, d) and counted with ``mimo.interval_errors``
   against the 15 realizations' slicing intervals, found once, as ``sim``
-  counts a per-iteration sweep (the ``ref_iter`` batch).
+  counts a per-iteration sweep (the ``ref_iter`` batch);
+- ``rows_45_certified``: the ``rows_45_observed`` stack run as ``sim``
+  runs it, with ``certify=True`` where the side's engine takes it; a
+  stack stopped early repeats its last counts to the end of the budget.
 
 Each stack runs ``--runs`` times per side, the sides alternating which goes
 first; the first run of each side must give bitwise the same final iterates,
-thetas, recorded iterates and concatenated observed arrays. The JSON printed
-holds, per shape, the change-over-parent ratio of each stack's minimum times
-and their median.
+thetas, recorded iterates, concatenated observed arrays and counts. A
+certified stop returns other final iterates and thetas by design, so
+``rows_45_certified`` compares the per-iteration counts and the final
+decisions (the slice of each final iterate) alone. The JSON printed holds,
+per shape, the change-over-parent ratio of each stack's minimum times and
+their median.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib
+import inspect
 import json
 import os
 import shutil
@@ -46,11 +53,12 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SHAPES = ("rows_15", "rows_45", "rows_192", "validate_18", "never_quiet", "l1_beta_1.7",
-          "validate_18_recorded", "rows_45_observed")
+          "validate_18_recorded", "rows_45_observed", "rows_45_certified")
 
 
 def parse_args(argv):
@@ -116,13 +124,14 @@ def stack(pkg, shape: str, seed: int):
 
 
 def timed(pkg, shape: str, case, keep: bool = False) -> tuple[float, tuple]:
-    """(seconds, (final iterates, traces, observed arrays)) of one run of a
-    stack of ``shape``; the observed arrays are copied only when ``keep``."""
+    """(seconds, (final iterates, traces, observed arrays, counts)) of one
+    run of a stack of ``shape``; the observed arrays are copied only when
+    ``keep``."""
     costs, cfgs, c, sent = case
-    seen, observe = [], None
-    if shape == "rows_45_observed":
+    seen, counts, kw = [], [], {}
+    if shape.startswith("rows_45_"):
         bounds = pkg.mimo.slicing_interval(sent, c)
-        errors, counts = pkg.mimo.interval_errors, []
+        errors = pkg.mimo.interval_errors
         rows = (len(cfgs) // len(sent), len(sent), -1)
 
         def observe(xs):
@@ -130,38 +139,58 @@ def timed(pkg, shape: str, case, keep: bool = False) -> tuple[float, tuple]:
             counts.append(errors(xs.reshape(len(xs), *rows), *bounds))
             if keep:
                 seen.append(xs.copy())
+        kw["observe"] = observe
+    if (shape == "rows_45_certified"
+            and "certify" in inspect.signature(pkg.apsm.apsm_run_batch).parameters):
+        kw["certify"] = True
     t0 = time.perf_counter()
-    x, traces = pkg.apsm.apsm_run_batch(costs, cfgs, c, observe=observe,
+    x, traces = pkg.apsm.apsm_run_batch(costs, cfgs, c, **kw,
                                         record_iterates=shape == "validate_18_recorded")
-    return time.perf_counter() - t0, (x, traces, seen)
+    seconds = time.perf_counter() - t0
+    if counts:
+        counts += [counts[-1][-1:]] * (cfgs[0].max_iters - sum(map(len, counts)))
+    return seconds, (x, traces, seen, counts)
 
 
 def _bits(a) -> bytes | None:
     return None if a is None else a.tobytes()
 
 
+def same_counts(a, b) -> bool:
+    """Whether two runs' concatenated per-iteration counts are the same."""
+    return b"".join(map(_bits, a[3])) == b"".join(map(_bits, b[3]))
+
+
 def same_bits(a, b) -> bool:
-    """Whether two runs' final iterates, thetas, recorded iterates and
-    concatenated observed arrays are bitwise the same."""
-    (xa, ta, sa), (xb, tb, sb) = a, b
-    return (xa.tobytes() == xb.tobytes()
+    """Whether two runs' final iterates, thetas, recorded iterates,
+    concatenated observed arrays and counts are bitwise the same."""
+    (xa, ta, sa, _), (xb, tb, sb, _) = a, b
+    return (xa.tobytes() == xb.tobytes() and same_counts(a, b)
             and b"".join(map(_bits, sa)) == b"".join(map(_bits, sb))
             and all(s.theta.tobytes() == t.theta.tobytes()
                     and _bits(s.iterates) == _bits(t.iterates)
                     for s, t in zip(ta, tb, strict=True)))
 
 
+def same_decisions(a, b, c) -> bool:
+    """Whether two runs' per-iteration counts and the slices of their final
+    iterates on constellation ``c`` are the same."""
+    return same_counts(a, b) and c.nearest(a[0]).tobytes() == c.nearest(b[0]).tobytes()
+
+
 def time_shape(pkgs, shape: str, seed: int, stacks: int, runs: int) -> dict:
     ratios = []
     for s in range(stacks):
         cases = [stack(pkg, shape, seed + s) for pkg in pkgs]
+        check = (partial(same_decisions, c=cases[0][2]) if shape == "rows_45_certified"
+                 else same_bits)
         best = [float("inf")] * 2
         for r in range(runs):
             results = [None, None]
             for side in ((0, 1) if r % 2 == 0 else (1, 0)):
                 seconds, results[side] = timed(pkgs[side], shape, cases[side], keep=r == 0)
                 best[side] = min(best[side], seconds)
-            if r == 0 and not same_bits(*results):
+            if r == 0 and not check(*results):
                 raise SystemExit(f"{shape} stack {seed + s}: the sides differ")
         ratios.append(round(best[1] / best[0], 4))
     return {"ratios": ratios, "median": round(statistics.median(ratios), 4)}
