@@ -124,49 +124,66 @@ def _perturbation(cfg: ApsmConfig, x: np.ndarray, c: Constellation) -> np.ndarra
 
 
 def _certified(stacks: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarray,
-               fixed: int, c: Constellation, rho_least: np.ndarray) -> bool:
+               fixed: int, c: Constellation, tau: np.ndarray, later_beta: np.ndarray,
+               rho_least: np.ndarray) -> bool:
     """Whether no row of the stack at x = x_n can step again, nor change its
-    slicing decision, while every later block beta is at most 1 and every
-    later radius is at least ``rho_least``.
+    slicing decision, while the block betas ``later_beta`` of the
+    iterations from n on are at most 1 and every later radius is at least
+    ``rho_least``.
 
-    Each row's later iterates stay in R, the coordinate hull of x_n and its
-    slice P_S(x_n) (R = {x_n} for a fixed row): a block point moved toward
-    its soft slice by a fraction of at most 1 stays between x and its slice
-    (at worst one ulp past the level), the clamp of a box point is that
-    point, and a step needs a positive theta. R lies in x_n's slicing
-    intervals, so the slice, and with it every later perturbation and
-    decision, stays x_n's. With c the center of R and r its half-widths,
-    every z in R has ||H z - y|| <= ||H c - y|| + sum_i r_i ||h_i||, and
-    ||h_i||^2 = G_ii. So a row for which (sqrt(f(c) + e) + sum_i r_i
-    sqrt(G_ii))^2 + e <= rho_least holds has every later theta 0 (theta
-    is zero exactly when the computed residual is at most the radius), and
-    by induction never steps again.
+    While no theta is positive, an iteration k moves each block coordinate
+    toward its level by beta_k min(tau, |x_k - level|), never past it (at
+    worst one ulp). With r = P_S(x_n) - x_n and S the sum of the row's
+    later betas, each later iterate of the row so stays in R, the
+    coordinate hull of x_n and x_n + min(|r|, S min(tau, |r|)) sign(r),
+    widened by a slack s on each side (R = {x_n} for a fixed row: the clamp
+    of a box point is that point). R lies in x_n's slicing intervals, so
+    the slice, and with it every later perturbation and decision, stays
+    x_n's. With c the center of R and q its half-widths, every z = c +
+    delta in R has exactly f(z) = f(c) + 2 (Gc - H'y)'delta + delta'G delta
+    <= f(c) + 2 |Gc - H'y|'q + q'|G|q. A row whose bound, plus 2e, is at
+    most ``rho_least`` thus has every later theta 0 (theta is zero exactly
+    when the computed residual is at most the radius), and by induction
+    never steps again.
+
+    The slack s = (k + 1) 2^-48 a_max, k later iterations, covers the
+    rounding of the moves. An iteration's computed move exceeds its exact
+    one by a few roundings of quantities below 2 a_max. The computed S,
+    k terms summed, falls short of the exact sum by at most k 2^-53 S,
+    which costs at most k 2^-52 a_max while S min(tau, |r_i|) < |r_i| <=
+    a_max (when not, the level bounds the move). Both stay below 2^-48
+    a_max per iteration; the one more covers the ulp past the level and
+    the rounding of c and q.
 
     The margin e = CERTIFY_MARGIN w^2, w = a_max sum_i sqrt(G_ii) +
-    sqrt(y'y) per row, covers the rounding. The residual is computed as
-    x'Gx - 2h'x + y'y, whose terms cancel: with |G_ij| <= ||h_i|| ||h_j||
-    and |h_i| <= ||h_i|| ||y|| (Cauchy-Schwarz, up to the rounding of G, h
-    and y'y themselves, m rows of H deep), its error at any box point is
-    at most (m + 2d + 4) 2^-53 w^2, below 2^-30 w^2 for m + 2d below 2^22.
-    That error enters once at c (inside the root, as f(c) + e bounds
-    ||H c - y||^2) and once at z (outside). What is left is a few dozen
-    roundings of at most d terms each: c and r (R within r + 2 ulp(a_max)
-    of c, plus the ulp past the level), the sum of r_i sqrt(G_ii) against
-    sum_i r_i ||h_i||, and the test's own arithmetic, each below 2^-30 w^2
-    for d below 2^17; e is four times 2^-30 w^2. A nan anywhere fails the
-    test.
+    sqrt(y'y) per row, covers the rounding of the bound. The residual is
+    computed as x'Gx - 2h'x + y'y, whose terms cancel: with |G_ij| <=
+    ||h_i|| ||h_j|| and |h_i| <= ||h_i|| ||y|| (Cauchy-Schwarz, up to the
+    rounding of G, h and y'y themselves, m rows of H deep), its error at
+    any box point is at most (m + 2d + 4) 2^-53 w^2, below 2^-30 w^2 for
+    m + 2d below 2^22. That error enters once at c and once at z; an
+    asymmetry of G would be a rounding of H'H, of the same size. The two
+    new terms are at most 2 w^2 and w^2 (|Gc - H'y|_i <= ||h_i|| w, and
+    q_i <= a_max), so their roundings over d terms each, and the test's own
+    arithmetic, stay below 2^-30 w^2 each for d below 2^17; 2e is eight
+    times 2^-30 w^2. A nan anywhere fails the test.
     """
     gram, hty, yty = stacks
-    col_norms = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
-    margin = CERTIFY_MARGIN * (c.a_max * col_norms.sum(axis=1) + np.sqrt(yty)) ** 2
-    ends = x.copy()
-    ends[fixed:] = c.nearest(x[fixed:])
-    center = ends + x
-    center *= 0.5
-    half = np.abs(ends - x)
+    w = c.a_max * np.sqrt(np.diagonal(gram, axis1=1, axis2=2)).sum(axis=1) + np.sqrt(yty)
+    block = slice(fixed, None)
+    r = c.nearest(x[block]) - x[block]
+    half = np.minimum(np.abs(r), tau)
+    half *= later_beta.sum(axis=0)
+    np.minimum(half, np.abs(r), out=half)
     half *= 0.5
-    f = residuals(hty, yty, center, np.matvec(gram, center))
-    bound = (np.sqrt(f + margin) + np.vecdot(half, col_norms)) ** 2 + margin
+    center = x.copy()
+    center[block] += np.copysign(half, r)
+    half += (len(later_beta) + 1) * 2.0**-48 * c.a_max
+    gc = np.matvec(gram, center)
+    bound = residuals(hty, yty, center, gc)
+    bound[block] += (2.0 * np.vecdot(np.abs(gc[block] - hty[block]), half)
+                     + np.vecdot(half, np.matvec(np.abs(gram[block]), half)))
+    bound += 2.0 * CERTIFY_MARGIN * w**2
     return bool((bound <= rho_least).all())
 
 
@@ -205,9 +222,11 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     n < ``max_iters`` whose last iteration left every theta at 0, and
     after which no block beta is above 1, ``_certified`` may prove that no
     row steps again and that every later iterate has x_n's slicing
-    decisions. The stack then returns x_n, its thetas from n on are 0, and
-    ``observe`` has seen x_1 .. x_n alone. Without ``certify`` (the
-    default) every stack goes the full budget.
+    decisions: it bounds each row's residual, to second order, over the
+    hull of x_n and the points toward its slice that the row's remaining
+    betas can still reach. The stack then returns x_n, its thetas from n
+    on are 0, and ``observe`` has seen x_1 .. x_n alone. Without
+    ``certify`` (the default) every stack goes the full budget.
 
     Each step is given the bound a_max (1 + 2 beta_max) on the perturbed
     points, beta_max the largest beta of the block: every x_n is a box
@@ -265,7 +284,8 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     box = c.box()
     rho = np.stack([schedule_table(cfg.rho, steps) for cfg in row_cfgs], axis=1)
     mu = np.array([cfg.mu for cfg in row_cfgs])
-    tau = np.array([[cfg.tau if cfg.variant == "l1" else np.inf] for cfg in row_cfgs[block]])
+    tau = np.array([cfg.tau if cfg.variant == "l1" else np.inf for cfg in row_cfgs[block]]
+                   ).reshape(-1, 1)
     beta = np.array([schedule_table(cfg.beta, steps) for cfg in row_cfgs[block]]
                     ).reshape(-1, steps).T[:, :, None]
     perturbing = beta.any(axis=(1, 2)).tolist()
@@ -329,7 +349,7 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
             observe(out if in_order else out[:, rows])
         quiet = not np.count_nonzero(thetas[end - 1])
         if (certify and quiet and end < steps and not any(overshoots[end:])
-                and _certified(stacks, x, fixed, c, rho[end:].min(axis=0))):
+                and _certified(stacks, x, fixed, c, tau, beta[end:], rho[end:].min(axis=0))):
             thetas[end:] = 0.0
             break
 

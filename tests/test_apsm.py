@@ -30,6 +30,7 @@ from sapsm.cost import (
     QuadraticResidualCost,
     RhoSchedule,
     apsm_map,
+    schedule_table,
     standard_config,
 )
 from sapsm.errors import ConfigError, DimensionMismatch, NonFiniteIterate
@@ -1066,6 +1067,16 @@ class TestCertifiedStop:
         assert (c.nearest(iterates[stop:]) == c.nearest(final)).all()
         counts = interval_errors(iterates[1:], *slicing_interval(sent, c))
         assert (counts[stop:] == counts[stop - 1]).all()
+        # and lies in the hull the certificate bounded: between x_stop and
+        # the point toward its slice that the remaining betas can reach,
+        # min(|r|, S min(tau, |r|)) away, widened by the rounding slack
+        x_stop = iterates[stop]
+        r = c.nearest(x_stop) - x_stop
+        reach = np.array([[schedule_table(cfg.beta, steps)[stop:].sum()] for cfg in cfgs])
+        tau = np.array([[cfg.tau if cfg.variant == "l1" else math.inf] for cfg in cfgs])
+        half = np.minimum(np.abs(r), reach * np.minimum(tau, np.abs(r))) / 2
+        slack = (steps - stop + 1) * 2.0**-48 * c.a_max
+        assert (np.abs(iterates[stop:] - x_stop - np.copysign(half, r)) <= half + slack).all()
         # a beta above 1 in the block is never certified
         if any(cfg.variant == "l1" and cfg.beta.value > 1.0 for cfg in cfgs):
             assert stop == steps and final.tobytes() == full.tobytes()
@@ -1079,7 +1090,10 @@ class TestCertifiedStop:
         full, traces = apsm_run_batch(costs, cfgs, QAM16)
         final, _, seen = certified_run(costs, cfgs, QAM16)
         stop = len(seen)
-        assert 150 < stop < 300 and stop % CHUNK == 0
+        # the first chunk end whose chunk ends on a zero theta row after the
+        # full run's last positive theta
+        last = max(int(np.flatnonzero(trace.theta).max()) for trace in traces)
+        assert stop == CHUNK * ((last + 1) // CHUNK + 1) == 204
         assert QAM16.nearest(full).tobytes() == QAM16.nearest(final).tobytes()
         assert all(not trace.theta[stop - 1:].any() for trace in traces)
         # with a beta of 1.7 on one row, the stack goes the full budget
@@ -1103,15 +1117,17 @@ class TestCertifiedStop:
         assert len(seen) == stop and not seen.any() and not final.any()
         assert not trace.theta.any()
 
-    @pytest.mark.parametrize("rho, stop", [(1.2, 120), (2.6, CHUNK)])
+    @pytest.mark.parametrize("rho, stop", [(1.2, 120), (2.2, CHUNK), (2.6, CHUNK)])
     def test_a_block_row_is_certified_on_the_hull_of_x_and_its_slice(self, rho, stop):
         # f(x) = ||x - (0.3, 0.3)||^2; the l2 row walks from 0 toward its
         # slice (-a, -a), a = 0.707, by 2% of the way each iteration, and no
         # theta is positive before iteration 55 at radius 1.2. At the first
         # chunk end x_12 = -0.152 and the center of the hull, -0.43, both
-        # lie within 1.2, but the slice (f = 2.03) does not: the bound
-        # (sqrt(f(c)) + sum_i r_i ||h_i||)^2 = 2.5 refuses the stop, and the
-        # row steps from 55 on. At radius 2.6 the bound admits it
+        # lie within 1.2, but the slice (f = 2.03) does not. Its remaining
+        # betas sum to 2.16, so the hull reaches the slice, and the bound
+        # f(c) + 2 |Gc - H'y|'r + r'|G|r is 2.03, f at the slice (exact for
+        # a separable f): it refuses the stop, and the row steps from 55 on.
+        # At radii 2.2 and 2.6 the bound admits it
         cost = QuadraticResidualCost(np.eye(2), np.array([0.3, 0.3]))
         cfg = ApsmConfig(rho=RhoSchedule(rho), beta=BetaSchedule.constant(0.02), variant="l2",
                          max_iters=120)
@@ -1120,6 +1136,25 @@ class TestCertifiedStop:
         assert len(seen) == stop and final.tobytes() == trace.iterates[stop].tobytes()
         assert not trace.theta[:55].any()
         assert trace.theta[55:].any() == (stop == 120)
+
+    def test_an_l2_row_is_certified_on_the_hull_its_remaining_betas_reach(self):
+        # the same f; the l2 row's geometric beta 0.7^n pulls it toward the
+        # slice (f = 2.03) while a radius growing from 1 by 0.5% per
+        # iteration pushes it back, until its last step at 14. At the chunk
+        # end 24 its remaining betas sum to 0.7^24 / 0.3 < 1e-3: the hull
+        # they reach lies within the radius, while the slice, which its
+        # full hull holds, lies outside every radius of the run
+        cost = QuadraticResidualCost(np.eye(2), np.array([0.3, 0.3]))
+        cfg = ApsmConfig(rho=RhoSchedule(1.0, 1.005), beta=BetaSchedule.geometric(0.7),
+                         variant="l2", max_iters=120)
+        full, (trace,) = apsm_run_batch([cost], [cfg], QPSK, record_iterates=True)
+        final, _, seen = certified_run([cost], [cfg], QPSK)
+        stop = len(seen)
+        last = int(np.flatnonzero(trace.theta).max())
+        assert last == 14 and stop == CHUNK * ((last + 1) // CHUNK + 1) == 24
+        assert final.tobytes() == trace.iterates[stop].tobytes()
+        assert schedule_table(cfg.beta, 120)[stop:].sum() < 1e-3
+        assert cost.residual_sq(QPSK.nearest(final[0])) > trace.rho[-1]
 
     def test_a_recorded_run_is_not_certified(self):
         _, cost = small_instance()

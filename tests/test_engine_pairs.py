@@ -23,6 +23,17 @@ def parent_checkout(root: Path) -> Path:
     return root
 
 
+def uncertified_parent(root: Path) -> Path:
+    """A checkout whose engine takes no certify, so runs the full budget."""
+    parent = parent_checkout(root)
+    apsm = parent / "src" / "sapsm" / "apsm.py"
+    text = apsm.read_text()
+    signature, start = ",\n                   certify: bool = False)", "    if len(cfgs) != len(costs):"
+    assert text.count(signature) == text.count(start) == 1
+    apsm.write_text(text.replace(signature, ")").replace(start, "    certify = False\n" + start))
+    return parent
+
+
 def test_one_round_on_a_tiny_stack(tmp_path, capsys):
     parent = parent_checkout(tmp_path)
     path = sys.path[:]
@@ -89,12 +100,7 @@ def test_recorded_and_observed_shapes_compare_what_they_hand_over(tmp_path, caps
 def test_the_certified_shape_compares_counts_and_decisions(tmp_path, capsys):
     # a parent whose engine takes no certify runs the full budget; the
     # counts and decisions of the two sides agree, their iterates do not
-    parent = parent_checkout(tmp_path)
-    apsm = parent / "src" / "sapsm" / "apsm.py"
-    text = apsm.read_text()
-    signature, start = ",\n                   certify: bool = False)", "    if len(cfgs) != len(costs):"
-    assert text.count(signature) == text.count(start) == 1
-    apsm.write_text(text.replace(signature, ")").replace(start, "    certify = False\n" + start))
+    parent = uncertified_parent(tmp_path)
     assert engine_pairs.main(["--parent", str(parent), "--stacks", "1", "--runs", "1",
                               "--shape", "rows_45_certified"]) == 0
     assert list(json.loads(capsys.readouterr().out)["shapes"]) == ["rows_45_certified"]
@@ -113,3 +119,26 @@ def test_the_certified_shape_compares_counts_and_decisions(tmp_path, capsys):
     x = x.copy()
     x[0] = -x[0]
     assert not engine_pairs.same_decisions((x, traces, seen, certified[3]), full, case[2])
+
+
+def test_the_unobserved_certified_shape_compares_decisions(tmp_path, capsys):
+    # the corr_snr batch as a sweep runs it: unobserved, so the sides
+    # compare final decisions alone
+    parent = uncertified_parent(tmp_path)
+    assert engine_pairs.main(["--parent", str(parent), "--stacks", "1", "--runs", "1",
+                              "--shape", "rows_15_certified"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["shapes"]) == ["rows_15_certified"]
+    assert "sapsm_parent" not in sys.modules
+    case = engine_pairs.stack(sapsm, "rows_15_certified", 0)
+    assert case[0][0].gram.tobytes() == engine_pairs.stack(sapsm, "rows_15", 0)[0][0].gram.tobytes()
+    certified = engine_pairs.timed(sapsm, "rows_15_certified", case, keep=True)[1]
+    full = engine_pairs.timed(sapsm, "rows_15", case, keep=True)[1]
+    x, traces, seen, counts = certified
+    assert len(x) == 15 and seen == counts == []
+    # the certified stack stopped early, so its final iterates differ from
+    # the full run's, their decisions do not
+    assert not engine_pairs.same_bits(certified, full)
+    assert engine_pairs.same_decisions(certified, full, case[2])
+    x = x.copy()
+    x[0] = -x[0]
+    assert not engine_pairs.same_decisions((x, traces, seen, counts), full, case[2])

@@ -27,16 +27,19 @@ the same costs and configs for both sides:
   counts a per-iteration sweep (the ``ref_iter`` batch);
 - ``rows_45_certified``: the ``rows_45_observed`` stack run as ``sim``
   runs it, with ``certify=True`` where the side's engine takes it; a
-  stack stopped early repeats its last counts to the end of the budget.
+  stack stopped early repeats its last counts to the end of the budget;
+- ``rows_15_certified``: the ``rows_15`` stack run as ``sim`` runs the
+  ``corr_snr`` batch, unobserved, with ``certify=True`` where the side's
+  engine takes it.
 
 Each stack runs ``--runs`` times per side, the sides alternating which goes
 first; the first run of each side must give bitwise the same final iterates,
 thetas, recorded iterates, concatenated observed arrays and counts. A
-certified stop returns other final iterates and thetas by design, so
-``rows_45_certified`` compares the per-iteration counts and the final
-decisions (the slice of each final iterate) alone. The JSON printed holds,
-per shape, the change-over-parent ratio of each stack's minimum times and
-their median.
+certified stop returns other final iterates and thetas by design, so the
+``*_certified`` shapes compare the per-iteration counts (none for
+``rows_15_certified``) and the final decisions (the slice of each final
+iterate) alone. The JSON printed holds, per shape, the change-over-parent
+ratio of each stack's minimum times and their median.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SHAPES = ("rows_15", "rows_45", "rows_192", "validate_18", "never_quiet", "l1_beta_1.7",
-          "validate_18_recorded", "rows_45_observed", "rows_45_certified")
+          "validate_18_recorded", "rows_45_observed", "rows_45_certified",
+          "rows_15_certified")
 
 
 def parse_args(argv):
@@ -100,7 +104,7 @@ def stack(pkg, shape: str, seed: int):
     mimo, cost = pkg.mimo, pkg.cost
     k, n, mod, iters, model = 16, 64, "16qam", 300, mimo.ChannelModel("iid")
     snrs = [9.0] * 5
-    if shape == "rows_15":
+    if shape.startswith("rows_15"):
         model, snrs = mimo.ChannelModel("kronecker", 0.8, 0.8), [18.0] * 5
     elif shape.startswith("rows_45"):
         snrs = [5.0, 9.0, 13.0] * 5
@@ -140,7 +144,7 @@ def timed(pkg, shape: str, case, keep: bool = False) -> tuple[float, tuple]:
             if keep:
                 seen.append(xs.copy())
         kw["observe"] = observe
-    if (shape == "rows_45_certified"
+    if (shape.endswith("_certified")
             and "certify" in inspect.signature(pkg.apsm.apsm_run_batch).parameters):
         kw["certify"] = True
     t0 = time.perf_counter()
@@ -182,7 +186,7 @@ def time_shape(pkgs, shape: str, seed: int, stacks: int, runs: int) -> dict:
     ratios = []
     for s in range(stacks):
         cases = [stack(pkg, shape, seed + s) for pkg in pkgs]
-        check = (partial(same_decisions, c=cases[0][2]) if shape == "rows_45_certified"
+        check = (partial(same_decisions, c=cases[0][2]) if shape.endswith("_certified")
                  else same_bits)
         best = [float("inf")] * 2
         for r in range(runs):
