@@ -9,6 +9,7 @@ towards ``S`` either by hard slicing or by soft-thresholded slicing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,13 +93,22 @@ _FACTORIES = {
 
 
 def constellation(name: str) -> Constellation:
-    """Build a named constellation, scaled to unit average symbol energy."""
+    """The named constellation, scaled to unit average symbol energy. Each
+    name is built once and shared; its arrays are read-only."""
     try:
-        raw = _FACTORIES[name.lower()]
+        return _named_constellation(name.lower())
     except KeyError:
         raise ConfigError(f"unknown modulation {name!r}") from None
+
+
+@lru_cache(maxsize=None)
+def _named_constellation(name: str) -> Constellation:
+    raw = _FACTORIES[name]
     scale = np.sqrt(2.0 * np.mean(raw**2))
-    return Constellation(raw / scale)
+    c = Constellation(raw / scale)
+    for a in (c.levels, c.midpoints, c.edges):
+        a.flags.writeable = False
+    return c
 
 
 def project_box(x: np.ndarray, box: BoxSet, out: np.ndarray | None = None) -> np.ndarray:

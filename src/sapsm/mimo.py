@@ -151,7 +151,7 @@ def interval_errors(x_hat: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> 
     k = x_hat.shape[-1] // 2
     right = x_hat > lower
     right &= x_hat <= upper
-    return k - np.count_nonzero(right[..., :k] & right[..., k:], axis=-1)
+    return k - (right[..., :k] & right[..., k:]).sum(axis=-1)
 
 
 def symbol_errors(x_hat: np.ndarray, s: np.ndarray,

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,8 +108,7 @@ def resolve_apsm_config(cfg: ExperimentConfig,
     return cfg.run_configs.get(kind)
 
 
-@dataclass(frozen=True)
-class SerRow:
+class SerRow(NamedTuple):
     detector: str
     x_kind: str
     x_value: float
@@ -120,7 +120,7 @@ class SerRow:
         return self.errors / self.symbols
 
     def to_dict(self) -> dict:
-        return asdict(self) | {"ser": self.ser}
+        return self._asdict() | {"ser": self.ser}
 
 
 @dataclass
@@ -129,7 +129,7 @@ class SerTable:
 
     def __post_init__(self):
         # row order is part of the output: detector, then x-value
-        self.rows = sorted(self.rows, key=lambda r: (r.detector, r.x_value))
+        self.rows = sorted(self.rows, key=itemgetter(0, 2))
 
 
 def _batch_errors(cfg: ExperimentConfig, c: Constellation, per_iteration: bool,
@@ -210,6 +210,9 @@ def _map_batches(fn, batches: list, workers: int):
         return map(fn, batches)
 
     def parallel():
+        # loaded here, so a serial sweep never imports the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(batches) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_worker) as executor:
@@ -241,12 +244,13 @@ def run_ser_vs_iter(cfg: ExperimentConfig, workers: int = 1) -> SerTable:
     tasks = [(0, trial_seed(cfg.master_seed, t)) for t in range(cfg.trials)]
     totals = _sweep(cfg, True, tasks, workers)
     symbols = cfg.k * cfg.trials
+    its = [float(it) for it in range(1, cfg.max_iters + 1)]
     rows = []
     for kind in cfg.detectors:
         counts = np.broadcast_to(totals[(kind, 0)], cfg.max_iters).tolist()
         name = kind.value
-        rows += [SerRow(name, "iter", float(it), errors, symbols)
-                 for it, errors in enumerate(counts, 1)]
+        rows += [SerRow(name, "iter", it, errors, symbols)
+                 for it, errors in zip(its, counts)]
     return SerTable(rows)
 
 
@@ -270,9 +274,19 @@ def table_text(table: SerTable, fmt: str = "csv") -> str:
         names = {r.detector for r in table.rows} | {r.x_kind for r in table.rows}
         if any(c in n for n in names for c in ',"\n\r'):
             raise ConfigError("CSV names may not hold a comma, quote or line break")
-        return "\n".join([",".join(CSV_HEADER)] + [
-            f"{r.detector},{r.x_kind},{format(r.x_value, '.17g')},{r.errors},"
-            f"{r.symbols},{format(r.ser, '.17g')}" for r in table.rows]) + "\n"
+        # each distinct x-value and ratio is formatted once per call
+        x_text, ser_text = {}, {}
+        lines = [",".join(CSV_HEADER)]
+        for detector, x_kind, x, errors, symbols in table.rows:
+            xs = x_text.get(x)
+            if xs is None or not x:
+                # 0.0 and -0.0 share a key but print apart: a zero skips the memo
+                xs = x_text[x] = format(x, ".17g")
+            ser = ser_text.get((errors, symbols))
+            if ser is None:
+                ser = ser_text[errors, symbols] = format(errors / symbols, ".17g")
+            lines.append(f"{detector},{x_kind},{xs},{errors},{symbols},{ser}")
+        return "\n".join(lines) + "\n"
     if fmt == "json":
         return json.dumps({"rows": [r.to_dict() for r in table.rows]}, sort_keys=True,
                           separators=(",", ":")) + "\n"

@@ -418,6 +418,15 @@ class TestBoxOracle:
                 assert cost.residual_sq(res.x) <= ref_obj + 1e-9
 
 
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter on this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out
+
+
 def test_import_and_detect_load_no_scipy():
     # the package needs numpy alone; importing scipy.linalg would add about
     # 0.3 s and 24 MB to every interpreter
@@ -438,12 +447,29 @@ def test_import_and_detect_load_no_scipy():
         assert code == 0, code
         assert scipy_modules() == [], scipy_modules()
     """
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, timeout=60)
-    assert out.returncode == 0, out.stderr
+    out = run_fresh(code)
     # four detect lines, then the CSV header and one row per baseline
     assert len(out.stdout.splitlines()) == 4 + 3
+
+
+def test_serial_sweep_loads_no_process_pool():
+    # only a sweep with more than one worker starts the process pool, so
+    # the import and every serial sweep skip its modules
+    code = """if True:
+        import sys
+        import sapsm
+        from sapsm.detectors import DetectorKind as D
+        from sapsm.sim import ExperimentConfig, run_ser_vs_iter
+        def pool_modules():
+            return sorted(m for m in sys.modules
+                          if m == "concurrent.futures.process" or m.startswith("multiprocessing"))
+        assert pool_modules() == [], pool_modules()
+        cfg = ExperimentConfig(k=2, n=4, modulation="qpsk", trials=3, max_iters=20,
+                               detectors=(D.APSM_PLAIN, D.LMMSE))
+        assert len(run_ser_vs_iter(cfg, workers=1).rows) == 2 * 20
+        assert pool_modules() == [], pool_modules()
+    """
+    run_fresh(code)
 
 
 class TestMlBruteforce:

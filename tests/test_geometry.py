@@ -65,6 +65,15 @@ class TestConstellation:
         with pytest.raises(ConfigError):
             constellation("8psk")
 
+    @pytest.mark.parametrize("name", ["qpsk", "16qam", "64qam"])
+    def test_named_constellation_is_shared_and_read_only(self, name):
+        c = constellation(name)
+        assert constellation(name) is c
+        assert constellation(name.upper()) is c
+        for a in (c.levels, c.midpoints, c.edges):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
     def test_box_positivity(self):
         with pytest.raises(ConfigError):
             BoxSet(0.0)

@@ -10,8 +10,10 @@ from sapsm.mimo import (
     ChannelModel,
     add_noise,
     gen_channel,
+    interval_errors,
     make_instance,
     realify,
+    slicing_interval,
     snr_to_sigma2,
     symbol_errors,
     transmit,
@@ -314,6 +316,36 @@ class TestSymbolErrors:
         c, x, s = case
         np.testing.assert_array_equal(symbol_errors(x, s, c),
                                       symbol_errors_by_slicing(x, s, c))
+
+
+class TestIntervalErrors:
+    @pytest.mark.parametrize("seed", range(9))
+    def test_stack_matches_a_per_symbol_loop(self, seed):
+        # (m, 3, B, 2K) estimates against B references, as a per-iteration
+        # sweep counts them; coordinates drawn uniformly, non-finite, or
+        # exactly on an end of their interval
+        rng = np.random.default_rng(seed)
+        c = constellation(MODULATIONS[seed % 3])
+        m, b, k = (int(v) for v in rng.integers(1, 5, size=3))
+        s = c.levels[rng.integers(0, c.size, size=(b, 2 * k))]
+        lower, upper = slicing_interval(s, c)
+        shape = (m, 3, b, 2 * k)
+        pick = rng.integers(0, 6, size=shape)
+        x = np.select([pick == 1, pick == 2, pick == 3, pick == 4, pick == 5],
+                      [np.broadcast_to(lower, shape), np.broadcast_to(upper, shape),
+                       np.nan, np.inf, -np.inf],
+                      rng.uniform(-2.0 * c.a_max, 2.0 * c.a_max, size=shape))
+        want = np.empty(shape[:-1], dtype=np.intp)
+        for idx in np.ndindex(*shape[:-1]):
+            row, lo, hi = x[idx], lower[idx[-1]], upper[idx[-1]]
+            want[idx] = sum(not (lo[j] < row[j] <= hi[j] and lo[j + k] < row[j + k] <= hi[j + k])
+                            for j in range(k))
+        got = interval_errors(x, lower, upper)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, want)
+        for idx in np.ndindex(*shape[:-1]):
+            count = symbol_errors(x[idx], s[idx[-1]], c)
+            assert type(count) is int and count == want[idx]
 
 
 class TestInstance:

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sapsm.sim
 from sapsm.apsm import CHUNK, apsm_run_batch
@@ -342,6 +344,38 @@ class TestEmit:
         with pytest.raises(ConfigError, match="comma"):
             table_text(SerTable([row]))
         assert json.loads(table_text(SerTable([row]), fmt="json"))["rows"]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    @example(data=None)
+    def test_memoized_csv_and_json_round_trip(self, data):
+        # the CSV text formats each distinct x-value and (errors, symbols)
+        # pair once: drawn from small pools, rows repeat both, and a pool
+        # may hold 0.0 next to -0.0, and +-inf
+        if data is None:
+            rows = [SerRow("a", "iter", x, 3, 8) for x in (0.0, -0.0, 0.0, np.inf, -np.inf)]
+        else:
+            xs = data.draw(st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1.0])
+                                    | st.floats(allow_nan=False), min_size=1, max_size=6))
+            pairs = data.draw(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 40)),
+                                       min_size=1, max_size=4))
+            rows = data.draw(st.lists(st.builds(
+                lambda name, kind, x, pair: SerRow(name, kind, x, *pair),
+                st.sampled_from(["a", "b"]), st.sampled_from(["iter", "snr_db"]),
+                st.sampled_from(xs), st.sampled_from(pairs)), max_size=30))
+        table = SerTable(rows)
+        assert table_text(table) == table_text_csv_writer(table)
+        back = [SerRow(r["detector"], r["x_kind"], r["x_value"], r["errors"], r["symbols"])
+                for r in json.loads(table_text(table, fmt="json"))["rows"]]
+        # repr tells -0.0 from 0.0, which compare equal
+        assert repr(back) == repr(table.rows)
+
+    def test_row_is_a_named_tuple(self):
+        row = SerRow("lmmse", "snr_db", 9.0, 3, 40)
+        assert row == ("lmmse", "snr_db", 9.0, 3, 40)
+        assert row._replace(errors=4).ser == 0.1
+        assert row.to_dict() == {"detector": "lmmse", "x_kind": "snr_db", "x_value": 9.0,
+                                 "errors": 3, "symbols": 40, "ser": 0.075}
 
     def test_row_order_stable(self):
         table = SerTable([
