@@ -29,14 +29,13 @@ from .cost import (
     schedule_table,
     stack_costs,
     sublevel_step,
-    sublevel_theta,
 )
 from .errors import ConfigError, NonFiniteIterate
 from .geometry import Constellation, perturbation_l1, perturbation_l2, project_box, soft_slice
 
 TRACE_COLUMNS = ("n", "theta", "objective", "rho", "step_norm", "pert_norm")
-# iterations per chunk: a quiet chunk runs as perturbation and box clamp
-# alone, and ``observe`` sees one chunk's iterates per call
+# iterations per chunk: chunk ends are where ``observe`` is called and the
+# certificate is tried
 CHUNK = 12
 # rounding slack on the right-hand side of every audited inequality
 AUDIT_TOL = 1e-9
@@ -124,12 +123,12 @@ def _perturbation(cfg: ApsmConfig, x: np.ndarray, c: Constellation) -> np.ndarra
 
 
 def _certified(stacks: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarray,
-               fixed: int, c: Constellation, tau: np.ndarray, later_beta: np.ndarray,
-               rho_least: np.ndarray) -> bool:
+               fixed: int, c: Constellation, sliced: np.ndarray, tau: np.ndarray,
+               later_beta: np.ndarray, rho_least: np.ndarray) -> bool:
     """Whether no row of the stack at x = x_n can step again, nor change its
     slicing decision, while the block betas ``later_beta`` of the
     iterations from n on are at most 1 and every later radius is at least
-    ``rho_least``.
+    ``rho_least``; ``sliced`` is P_S of the block's x_n.
 
     While no theta is positive, an iteration k moves each block coordinate
     toward its level by beta_k min(tau, |x_k - level|), never past it (at
@@ -171,7 +170,7 @@ def _certified(stacks: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarray,
     gram, hty, yty = stacks
     w = c.a_max * np.sqrt(np.diagonal(gram, axis1=1, axis2=2)).sum(axis=1) + np.sqrt(yty)
     block = slice(fixed, None)
-    r = c.nearest(x[block]) - x[block]
+    r = sliced - x[block]
     half = np.minimum(np.abs(r), tau)
     half *= later_beta.sum(axis=0)
     np.minimum(half, np.abs(r), out=half)
@@ -218,15 +217,19 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     at x_0 = 0, and every iterate lies in the box. The loop records theta
     alone, in one table of which each trace holds a column.
 
-    ``certify`` lets an unrecorded stack stop early. At each chunk end
-    n < ``max_iters`` whose last iteration left every theta at 0, and
-    after which no block beta is above 1, ``_certified`` may prove that no
-    row steps again and that every later iterate has x_n's slicing
-    decisions: it bounds each row's residual, to second order, over the
-    hull of x_n and the points toward its slice that the row's remaining
-    betas can still reach. The stack then returns x_n, its thetas from n
-    on are 0, and ``observe`` has seen x_1 .. x_n alone. Without
-    ``certify`` (the default) every stack goes the full budget.
+    At each chunk end n < ``max_iters`` whose last iteration left every
+    theta at 0, and after which no block beta is above 1, ``_certified``
+    may prove that no row steps again and that every later iterate has
+    x_n's slicing decisions: it bounds each row's residual, to second
+    order, over the hull of x_n and the points toward its slice that the
+    row's remaining betas can still reach. The thetas from n on are then
+    0. With ``certify`` (unrecorded stacks only) the stack returns x_n,
+    and ``observe`` has seen x_1 .. x_n alone. Without it (the default)
+    the run goes the full budget, bitwise, as perturbation and box clamp
+    alone: a zero theta makes the step the clamp, the fixed rows (those
+    before the block) do not move, as the clamp of a box point is that
+    point, and the block perturbs from the one slice P_S(x_n), which its
+    later iterates keep.
 
     Each step is given the bound a_max (1 + 2 beta_max) on the perturbed
     points, beta_max the largest beta of the block: every x_n is a box
@@ -234,25 +237,6 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     so z_n = x_n + beta_n (soft_slice(x_n) - x_n) lies within beta_n 2 a_max
     of x_n. From it ``sublevel_step`` proves, in most steps, that its
     gradient-tolerance test would keep every row, and skips it.
-
-    Iterations run in chunks of ``CHUNK``. Once the last iteration of a
-    chunk leaves every row's theta at 0, the next chunk runs quiet: the
-    fixed rows (those before the block) do not move, as the clamp of a box
-    point is that point, and each iteration only perturbs and clamps the
-    block, its perturbed points going into a (CHUNK, block rows, d) buffer;
-    the chunk's thetas are found at its end. One call finds the fixed rows'
-    (CHUNK, rows) thetas from their x against the chunk's radii, each
-    bitwise the stacked call's on the same point, and one stacked call
-    those of the block's perturbed points. The iterations before the first
-    positive theta are kept; that iteration and the rest of the chunk run
-    again as ordinary ones, from the same x, so with the same bits. While
-    every block beta of the chunk is at most 1, the chunk slices the
-    block's x once, at its start: a point moved toward its soft slice by a
-    fraction of at most 1 stays between x and its level, so in x's slicing
-    interval (correctly rounded operations are monotone, and at worst carry
-    it one ulp past the level, still inside). A chunk with a beta above 1
-    slices at every iteration. The quiet path holds one (CHUNK, block
-    rows, d) float buffer, the perturbed points.
 
     ``observe``, when given, sees every iterate x_1 .. x_final, one chunk's
     iterates per call, as one (m, B, d) array in the caller's row order,
@@ -299,59 +283,35 @@ def apsm_run_batch(costs: list[QuadraticResidualCost], cfgs: list[ApsmConfig],
     # the iterates of a chunk of an observed, unrecorded run
     buffer = (np.empty((min(CHUNK, steps), size, dim))
               if observe is not None and not record_iterates else None)
-    # a quiet chunk's perturbed block points z_n
-    zs = np.empty((min(CHUNK, steps), size - fixed, dim))
-    quiet = False
+    # P_S of the block's x once the certificate holds; from then on an
+    # iteration only perturbs and clamps the block
+    sliced = None
 
     for start in range(0, steps, CHUNK):
         end = min(start + CHUNK, steps)
         # where the chunk's iterates x_{start+1} .. x_end go, if anywhere
         out = (iterates[:, start + 1:end + 1].swapaxes(0, 1) if record_iterates
                else None if buffer is None else buffer[:end - start])
-        resume = start
-        if quiet:
-            # the block's x_{n+1} is the clamp of z_n, written where z_{n+1}
-            # is formed; the fixed rows do not move
-            zs[0] = x[block]
-            sliced = None
-            if any(perturbing[start:end]) and not any(overshoots[start:end]):
-                sliced = c.nearest(zs[0])
-            for k, n in enumerate(range(start, end)):
-                if perturbing[n]:
-                    _perturb_block(zs[k], tau, beta[n], c, sliced)
-                if n + 1 < end:
-                    project_box(zs[k], box, out=zs[k + 1])
-            m = end - start
-            # the chunk's thetas go straight into the table: the ordinary
-            # loop writes over those from the first positive one on
-            theta = thetas[start:end]
-            if fixed:
-                theta[:, :fixed] = sublevel_theta(*(a[:fixed] for a in stacks), x[:fixed],
-                                                  rho[start:end, :fixed])[1]
-            if fixed < size:
-                theta[:, block] = sublevel_theta(*(a[block] for a in stacks), zs[:m],
-                                                 rho[start:end, block])[1]
-            hot = np.flatnonzero(theta.any(axis=1))
-            kept = int(hot[0]) if hot.size else m
-            resume = start + kept
-            if kept:
-                project_box(zs[kept - 1], box, out=x[block])
-                if out is not None:
-                    out[:kept, :fixed] = x[:fixed]
-                    project_box(zs[:kept], box, out=out[:kept, block])
-        for n in range(resume, end):
+        for n in range(start, end):
             if perturbing[n]:
-                _perturb_block(x[block], tau, beta[n], c)
-            x, thetas[n] = sublevel_step(gram, hty, yty, x, rho[n], mu, box, z_bound)
+                _perturb_block(x[block], tau, beta[n], c, sliced)
+            if sliced is None:
+                x, thetas[n] = sublevel_step(gram, hty, yty, x, rho[n], mu, box, z_bound)
+            else:
+                project_box(x[block], box, out=x[block])
             if out is not None:
                 out[n - start] = x
         if observe is not None:
             observe(out if in_order else out[:, rows])
-        quiet = not np.count_nonzero(thetas[end - 1])
-        if (certify and quiet and end < steps and not any(overshoots[end:])
-                and _certified(stacks, x, fixed, c, tau, beta[end:], rho[end:].min(axis=0))):
-            thetas[end:] = 0.0
-            break
+        if (sliced is None and end < steps and not np.count_nonzero(thetas[end - 1])
+                and not any(overshoots[end:])):
+            at_end = c.nearest(x[block])
+            if _certified(stacks, x, fixed, c, at_end, tau, beta[end:],
+                          rho[end:].min(axis=0)):
+                thetas[end:] = 0.0
+                if certify:
+                    break
+                sliced = at_end
 
     # a nan in x_{n+1} reaches theta_{n+1} through the residual, and the box
     # clips an inf: theta names the first bad iteration, x only the last

@@ -83,22 +83,12 @@ def residuals(hty: np.ndarray, yty: np.ndarray, x: np.ndarray,
     """||H_i x_i - y_i||^2 per row as x'Gx - 2h'x + y'y, from the Gram
     matvecs gx, clamped at 0 against cancellation.
 
-    The clamps here and in ``sublevel_theta`` are np.maximum, whose SIMD
+    The clamps here and in ``sublevel_step`` are np.maximum, whose SIMD
     loops may differ from Python's max on -0.0 alone. Neither clamped value
     can be -0.0: the sum ends by adding y'y, which is +0.0 or positive, and
     theta subtracts a nonnegative rho from that.
     """
     return np.maximum(np.vecdot(x, gx) - 2.0 * np.vecdot(hty, x) + yty, 0.0)
-
-
-def sublevel_theta(gram: np.ndarray, hty: np.ndarray, yty: np.ndarray, z: np.ndarray,
-                   rho: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(the Gram matvecs G_i z_i, and the cost theta = (||H_i z_i - y_i||^2
-    - rho)_+) per row of z, which is (B, d) or an (m, B, d) stack of them
-    against the (B, d, d) Gram stack, each (iteration, row) bitwise its
-    (B, d) call; ``rho`` broadcasts against the rows."""
-    gz = np.matvec(gram, z)
-    return gz, np.maximum(residuals(hty, yty, z, gz) - rho, 0.0)
 
 
 def _gradient_test(take: np.ndarray, gn2: np.ndarray, z: np.ndarray) -> int:
@@ -132,7 +122,8 @@ def sublevel_step(gram: np.ndarray, hty: np.ndarray, yty: np.ndarray,
     made. A nan gn2 fails the comparison, and a non-finite bound (the
     default, inf) makes the floor inf or nan: both take the full test.
     """
-    gz, theta = sublevel_theta(gram, hty, yty, z, rho)
+    gz = np.matvec(gram, z)
+    theta = np.maximum(residuals(hty, yty, z, gz) - rho, 0.0)
     take = theta > 0.0
     stepping = np.count_nonzero(take)
     if stepping:

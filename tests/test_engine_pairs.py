@@ -47,6 +47,24 @@ def test_one_round_on_a_tiny_stack(tmp_path, capsys):
     assert sys.path == path and "sapsm_parent" not in sys.modules
 
 
+def test_one_round_of_single_runs(tmp_path, capsys):
+    # the B = 1 shape: one unrecorded apsm_run per standard variant on one
+    # 16x64 realization, compared bitwise like the other uncertified shapes
+    parent = parent_checkout(tmp_path)
+    assert engine_pairs.main(["--parent", str(parent), "--stacks", "1", "--runs", "1",
+                              "--shape", "single_runs"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["shapes"]) == ["single_runs"]
+    assert "sapsm_parent" not in sys.modules
+    case = engine_pairs.stack(sapsm, "single_runs", 0)
+    x, traces, seen, counts = engine_pairs.timed(sapsm, "single_runs", case)[1]
+    assert x.shape == (3, 32) and seen == counts == []
+    assert [trace.cfg for trace in traces] == case[1]
+    assert [trace.cfg.variant for trace in traces] == ["plain", "l2", "l1"]
+    assert all(trace.iterates is None and len(trace) == 300 for trace in traces)
+    for (cost, cfg), final in zip(zip(case[0], case[1]), x):
+        assert final.tobytes() == sapsm.apsm_run(cost, cfg, case[2])[0].tobytes()
+
+
 def test_sides_that_differ_are_refused(tmp_path):
     # a parent whose relaxation differs steps otherwise on the same stack
     parent = parent_checkout(tmp_path)

@@ -16,9 +16,9 @@ the same costs and configs for both sides:
 - ``validate_18``: 6 realizations, 2K = 8 QPSK at 8 dB, 260 iterations (the
   ``validate`` stack);
 - ``never_quiet``: the ``rows_15`` shape at 9 dB iid with the constant
-  radius 0.5, which no row meets, so no chunk runs quiet;
+  radius 0.5, which no row meets, so it is never certified;
 - ``l1_beta_1.7``: the ``rows_15`` shape plus an l1 row whose constant beta
-  is 1.7;
+  is 1.7, so it is never certified;
 - ``validate_18_recorded``: the ``validate_18`` stack recording its
   iterates, as ``validation`` runs it;
 - ``rows_45_observed``: the ``rows_45`` stack observed, each array it hands
@@ -30,7 +30,10 @@ the same costs and configs for both sides:
   stack stopped early repeats its last counts to the end of the budget;
 - ``rows_15_certified``: the ``rows_15`` stack run as ``sim`` runs the
   ``corr_snr`` batch, unobserved, with ``certify=True`` where the side's
-  engine takes it.
+  engine takes it;
+- ``single_runs``: one realization at 9 dB iid, one unrecorded
+  ``apsm_run`` of each standard variant, as ``detect`` runs them (a stack
+  of one each).
 
 Each stack runs ``--runs`` times per side, the sides alternating which goes
 first; the first run of each side must give bitwise the same final iterates,
@@ -62,7 +65,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SHAPES = ("rows_15", "rows_45", "rows_192", "validate_18", "never_quiet", "l1_beta_1.7",
           "validate_18_recorded", "rows_45_observed", "rows_45_certified",
-          "rows_15_certified")
+          "rows_15_certified", "single_runs")
 
 
 def parse_args(argv):
@@ -112,6 +115,8 @@ def stack(pkg, shape: str, seed: int):
         snrs = [9.0] * 64
     elif shape.startswith("validate_18"):
         k, n, mod, iters, snrs = 4, 8, "qpsk", 260, [8.0] * 6
+    elif shape == "single_runs":
+        snrs = [9.0]
     c = pkg.geometry.constellation(mod)
     insts = [mimo.make_instance(model, c, k, n, snr, mimo.trial_seed(seed, t))
              for t, snr in enumerate(snrs)]
@@ -148,9 +153,16 @@ def timed(pkg, shape: str, case, keep: bool = False) -> tuple[float, tuple]:
             and "certify" in inspect.signature(pkg.apsm.apsm_run_batch).parameters):
         kw["certify"] = True
     t0 = time.perf_counter()
-    x, traces = pkg.apsm.apsm_run_batch(costs, cfgs, c, **kw,
-                                        record_iterates=shape == "validate_18_recorded")
+    if shape == "single_runs":
+        runs = [pkg.apsm.apsm_run(cost, cfg, c) for cost, cfg in zip(costs, cfgs)]
+    else:
+        x, traces = pkg.apsm.apsm_run_batch(costs, cfgs, c, **kw,
+                                            record_iterates=shape == "validate_18_recorded")
     seconds = time.perf_counter() - t0
+    if shape == "single_runs":
+        # numpy loads with the packages, after the BLAS thread pin in __main__
+        import numpy as np
+        x, traces = np.stack([run[0] for run in runs]), [run[1] for run in runs]
     if counts:
         counts += [counts[-1][-1:]] * (cfgs[0].max_iters - sum(map(len, counts)))
     return seconds, (x, traces, seen, counts)
