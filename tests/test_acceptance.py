@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from sapsm.apsm import AuditResult, apsm_run, check_quasi_fejer
+from sapsm.apsm import AuditResult, apsm_run_batch, check_quasi_fejer
 from sapsm.cost import QuadraticResidualCost, standard_config
 from sapsm.detectors import (
     DetectorKind as D,
@@ -47,24 +47,27 @@ def report(capsys, num, passed, detail):
 
 @pytest.fixture(scope="module")
 def reference_runs():
-    """Criteria 1+2 workload: 500 trials x 3 variants of the 16x64 setup."""
-    trials, iters = 500, 300
-    configs = {v: standard_config(v, max_iters=iters) for v in VARIANTS}
+    """Criteria 1+2 workload: 500 trials x 3 variants of the 16x64 setup, in
+    recorded stacks of 25 trials x 3 variants, each row bitwise its run."""
+    trials, per_stack = 500, 25
+    cfgs = [standard_config(v, max_iters=300) for v in VARIANTS
+            for _ in range(per_stack)]
     feasible = {v: 0 for v in VARIANTS}
     audits = AuditResult()
     run_time = 0.0
-    for t in range(trials):
-        inst = make_instance(ChannelModel("iid"), QAM16, 16, 64, 9.0,
-                             trial_seed(SEED_FEAS, t))
-        cost = QuadraticResidualCost(inst.H, inst.y)
-        for v in VARIANTS:
-            t0 = time.perf_counter()
-            _, trace = apsm_run(cost, configs[v], QAM16, record_iterates=True)
-            run_time += time.perf_counter() - t0
+    for first in range(0, trials, per_stack):
+        insts = [make_instance(ChannelModel("iid"), QAM16, 16, 64, 9.0,
+                               trial_seed(SEED_FEAS, t))
+                 for t in range(first, first + per_stack)] * len(VARIANTS)
+        costs = [QuadraticResidualCost(inst.H, inst.y) for inst in insts]
+        t0 = time.perf_counter()
+        _, traces = apsm_run_batch(costs, cfgs, QAM16, record_iterates=True)
+        run_time += time.perf_counter() - t0
+        for trace, inst in zip(traces, insts, strict=True):
             if trace.theta[-1] == 0.0:
-                feasible[v] += 1
-            audits += check_quasi_fejer(trace, trace.iterates, inst.s, cost,
-                                        configs[v])
+                feasible[trace.cfg.variant] += 1
+            audits += check_quasi_fejer(trace, trace.iterates, inst.s,
+                                        trace.cost, trace.cfg)
     return {"trials": trials, "feasible": feasible, "audits": audits,
             "run_time": run_time}
 

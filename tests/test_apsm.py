@@ -31,6 +31,7 @@ from sapsm.cost import (
     RhoSchedule,
     apsm_map,
     schedule_table,
+    stack_costs,
     standard_config,
 )
 from sapsm.errors import ConfigError, DimensionMismatch, NonFiniteIterate
@@ -1140,6 +1141,24 @@ class TestCertifiedStop:
         assert final.tobytes() == trace.iterates[stop].tobytes()
         assert schedule_table(cfg.beta, 120)[stop:].sum() < 1e-3
         assert cost.residual_sq(QPSK.nearest(final[0])) > trace.rho[-1]
+
+    @pytest.mark.parametrize("share, certified", [(0.5, False), (1.01, True)])
+    def test_the_hull_is_widened_by_its_rounding_slack(self, share, certified):
+        # the same f, an l2 row at x_n = (-0.15, -0.15) and 100 later betas
+        # of 0.02: the hull runs to the slice (-a, -a), where the bound is f
+        # plus 2e. Widened by the slack s = 101 2^-48 a on each side it is
+        # f(-a - s, -a - s) + 2e, 1e-12 higher; a radius midway is refused
+        cost = QuadraticResidualCost(np.eye(2), np.array([0.3, 0.3]))
+        x = np.full((1, 2), -0.15)
+        sliced = QPSK.nearest(x)
+        margin = 2 * CERTIFY_MARGIN * (2 * QPSK.a_max + math.sqrt(cost.yty)) ** 2
+        bare = cost.residual_sq(sliced[0]) + margin
+        widened = cost.residual_sq(sliced[0] - 101 * 2.0**-48 * QPSK.a_max) + margin
+        assert widened - bare > 1e-12
+        rho = np.array([bare + share * (widened - bare)])
+        assert sapsm.apsm._certified(stack_costs([cost]), x, 0, QPSK, sliced,
+                                     np.full((1, 1), math.inf), np.full((100, 1, 1), 0.02),
+                                     rho) == certified
 
     def test_a_recorded_run_is_not_certified(self):
         _, cost = small_instance()

@@ -23,38 +23,25 @@ def parent_checkout(root: Path) -> Path:
     return root
 
 
-def uncertified_parent(root: Path) -> Path:
-    """A checkout whose engine takes no certify, so runs the full budget."""
-    parent = parent_checkout(root)
-    apsm = parent / "src" / "sapsm" / "apsm.py"
-    text = apsm.read_text()
-    signature, start = ",\n                   certify: bool = False)", "    if len(cfgs) != len(costs):"
-    assert text.count(signature) == text.count(start) == 1
-    apsm.write_text(text.replace(signature, ")").replace(start, "    certify = False\n" + start))
-    return parent
-
-
-def test_one_round_on_a_tiny_stack(tmp_path, capsys):
-    parent = parent_checkout(tmp_path)
+def one_round(capsys, parent: Path, *shapes: str, stacks: int = 1) -> dict:
+    """The JSON of one round of the tool against ``parent``, checked to leave
+    no trace of the parent's copy in the process."""
     path = sys.path[:]
-    assert engine_pairs.main(["--parent", str(parent), "--stacks", "1", "--runs", "1",
-                              "--shape", "validate_18", "--seed", "3"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["stacks"] == doc["runs"] == 1 and list(doc["shapes"]) == ["validate_18"]
-    (ratio,) = doc["shapes"]["validate_18"]["ratios"]
-    assert ratio > 0 and doc["shapes"]["validate_18"]["median"] == ratio
-    # the parent's copy is gone from the process
+    args = ["--parent", str(parent), "--stacks", str(stacks), "--runs", "1"]
+    assert engine_pairs.main(args + [a for shape in shapes for a in ("--shape", shape)]) == 0
     assert sys.path == path and "sapsm_parent" not in sys.modules
+    return json.loads(capsys.readouterr().out)
 
 
-def test_one_round_of_single_runs(tmp_path, capsys):
-    # the B = 1 shape: one unrecorded apsm_run per standard variant on one
-    # 16x64 realization, compared bitwise like the other uncertified shapes
-    parent = parent_checkout(tmp_path)
-    assert engine_pairs.main(["--parent", str(parent), "--stacks", "1", "--runs", "1",
-                              "--shape", "single_runs"]) == 0
-    assert list(json.loads(capsys.readouterr().out)["shapes"]) == ["single_runs"]
-    assert "sapsm_parent" not in sys.modules
+def test_one_round_of_the_uncertified_shapes(tmp_path, capsys):
+    # the validate stack, recorded, and the B = 1 shape: one unrecorded
+    # apsm_run per standard variant on one 16x64 realization
+    shapes = ["validate_18_recorded", "single_runs"]
+    doc = one_round(capsys, parent_checkout(tmp_path), *shapes)
+    assert doc["stacks"] == doc["runs"] == 1 and list(doc["shapes"]) == shapes
+    for report in doc["shapes"].values():
+        (ratio,) = report["ratios"]
+        assert ratio > 0 and report["median"] == ratio and report["compared"] == ["bitwise"]
     case = engine_pairs.stack(sapsm, "single_runs", 0)
     x, traces, seen, counts = engine_pairs.timed(sapsm, "single_runs", case)[1]
     assert x.shape == (3, 32) and seen == counts == []
@@ -72,34 +59,30 @@ def test_sides_that_differ_are_refused(tmp_path):
     text = cost.read_text()
     assert text.count("\nMU = 0.7\n") == 1
     cost.write_text(text.replace("\nMU = 0.7\n", "\nMU = 0.6\n"))
-    with pytest.raises(SystemExit, match="validate_18 stack 0: the sides differ"):
+    with pytest.raises(SystemExit, match="validate_18_recorded stack 0: the sides differ"):
         engine_pairs.main(["--parent", str(parent), "--stacks", "1", "--runs", "1",
-                           "--shape", "validate_18"])
+                           "--shape", "validate_18_recorded"])
     assert "sapsm_parent" not in sys.modules
 
 
-def test_recorded_and_observed_shapes_compare_what_they_hand_over(tmp_path, capsys):
-    parent = parent_checkout(tmp_path)
-    assert engine_pairs.main(["--parent", str(parent), "--stacks", "1", "--runs", "1",
-                              "--shape", "validate_18_recorded",
-                              "--shape", "rows_45_observed"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert list(doc["shapes"]) == ["validate_18_recorded", "rows_45_observed"]
+def test_recorded_and_observed_shapes_compare_what_they_hand_over():
     recorded = engine_pairs.timed(sapsm, "validate_18_recorded",
                                   engine_pairs.stack(sapsm, "validate_18_recorded", 0))[1]
     x, traces, seen, counts = recorded
     assert len(traces) == 18 and seen == [] and counts == []
     assert all(trace.iterates.shape == (261, 8) for trace in traces)
-    observed = engine_pairs.timed(sapsm, "rows_45_observed",
-                                  engine_pairs.stack(sapsm, "rows_45_observed", 0), keep=True)[1]
+    # the per-iteration sweep's stack hands over the iterates up to its
+    # stop, and its counts run on to the budget
+    case = engine_pairs.stack(sapsm, "rows_45_observed", 0)
+    observed = engine_pairs.timed(sapsm, "rows_45_observed", case, keep=True)[1]
     x, traces, seen, counts = observed
-    assert sum(map(len, seen)) == 300 and {xs.shape[1:] for xs in seen} == {(45, 32)}
+    assert sum(map(len, seen)) == engine_pairs.stop(sapsm, case) < 300
+    assert {xs.shape[1:] for xs in seen} == {(45, 32)} and x.tobytes() == seen[-1][-1].tobytes()
     assert np.concatenate(counts).shape == (300, 3, 15)
     assert all(trace.iterates is None for trace in traces)
-    # one flipped bit in a recorded iterate or an observed array, or one
-    # count off, tells them apart
-    assert engine_pairs.same_bits(recorded, recorded)
-    assert engine_pairs.same_bits(observed, observed)
+    # one flipped bit in a recorded iterate or an observed array tells them
+    # apart (one count off: see the test of decisions)
+    assert all(engine_pairs.same_bits(run, run) for run in (recorded, observed))
     x, traces, seen, counts = recorded
     flipped = traces[5].iterates.copy()
     flipped[100, 3] = np.nextafter(flipped[100, 3], np.inf)
@@ -109,54 +92,39 @@ def test_recorded_and_observed_shapes_compare_what_they_hand_over(tmp_path, caps
     seen = [xs.copy() for xs in seen]
     seen[-1][-1, 44, 31] = np.nextafter(seen[-1][-1, 44, 31], np.inf)
     assert not engine_pairs.same_bits(observed, (x, traces, seen, counts))
-    x, traces, seen, counts = observed
-    counts = [n.copy() for n in counts]
-    counts[3][2, 1, 7] += 1
-    assert not engine_pairs.same_bits(observed, (x, traces, seen, counts))
 
 
-def test_the_certified_shape_compares_counts_and_decisions(tmp_path, capsys):
-    # a parent whose engine takes no certify runs the full budget; the
-    # counts and decisions of the two sides agree, their iterates do not
-    parent = uncertified_parent(tmp_path)
-    assert engine_pairs.main(["--parent", str(parent), "--stacks", "1", "--runs", "1",
-                              "--shape", "rows_45_certified"]) == 0
-    assert list(json.loads(capsys.readouterr().out)["shapes"]) == ["rows_45_certified"]
-    assert "sapsm_parent" not in sys.modules
-    case = engine_pairs.stack(sapsm, "rows_45_certified", 0)
-    certified = engine_pairs.timed(sapsm, "rows_45_certified", case, keep=True)[1]
-    full = engine_pairs.timed(sapsm, "rows_45_observed", case, keep=True)[1]
-    assert sum(map(len, certified[2])) < 300
-    assert np.concatenate(certified[3]).shape == (300, 3, 15)
-    assert not engine_pairs.same_bits(certified, full)
-    assert engine_pairs.same_decisions(certified, full, case[2])
-    x, traces, seen, counts = certified
-    counts = [n.copy() for n in counts]
+def test_certified_stacks_are_bitwise_where_both_sides_stop_at_one_chunk_end(tmp_path,
+                                                                            capsys):
+    # the corr_snr and ref_iter batches against a copy of this checkout
+    doc = one_round(capsys, parent_checkout(tmp_path), "rows_15", "rows_45_observed", stacks=2)
+    assert [report["compared"] for report in doc["shapes"].values()] == [["bitwise"] * 2] * 2
+    # a flipped bit of a final iterate that keeps every decision is refused
+    case = engine_pairs.stack(sapsm, "rows_15", 0)
+    run = engine_pairs.timed(sapsm, "rows_15", case)[1]
+    x = run[0].copy()
+    x[0, 0] = np.nextafter(x[0, 0], np.inf)
+    assert engine_pairs.same_decisions(run, (x, *run[1:]), case[2])
+    with pytest.raises(SystemExit, match="rows_15 stack 0: the sides differ"):
+        engine_pairs.comparison((sapsm, sapsm), "rows_15", 0, [case, case], (run, (x, *run[1:])))
+
+
+def test_certified_stacks_stopped_at_other_chunk_ends_compare_decisions(tmp_path, capsys):
+    # a parent that tries its certificate every 24 iterations stops these
+    # stacks later: their bits differ, their counts and decisions do not
+    parent = parent_checkout(tmp_path)
+    apsm = parent / "src" / "sapsm" / "apsm.py"
+    text = apsm.read_text()
+    assert text.count("\nCHUNK = 12\n") == 1
+    apsm.write_text(text.replace("\nCHUNK = 12\n", "\nCHUNK = 24\n"))
+    doc = one_round(capsys, parent, "rows_15", "rows_45_observed")
+    assert [report["compared"] for report in doc["shapes"].values()] == [["decisions"]] * 2
+    # one count off, or one decision, tells two runs apart
+    case = engine_pairs.stack(sapsm, "rows_45_observed", 0)
+    run = engine_pairs.timed(sapsm, "rows_45_observed", case)[1]
+    counts = [n.copy() for n in run[3]]
     counts[-1][-1, 0, 0] += 1
-    assert not engine_pairs.same_decisions((x, traces, seen, counts), full, case[2])
-    x = x.copy()
+    assert not engine_pairs.same_decisions(run, (*run[:3], counts), case[2])
+    x = run[0].copy()
     x[0] = -x[0]
-    assert not engine_pairs.same_decisions((x, traces, seen, certified[3]), full, case[2])
-
-
-def test_the_unobserved_certified_shape_compares_decisions(tmp_path, capsys):
-    # the corr_snr batch as a sweep runs it: unobserved, so the sides
-    # compare final decisions alone
-    parent = uncertified_parent(tmp_path)
-    assert engine_pairs.main(["--parent", str(parent), "--stacks", "1", "--runs", "1",
-                              "--shape", "rows_15_certified"]) == 0
-    assert list(json.loads(capsys.readouterr().out)["shapes"]) == ["rows_15_certified"]
-    assert "sapsm_parent" not in sys.modules
-    case = engine_pairs.stack(sapsm, "rows_15_certified", 0)
-    assert case[0][0].gram.tobytes() == engine_pairs.stack(sapsm, "rows_15", 0)[0][0].gram.tobytes()
-    certified = engine_pairs.timed(sapsm, "rows_15_certified", case, keep=True)[1]
-    full = engine_pairs.timed(sapsm, "rows_15", case, keep=True)[1]
-    x, traces, seen, counts = certified
-    assert len(x) == 15 and seen == counts == []
-    # the certified stack stopped early, so its final iterates differ from
-    # the full run's, their decisions do not
-    assert not engine_pairs.same_bits(certified, full)
-    assert engine_pairs.same_decisions(certified, full, case[2])
-    x = x.copy()
-    x[0] = -x[0]
-    assert not engine_pairs.same_decisions((x, traces, seen, counts), full, case[2])
+    assert not engine_pairs.same_decisions(run, (x, *run[1:]), case[2])
