@@ -80,8 +80,9 @@ def test_recorded_and_observed_shapes_compare_what_they_hand_over():
     assert {xs.shape[1:] for xs in seen} == {(45, 32)} and x.tobytes() == seen[-1][-1].tobytes()
     assert np.concatenate(counts).shape == (300, 3, 15)
     assert all(trace.iterates is None for trace in traces)
-    # one flipped bit in a recorded iterate or an observed array tells them
-    # apart (one count off: see the test of decisions)
+    # one flipped bit in a recorded iterate, an observed array or a final
+    # decision, or one count off, tells them apart; an observed iterate at
+    # or after the earlier of two sides' stops is no part of the decisions
     assert all(engine_pairs.same_bits(run, run) for run in (recorded, observed))
     x, traces, seen, counts = recorded
     flipped = traces[5].iterates.copy()
@@ -89,9 +90,18 @@ def test_recorded_and_observed_shapes_compare_what_they_hand_over():
     traces = traces[:5] + [replace(traces[5], iterates=flipped)] + traces[6:]
     assert not engine_pairs.same_bits(recorded, (x, traces, seen, counts))
     x, traces, seen, counts = observed
+    n, c = sum(map(len, seen)), case[2]
     seen = [xs.copy() for xs in seen]
     seen[-1][-1, 44, 31] = np.nextafter(seen[-1][-1, 44, 31], np.inf)
     assert not engine_pairs.same_bits(observed, (x, traces, seen, counts))
+    assert engine_pairs.same_decisions(observed, (x, traces, seen, counts), c, n - 1)
+    assert not engine_pairs.same_decisions(observed, (x, traces, seen, counts), c, n)
+    x, traces, seen, counts = observed
+    counts = [m.copy() for m in counts]
+    counts[3][2, 1, 7] += 1
+    for other in ((x, traces, seen, counts), (-x, traces, seen, observed[3])):
+        assert not engine_pairs.same_bits(observed, other)
+        assert not engine_pairs.same_decisions(observed, other, c, n)
 
 
 def test_certified_stacks_are_bitwise_where_both_sides_stop_at_one_chunk_end(tmp_path,
@@ -104,27 +114,20 @@ def test_certified_stacks_are_bitwise_where_both_sides_stop_at_one_chunk_end(tmp
     run = engine_pairs.timed(sapsm, "rows_15", case)[1]
     x = run[0].copy()
     x[0, 0] = np.nextafter(x[0, 0], np.inf)
-    assert engine_pairs.same_decisions(run, (x, *run[1:]), case[2])
+    assert engine_pairs.same_decisions(run, (x, *run[1:]), case[2], 300)
     with pytest.raises(SystemExit, match="rows_15 stack 0: the sides differ"):
         engine_pairs.comparison((sapsm, sapsm), "rows_15", 0, [case, case], (run, (x, *run[1:])))
 
 
 def test_certified_stacks_stopped_at_other_chunk_ends_compare_decisions(tmp_path, capsys):
-    # a parent that tries its certificate every 24 iterations stops these
-    # stacks later: their bits differ, their counts and decisions do not
+    # a parent that tries its certificate every 20 iterations stops these
+    # stacks later (at 160 and 200, not 156 and 192; 24 iterations would
+    # stop the ref_iter batch at 192 too): their bits differ, their counts,
+    # decisions and observed iterates up to the earlier stop do not
     parent = parent_checkout(tmp_path)
     apsm = parent / "src" / "sapsm" / "apsm.py"
     text = apsm.read_text()
     assert text.count("\nCHUNK = 12\n") == 1
-    apsm.write_text(text.replace("\nCHUNK = 12\n", "\nCHUNK = 24\n"))
+    apsm.write_text(text.replace("\nCHUNK = 12\n", "\nCHUNK = 20\n"))
     doc = one_round(capsys, parent, "rows_15", "rows_45_observed")
     assert [report["compared"] for report in doc["shapes"].values()] == [["decisions"]] * 2
-    # one count off, or one decision, tells two runs apart
-    case = engine_pairs.stack(sapsm, "rows_45_observed", 0)
-    run = engine_pairs.timed(sapsm, "rows_45_observed", case)[1]
-    counts = [n.copy() for n in run[3]]
-    counts[-1][-1, 0, 0] += 1
-    assert not engine_pairs.same_decisions(run, (*run[:3], counts), case[2])
-    x = run[0].copy()
-    x[0] = -x[0]
-    assert not engine_pairs.same_decisions(run, (x, *run[1:]), case[2])

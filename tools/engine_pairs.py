@@ -13,8 +13,8 @@ do; the sweep-shaped stacks (all but the last two) with ``certify=True``:
 - ``rows_15``: 5 realizations x the three standard variants, Kronecker 0.8
   channel at 18 dB, 16x64 16-QAM (the ``corr_snr`` batch);
 - ``rows_45``: 15 realizations at 5, 9 and 13 dB, iid (the ``ref_snr`` batch);
-- ``rows_45_observed``: the ``rows_45`` stack observed, each array it hands
-  over counted with ``mimo.interval_errors`` as ``sim`` counts a
+- ``rows_45_observed``: 15 realizations at 9 dB, iid, observed, each array
+  it hands over counted with ``mimo.interval_errors`` as ``sim`` counts a
   per-iteration sweep (the ``ref_iter`` batch), the last counts repeated
   from a stop to the end of the budget;
 - ``rows_192``: 64 realizations at 9 dB, iid (a 64-trial sweep batch);
@@ -30,7 +30,8 @@ Each stack runs ``--runs`` times per side, the sides alternating which goes
 first. The first runs of the two sides must give bitwise the same final
 iterates, thetas, recorded iterates, observed arrays and counts, unless a
 certified stack stops at other chunk ends on the two sides (a parent with
-another ``CHUNK``): then its counts and final decisions must agree. The
+another ``CHUNK``): then its counts, its observed iterates up to the
+earlier stop and its final decisions must agree. The
 JSON printed holds, per shape, the change-over-parent ratio of each
 stack's minimum times, their median, and which comparison (``bitwise`` or
 ``decisions``) each stack got.
@@ -99,17 +100,13 @@ def stack(pkg, shape: str, seed: int):
     realization."""
     mimo, cost = pkg.mimo, pkg.cost
     k, n, mod, iters, model = 16, 64, "16qam", 300, mimo.ChannelModel("iid")
-    snrs = [9.0] * 5
+    snrs = {"rows_15": [18.0] * 5, "rows_45": [5.0, 9.0, 13.0] * 5, "rows_45_observed": [9.0] * 15,
+            "rows_192": [9.0] * 64, "validate_18_recorded": [8.0] * 6,
+            "single_runs": [9.0]}.get(shape, [9.0] * 5)
     if shape == "rows_15":
-        model, snrs = mimo.ChannelModel("kronecker", 0.8, 0.8), [18.0] * 5
-    elif shape.startswith("rows_45"):
-        snrs = [5.0, 9.0, 13.0] * 5
-    elif shape == "rows_192":
-        snrs = [9.0] * 64
+        model = mimo.ChannelModel("kronecker", 0.8, 0.8)
     elif shape == "validate_18_recorded":
-        k, n, mod, iters, snrs = 4, 8, "qpsk", 260, [8.0] * 6
-    elif shape == "single_runs":
-        snrs = [9.0]
+        k, n, mod, iters = 4, 8, "qpsk", 260
     c = pkg.geometry.constellation(mod)
     insts = [mimo.make_instance(model, c, k, n, snr, mimo.trial_seed(seed, t))
              for t, snr in enumerate(snrs)]
@@ -165,41 +162,40 @@ def stop(pkg, case) -> int:
     return sum(ends)
 
 
-def _bits(a) -> bytes | None:
-    return None if a is None else a.tobytes()
-
-
-def same_counts(a, b) -> bool:
-    """Whether two runs' concatenated per-iteration counts are the same."""
-    return b"".join(map(_bits, a[3])) == b"".join(map(_bits, b[3]))
+def _bits(arrays) -> bytes:
+    """The bytes of ``arrays`` end to end (None adds none)."""
+    return b"".join(b"" if a is None else a.tobytes() for a in arrays)
 
 
 def same_bits(a, b) -> bool:
     """Whether two runs' final iterates, thetas, recorded iterates,
     concatenated observed arrays and counts are bitwise the same."""
-    (xa, ta, sa, _), (xb, tb, sb, _) = a, b
-    return (xa.tobytes() == xb.tobytes() and same_counts(a, b)
-            and b"".join(map(_bits, sa)) == b"".join(map(_bits, sb))
-            and all(s.theta.tobytes() == t.theta.tobytes()
-                    and _bits(s.iterates) == _bits(t.iterates)
-                    for s, t in zip(ta, tb, strict=True)))
+    def bits(x, traces, seen, counts):
+        return [x.tobytes(), _bits(seen), _bits(counts),
+                [(t.theta.tobytes(), _bits([t.iterates])) for t in traces]]
+    return bits(*a) == bits(*b)
 
 
-def same_decisions(a, b, c) -> bool:
-    """Whether two runs' per-iteration counts and the slices of their final
-    iterates on constellation ``c`` are the same."""
-    return same_counts(a, b) and c.nearest(a[0]).tobytes() == c.nearest(b[0]).tobytes()
+def same_decisions(a, b, c, n: int) -> bool:
+    """Whether two runs' per-iteration counts, first ``n`` observed iterates
+    and the slices of their final iterates on constellation ``c`` are the
+    same."""
+    def kept(x, traces, seen, counts):
+        # an observed array holds iterates shaped as the final ones
+        return [_bits(counts), _bits(seen)[:n * x.nbytes], c.nearest(x).tobytes()]
+    return kept(*a) == kept(*b)
 
 
 def comparison(pkgs, shape: str, seed: int, cases, results) -> str:
     """``bitwise`` when the two sides' runs of the stack of ``seed`` are
     bitwise the same, ``decisions`` when it is certified, stops at other
-    chunk ends on each side and keeps its counts and decisions; SystemExit
-    when the sides differ otherwise."""
+    chunk ends on each side and keeps its counts, its observed iterates up
+    to the earlier stop and its decisions; SystemExit when the sides differ
+    otherwise."""
     if same_bits(*results):
         return "bitwise"
-    if (certified(shape) and stop(pkgs[0], cases[0]) != stop(pkgs[1], cases[1])
-            and same_decisions(*results, cases[0][2])):
+    stops = [stop(*side) for side in zip(pkgs, cases)] if certified(shape) else [0, 0]
+    if stops[0] != stops[1] and same_decisions(*results, cases[0][2], min(stops)):
         return "decisions"
     raise SystemExit(f"{shape} stack {seed}: the sides differ")
 
